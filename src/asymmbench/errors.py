@@ -15,7 +15,7 @@ class NonHermitian(WorkbenchError):
 
 
 class NoConvergence(WorkbenchError):
-    """An iterative procedure exhausted its iteration budget."""
+    """An iterative procedure stalled or exhausted its iteration budget."""
 
     def __init__(self, message, residual=None):
         super().__init__(message)

@@ -37,7 +37,6 @@ __all__ = [
     "fidelity_arrays",
     "partial_trace",
     "tensor_product",
-    "kron_all",
     "symmetric_subspace_projector",
     "maximally_entangled_vec",
     "hilbert_schmidt_inner",
@@ -54,7 +53,8 @@ def max_abs(m: np.ndarray) -> float:
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
-    return np.conj(m.T)
+    """Conjugate transpose of a matrix, or of each matrix in a stack."""
+    return m.swapaxes(-1, -2).conj()
 
 
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -215,13 +215,6 @@ def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     _require_finite(a)
     _require_finite(b)
     return np.kron(a, b)
-
-
-def kron_all(mats: Sequence[np.ndarray]) -> np.ndarray:
-    out = as_complex(mats[0])
-    for m in mats[1:]:
-        out = np.kron(out, as_complex(m))
-    return out
 
 
 def symmetric_subspace_projector(d: int, n: int) -> np.ndarray:

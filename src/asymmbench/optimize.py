@@ -1,20 +1,26 @@
 """Constrained optimization over covariant channels.
 
-Three optimizers share one geometric core, project_covariant_tp_psd:
-Dykstra alternating projections between the PSD cone and the affine set
-of sector-dephased, trace-preserving Choi matrices.  The affine
-projection composes two commuting orthogonal projections (dephasing
-across generator sectors, then the trace-preservation correction
-J -> J + (1/d_out) I (x) (I - Tr_out J)), so their composition is the
-exact projection onto the intersection; tests verify order independence
-and idempotence.
+Three optimizers share one geometric core, project_covariant_tp_psd: the
+Euclidean projection onto covariant, trace-preserving, PSD Choi matrices.
+It dephases once across the sectors of the covariance generator
+K = H_out (x) I - I (x) H_in^T, which is exact because the target set
+lies in the covariant subspace.  In the eigenbasis of K the dephased
+matrix is block diagonal, and the projection is X = [J + I (x) Y]_+,
+clipped block by block, where Y solves the dual semidefinite
+least-squares problem of Malick (SIAM J. Matrix Anal. Appl. 26, 2004) by
+the semismooth Newton method of Qi & Sun (SIAM J. Matrix Anal. Appl. 28,
+2006).  The dual gradient is the TP residual Tr_out X - I, so the result
+is PSD and covariant by construction and trace preserving to the Newton
+tolerance.
 
 The recovery-fidelity maximization is a concave objective on a convex
 set, so projected gradient ascent with backtracking converges to the
 global maximum; multi-restart agreement is used as the convergence
-certificate.  When it fails, the best value is still a certified lower
-bound on the fidelity (upper bound on the irreversibility), which is the
-safe direction for every check in the experiments module.
+certificate.  A run that stops short still returns a feasible channel, so
+its fidelity is a lower bound on the maximum and the reported
+irreversibility an upper bound.  That direction is safe for checks that
+irreversibility is small, but not for the degradation demo and the
+tradeoff relation, which need a lower bound on the irreversibility.
 
 Matrix inverses are regularized at eps = 1e-10; each regularized call is
 logged through the standard logging module.
@@ -23,12 +29,14 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import NoConvergence, SingularPrior, SingularTarget
 from .linalg import (
     dagger,
+    fidelity_arrays,
     hermitian_eig,
     max_abs,
     partial_trace,
@@ -52,6 +60,18 @@ logger = logging.getLogger(__name__)
 
 REG_EPS = 1e-10
 
+# Dual-Newton projection: TP residual ||Tr_out X - I||_F to reach, per unit
+# of the largest input entry, and the step cap.  The line search halves at
+# most _MAX_HALVINGS times and forgives a rise of the dual value up to its
+# roundoff, _ROUNDOFF per unit of the largest entry; the Newton system gets
+# a ridge of min(_RIDGE, residual).
+NEWTON_TOL = 1e-13
+NEWTON_MAX_ITER = 50
+_ARMIJO = 1e-4
+_MAX_HALVINGS = 60
+_ROUNDOFF = 1e-13
+_RIDGE = 1e-6
+
 __all__ = [
     "OptimizerConfig",
     "IrrevResult",
@@ -73,8 +93,6 @@ class OptimizerConfig:
     tol: float = 1e-8
     restarts: int = 5
     seed: int = 0
-    projection_max_iter: int = 5000
-    projection_tol: float = 1e-11
     smoothing: float = 1e-6
 
 
@@ -113,50 +131,150 @@ class BroadcastAttempt:
 
 
 def project_covariant_tp_psd(
-    j: np.ndarray,
-    in_sys: SystemSpec,
-    out_sys: SystemSpec,
-    max_iter: int = 5000,
-    tol: float = 1e-11,
+    j: np.ndarray, in_sys: SystemSpec, out_sys: SystemSpec
 ) -> np.ndarray:
     """Project a Hermitian matrix onto the covariant-TP-PSD Choi set.
 
-    Dykstra alternating projections between the PSD cone (eigenvalue
-    clipping) and the affine set {sector-dephased} intersect {Tr_out = I}.
-    Raises NoConvergence with the final residual if the iterate has not
-    settled after max_iter rounds.
+    The set lies in the covariant subspace, so the projection of J equals
+    that of its sector dephasing.  In the sector basis V_out (x) conj(V_in)
+    the dephased J~ is block diagonal over the eigenvalues of K, and the
+    projection is X = [J~ + I (x) Y]_+, clipped block by block.  Y is the
+    Hermitian minimizer, in the commutant of H_in^T, of the dual function
+    (1/2)||[J~ + I (x) Y]_+||^2 - Tr Y, whose gradient Tr_out X - I is the
+    TP residual.  Semismooth Newton with the generalized Jacobian of the
+    block eigendecompositions (zero eigenvalues counted as positive) and an
+    Armijo line search drives the residual below NEWTON_TOL per unit of
+    the largest entry of J~.  The start Y0 = (I - Tr_out J~) / d_out is
+    the Newton step from Y = 0, so J = 0 lands on I (x) I / d_out at once.
+    X is PSD and covariant by construction.  Raises NoConvergence with the
+    final residual if the line search stalls or NEWTON_MAX_ITER is spent.
     """
-    di, do = in_sys.dim, out_sys.dim
-    sec = CovarianceSector.for_channel(out_sys, in_sys)
-    eye_in = np.eye(di, dtype=np.complex128)
-    eye_out = np.eye(do, dtype=np.complex128)
+    basis = CovarianceSector.for_channel(out_sys, in_sys).basis
+    jt = (dagger(basis) @ np.asarray(j, dtype=np.complex128) @ basis).ravel()
+    tr_e, layout = _dual_layout(in_sys.spectrum, out_sys.spectrum)
+    n = tr_e.size
+    # Reading off the sector blocks is the dephasing.  Blocks of equal size
+    # are stacked, so each size costs one batched eigh.
+    blocks = []
+    for flat, e in layout:
+        jb = jt[flat].reshape(len(flat), e.shape[-1], e.shape[-1])
+        blocks.append(((jb + dagger(jb)) / 2, e))
+    # Eigenvalues of the blocks, and so X and the dual value, carry
+    # roundoff in proportion to the largest entry.
+    scale = max(1.0, max(max_abs(jb) for jb, _ in blocks))
+    tol = NEWTON_TOL * scale
 
-    def affine(x):
-        x = sec.dephase(x)
-        marg = partial_trace(x, [do, di], keep=[1])
-        return x + tensor_product(eye_out, eye_in - marg) / do
+    def components(e, xb):
+        """<I (x) E_k, X> summed over a stack of blocks."""
+        return np.real(np.einsum("gkij,gij->k", e.conj(), xb))
 
-    def psd(x):
-        w, v = hermitian_eig((x + dagger(x)) / 2)
-        return (v * np.maximum(w, 0.0)) @ dagger(v)
+    def evaluate(y):
+        """Dual value, gradient and the block eigendecompositions at y."""
+        theta = -float(y @ tr_e)
+        grad = -tr_e
+        eigs = []
+        for jb, e in blocks:
+            w, q = np.linalg.eigh(jb + np.einsum("k,gkij->gij", y, e))
+            wp = np.maximum(w, 0.0)
+            xb = (q * wp[:, None, :]) @ dagger(q)
+            theta += 0.5 * float(np.sum(wp * wp))
+            grad = grad + components(e, xb)
+            eigs.append((w, q, xb))
+        return theta, grad, eigs
 
-    x = (np.asarray(j, dtype=np.complex128) + dagger(j)) / 2
-    p = np.zeros_like(x)
-    q = np.zeros_like(x)
-    prev = x
-    for _ in range(max_iter):
-        y = psd(x + p)
-        p = x + p - y
-        x = affine(y + q)
-        q = y + q - x
-        change = max_abs(x - prev)
-        w_min = float(np.linalg.eigvalsh((x + dagger(x)) / 2)[0])
-        if change <= tol and w_min >= -100 * tol:
-            return (x + dagger(x)) / 2
-        prev = x
-    raise NoConvergence(
-        f"Dykstra projection stalled (last change {change:.3e})", residual=change
+    def jacobian(eigs):
+        """Generalized Jacobian of the gradient, in the commutant basis."""
+        v = np.zeros((n, n))
+        for (_, e), (w, q, _) in zip(blocks, eigs):
+            pos = w >= 0
+            wp = np.maximum(w, 0.0)
+            mixed = pos[:, :, None] != pos[:, None, :]
+            den = np.where(mixed, w[:, :, None] - w[:, None, :], 1.0)
+            both = pos[:, :, None] & pos[:, None, :]
+            omega = np.where(mixed, (wp[:, :, None] - wp[:, None, :]) / den, both)
+            amat = dagger(q)[:, None] @ e @ q[:, None]
+            v += np.real(np.einsum("gkij,gij,glij->kl", amat.conj(), omega, amat))
+        return v
+
+    marg = sum(components(e, jb) for jb, e in blocks)
+    y = (tr_e - marg) / out_sys.dim
+    theta, grad, eigs = evaluate(y)
+    res = float(np.linalg.norm(grad))
+    steps = 0
+    while res > tol:
+        if steps == NEWTON_MAX_ITER:
+            raise NoConvergence(
+                f"dual-Newton projection took {steps} steps (TP residual {res:.3e})",
+                residual=res,
+            )
+        steps += 1
+        ridge = min(_RIDGE, res) * np.eye(n)
+        step = np.linalg.solve(jacobian(eigs) + ridge, -grad)
+        slope = float(grad @ step)
+        slack = _ROUNDOFF * scale * (1.0 + abs(theta))
+        alpha = 1.0
+        for _ in range(_MAX_HALVINGS):
+            trial = evaluate(y + alpha * step)
+            if trial[0] <= theta + _ARMIJO * alpha * slope + slack:
+                break
+            alpha *= 0.5
+        else:
+            raise NoConvergence(
+                f"dual-Newton projection stalled (TP residual {res:.3e})", residual=res
+            )
+        y = y + alpha * step
+        theta, grad, eigs = trial
+        res = float(np.linalg.norm(grad))
+    xt = np.zeros_like(jt)
+    for (flat, _), (_, _, xb) in zip(layout, eigs):
+        xt[flat] = xb.reshape(flat.shape)
+    x = basis @ xt.reshape(basis.shape) @ dagger(basis)
+    return (x + dagger(x)) / 2
+
+
+@lru_cache(maxsize=32)
+def _dual_layout(in_spectrum: tuple[int, ...], out_spectrum: tuple[int, ...]):
+    """Sector layout of the dual problem; depends on the two spectra only.
+
+    Returns (Tr E_k, groups) for an orthonormal basis E_k of the Hermitian
+    matrices that commute with diag(in_spectrum).  Each group stacks the
+    eigenvalue sectors of K of one block size m: the flat indices (g, m*m)
+    of their blocks in the Choi matrix in the sector basis, and the
+    restrictions (g, n, m, m) of I (x) E_k to them.  Sector-basis index
+    a * d_in + b carries the label out_spectrum[a] - in_spectrum[b], as in
+    CovarianceSector.
+    """
+    di, do = len(in_spectrum), len(out_spectrum)
+    units = []
+    for b in range(di):
+        unit = np.zeros((di, di), dtype=np.complex128)
+        unit[b, b] = 1.0
+        units.append(unit)
+        for c in range(b + 1, di):
+            if in_spectrum[b] == in_spectrum[c]:
+                for phase in (1.0, 1j):
+                    unit = np.zeros((di, di), dtype=np.complex128)
+                    unit[b, c] = phase * np.sqrt(0.5)
+                    unit[c, b] = np.conj(unit[b, c])
+                    units.append(unit)
+    units = np.array(units)
+    labels = np.subtract.outer(out_spectrum, in_spectrum).ravel()
+    by_size = {}
+    for lab in np.unique(labels):
+        idx = np.flatnonzero(labels == lab)
+        a, b = np.divmod(idx, di)
+        e = units[:, b[:, None], b[None, :]] * (a[:, None] == a[None, :])
+        flat = (idx[:, None] * (do * di) + idx[None, :]).ravel()
+        by_size.setdefault(idx.size, []).append((flat, e))
+    groups = tuple(
+        (np.array([f for f, _ in members]), np.array([e for _, e in members]))
+        for members in by_size.values()
     )
+    tr_e = np.real(np.trace(units, axis1=1, axis2=2))
+    # Every caller shares these arrays.
+    for arr in [tr_e] + [arr for group in groups for arr in group]:
+        arr.setflags(write=False)
+    return tr_e, groups
 
 
 def fidelity_gradient(rho_target: DensityMatrix, x: DensityMatrix | np.ndarray) -> np.ndarray:
@@ -184,11 +302,6 @@ def fidelity_gradient(rho_target: DensityMatrix, x: DensityMatrix | np.ndarray) 
     return (g + dagger(g)) / 2
 
 
-def _fidelity_raw(a: np.ndarray, b: np.ndarray) -> float:
-    val = trace_norm(psd_sqrt(a) @ psd_sqrt(b))
-    return float(min(1.0, max(0.0, val)))
-
-
 def _ascend(
     j0: np.ndarray,
     objective,
@@ -198,10 +311,7 @@ def _ascend(
     cfg: OptimizerConfig,
 ):
     """Projected gradient ascent with backtracking; returns (J, trace, value)."""
-    project = lambda m: project_covariant_tp_psd(
-        m, in_sys, out_sys, cfg.projection_max_iter, cfg.projection_tol
-    )
-    j = project(j0)
+    j = project_covariant_tp_psd(j0, in_sys, out_sys)
     val = objective(j)
     trace = [(0, val)]
     step = 1.0
@@ -209,11 +319,7 @@ def _ascend(
         grad = gradient(j)
         improved = False
         for _ in range(40):
-            try:
-                cand = project(j + step * grad)
-            except NoConvergence:
-                step *= 0.5
-                continue
+            cand = project_covariant_tp_psd(j + step * grad, in_sys, out_sys)
             cand_val = objective(cand)
             if cand_val > val:
                 improved = True
@@ -255,7 +361,7 @@ def max_recovery_fidelity(
     sigma_t = sigma.mat.T.copy()
 
     def objective(j):
-        return _fidelity_raw(rho_q.mat, apply_choi(j, to_sys.dim, from_sys.dim, sigma.mat))
+        return fidelity_arrays(rho_q.mat, apply_choi(j, to_sys.dim, from_sys.dim, sigma.mat))
 
     def gradient(j):
         out = apply_choi(j, to_sys.dim, from_sys.dim, sigma.mat)
@@ -362,7 +468,7 @@ def optimize_broadcast(
 
     def ft_term(sig_sp):
         shifted = u_t @ sig_sp @ dagger(u_t)
-        return 1.0 - _fidelity_raw(sig_sp, shifted)
+        return 1.0 - fidelity_arrays(sig_sp, shifted)
 
     def objective_factory(lam):
         def objective(j):
@@ -410,16 +516,10 @@ def optimize_broadcast(
             starts.append(random_covariant_channel(sys_q, out_sys, rng).choi)
         best = None
         for start in starts:
-            try:
-                j, trace, val = _ascend(start, objective, gradient, sys_q, out_sys, cfg)
-                ok = True
-            except NoConvergence:
-                continue
+            j, _, val = _ascend(start, objective, gradient, sys_q, out_sys, cfg)
             if best is None or val > best[1]:
-                best = (j, val, ok)
-        if best is None:
-            raise NoConvergence(f"no broadcast ascent succeeded at lambda={lam}")
-        j, _, converged = best
+                best = (j, val)
+        j = best[0]
         warm = j
         sig_q, sig_sp = marginals(j)
         attempts.append(
@@ -428,7 +528,7 @@ def optimize_broadcast(
                 marginal_disturbance=0.5 * trace_norm(sig_q - rho_q.mat),
                 output_coherence=float(min(1.0, max(0.0, ft_term(sig_sp)))),
                 lam=float(lam),
-                converged=converged,
+                converged=True,
             )
         )
     return attempts

@@ -25,8 +25,8 @@ distinction; tests are stated on the compact group.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -37,7 +37,6 @@ from .qtypes import Channel, DensityMatrix, SystemSpec, fidelity, tensor_system
 
 __all__ = [
     "SymmetryVerdict",
-    "AsymmetryMeasure",
     "CovarianceSector",
     "time_translate",
     "is_symmetric_state",
@@ -60,64 +59,43 @@ class SymmetryVerdict(NamedTuple):
         return self.ok
 
 
-@dataclass(frozen=True)
-class AsymmetryMeasure:
-    """Identifier for one of the implemented asymmetry measures.
-
-    kind is "fidelity_shift" (parametrized by the shift t) or
-    "skew_information".
-    """
-
-    kind: str
-    t: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in ("fidelity_shift", "skew_information"):
-            raise DimensionMismatch(f"unknown measure kind {self.kind!r}")
-        if not math.isfinite(self.t):
-            raise DimensionMismatch("shift parameter must be finite")
-
-    def evaluate(self, rho: DensityMatrix, sys: SystemSpec) -> float:
-        if self.kind == "fidelity_shift":
-            return measure_ft(rho, sys, self.t)
-        return skew_information(rho, sys)
-
-    def name(self) -> str:
-        if self.kind == "fidelity_shift":
-            return f"fidelity_shift(t={self.t:g})"
-        return "skew_information"
-
-
 @dataclass(frozen=True, eq=False)
 class CovarianceSector:
     """Sector structure of the translation action on a Choi space.
 
-    generator is K = H_out (x) I - I (x) H_in^T; sectors maps each integer
-    eigenvalue of K to its orthogonal projector.  The projectors are
-    complete by construction.
+    basis = V_out (x) conj(V_in) diagonalizes the generator
+    K = H_out (x) I - I (x) H_in^T, and labels[i] is the integer eigenvalue
+    of its column i.  sectors maps each eigenvalue of K to its orthogonal
+    projector; the projectors are complete by construction.  generator and
+    sectors are built on first use.
     """
 
-    generator: np.ndarray
+    out_sys: SystemSpec
+    in_sys: SystemSpec
     basis: np.ndarray
     labels: np.ndarray
-    sectors: dict[int, np.ndarray]
 
     @classmethod
     def for_channel(cls, out_sys: SystemSpec, in_sys: SystemSpec) -> "CovarianceSector":
-        do, di = out_sys.dim, in_sys.dim
-        k = tensor_product(out_sys.hamiltonian, np.eye(di)) - tensor_product(
-            np.eye(do), in_sys.hamiltonian.T
-        )
         # H_in^T = conj(H_in) has eigenbasis conj(V_in) with the same spectrum.
         basis = tensor_product(out_sys.eigenbasis, np.conj(in_sys.eigenbasis))
-        labels = np.array(
-            [a - b for a in out_sys.spectrum for b in in_sys.spectrum], dtype=np.int64
+        labels = np.subtract.outer(out_sys.spectrum, in_sys.spectrum).ravel().astype(np.int64)
+        return cls(out_sys, in_sys, basis, labels)
+
+    @cached_property
+    def generator(self) -> np.ndarray:
+        do, di = self.out_sys.dim, self.in_sys.dim
+        return tensor_product(self.out_sys.hamiltonian, np.eye(di)) - tensor_product(
+            np.eye(do), self.in_sys.hamiltonian.T
         )
+
+    @cached_property
+    def sectors(self) -> dict[int, np.ndarray]:
         sectors = {}
-        for lab in sorted(set(labels.tolist())):
-            cols = basis[:, labels == lab]
+        for lab in np.unique(self.labels):
+            cols = self.basis[:, self.labels == lab]
             sectors[int(lab)] = cols @ dagger(cols)
-        return cls(k, basis, labels, sectors)
+        return sectors
 
     def dephase(self, j: np.ndarray) -> np.ndarray:
         """Zero all matrix elements between distinct eigenvalue sectors of K."""

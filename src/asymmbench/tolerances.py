@@ -1,14 +1,11 @@
 """Centralized numerical tolerances.
 
 Single knob for the whole stack: structural validation of quantum
-objects, eigendecomposition residuals, and rank/support cutoffs.
+objects and rank/support cutoffs.
 """
 
 # Structural validation (Hermiticity, positivity, trace) of states and channels.
 TOL_STRUCT = 1e-9
-
-# Decomposition residuals (eigensolvers, projector completeness, twirls).
-TOL_EIG = 1e-10
 
 # Support cutoff: eigenvalues below this are exact zeros, excluded from inversion.
 TOL_RANK = 1e-12

@@ -30,11 +30,16 @@ def random_choi(d_in, d_out, rng, env=None):
     return j4.reshape(d_out * d_in, d_out * d_in)
 
 
+def integer_system(spectrum, rng):
+    """System with the given integer spectrum in a random eigenbasis."""
+    basis = random_unitary(len(spectrum), rng)
+    h = (basis * np.array(spectrum, dtype=np.complex128)) @ np.conj(basis.T)
+    return SystemSpec(len(spectrum), h, tuple(spectrum), basis)
+
+
 def random_integer_system(d, rng, span=2):
     spec = sorted(int(x) for x in rng.integers(-span, span + 1, size=d))
-    basis = random_unitary(d, rng)
-    h = (basis * np.array(spec, dtype=np.complex128)) @ np.conj(basis.T)
-    return SystemSpec(d, h, tuple(spec), basis)
+    return integer_system(spec, rng)
 
 
 def random_structured_family(rng, d, n_states=3):

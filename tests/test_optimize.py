@@ -2,6 +2,8 @@
 import math
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from asymmbench.linalg import fidelity_arrays, max_abs, partial_trace, tensor_product
 from asymmbench.optimize import (
@@ -19,6 +21,7 @@ from asymmbench.qtypes import (
     apply_channel,
     choi_from_map,
     random_density_matrix,
+    tensor_system,
 )
 from asymmbench.symmetry import (
     CovarianceSector,
@@ -27,7 +30,7 @@ from asymmbench.symmetry import (
     random_covariant_channel,
 )
 
-from conftest import random_integer_system
+from conftest import integer_system, random_integer_system
 
 QUBIT = SystemSpec.diagonal([0, 1])
 PLUS = DensityMatrix.pure([1, 1])
@@ -81,6 +84,93 @@ class TestProjection:
         b = sec.dephase(tp_fix(j))
         assert max_abs(a - b) < 1e-10
         assert max_abs(tp_fix(sec.dephase(a)) - a) < 1e-10
+
+
+def _random_hermitian(d, rng, scale=1.0):
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return scale * (g + g.conj().T) / 2
+
+
+def _check_projection(j, sys_in, sys_out, rng, n_witnesses=10):
+    """Feasibility and optimality of P(j): TP, PSD, covariant, and the
+    variational inequality <j - P, C - P> <= 0 over covariant channels C."""
+    out = project_covariant_tp_psd(j, sys_in, sys_out)
+    marg = partial_trace(out, [sys_out.dim, sys_in.dim], keep=[1])
+    assert max_abs(marg - np.eye(sys_in.dim)) <= 1e-12
+    assert np.linalg.eigvalsh(out)[0] >= -1e-14
+    assert is_covariant_channel(Channel(sys_in, sys_out, out), 1e-9).ok
+    for _ in range(n_witnesses):
+        c = random_covariant_channel(sys_in, sys_out, rng).choi
+        assert np.vdot(j - out, c - out).real <= 1e-10
+    return out
+
+
+class TestDualNewtonProjection:
+    def test_variational_inequality(self, rng):
+        for d_in, d_out in [(2, 2), (2, 3), (3, 2), (2, 4)]:
+            sys_in = random_integer_system(d_in, rng)
+            sys_out = random_integer_system(d_out, rng)
+            for _ in range(5):
+                j = _random_hermitian(d_in * d_out, rng)
+                _check_projection(j, sys_in, sys_out, rng)
+
+    def test_tp_residual_and_positivity_near_feasible(self, rng):
+        sys_out = tensor_system(QUBIT, QUBIT)
+        for _ in range(20):
+            ch = random_covariant_channel(QUBIT, sys_out, rng)
+            j = ch.choi + 0.3 * _random_hermitian(8, rng)
+            _check_projection(j, QUBIT, sys_out, rng, n_witnesses=2)
+
+    def test_covariant_at_choi_dim_27(self, rng):
+        qutrit = SystemSpec.diagonal([0, 1, 2])
+        sys_out = tensor_system(qutrit, qutrit)
+        ch = random_covariant_channel(qutrit, sys_out, rng)
+        j = ch.choi + 0.3 * _random_hermitian(27, rng)
+        _check_projection(j, qutrit, sys_out, rng, n_witnesses=3)
+
+    def test_undephased_scaled_start(self, rng):
+        # a random Hermitian start ten times the size of a channel, far
+        # from the covariant subspace
+        sys_out = tensor_system(QUBIT, QUBIT)
+        for _ in range(5):
+            _check_projection(_random_hermitian(8, rng, 10.0), QUBIT, sys_out, rng)
+
+    def test_degenerate_spectra(self, rng):
+        # a degenerate input level pair makes the TP multiplier Y
+        # non-diagonal in the sector basis
+        for spec_in, spec_out in [((0, 0), (0, 1)), ((0, 1, 1), (0, 0, 1)), ((1, 1, 1), (0, 2))]:
+            sys_in = integer_system(spec_in, rng)
+            sys_out = integer_system(spec_out, rng)
+            for _ in range(3):
+                j = _random_hermitian(len(spec_in) * len(spec_out), rng)
+                _check_projection(j, sys_in, sys_out, rng)
+
+    def test_degenerate_random_integer_systems(self, rng):
+        checked = 0
+        while checked < 5:
+            sys_in = random_integer_system(3, rng, span=1)
+            if len(set(sys_in.spectrum)) == 3:
+                continue
+            sys_out = random_integer_system(2, rng, span=1)
+            _check_projection(_random_hermitian(6, rng), sys_in, sys_out, rng)
+            checked += 1
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(
+        spec_in=st.lists(st.integers(-2, 2), min_size=1, max_size=3),
+        spec_out=st.lists(st.integers(-2, 2), min_size=1, max_size=3),
+        scale=st.sampled_from([0.0, 0.1, 1.0, 5.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_property_small_dimensions(self, spec_in, spec_out, scale, seed):
+        rng = np.random.default_rng(seed)
+        sys_in = integer_system(spec_in, rng)
+        sys_out = integer_system(spec_out, rng)
+        d = sys_in.dim * sys_out.dim
+        c = random_covariant_channel(sys_in, sys_out, rng).choi
+        j = c + scale * _random_hermitian(d, rng)
+        out = _check_projection(j, sys_in, sys_out, rng, n_witnesses=3)
+        assert max_abs(project_covariant_tp_psd(out, sys_in, sys_out) - out) <= 1e-10
 
 
 class TestFidelityGradient:
@@ -221,6 +311,16 @@ class TestOptimizeBroadcast:
         last = attempts[-1]
         assert last.marginal_disturbance <= 1e-5
         assert last.output_coherence <= 1e-4
+
+    def test_far_ascent_candidates_project(self):
+        # the lambda = 1 ascent at t = 3 pi / 4 tries candidates with entries
+        # near 100, whose projections take Newton steps below the roundoff
+        # of the dual value
+        attempts = optimize_broadcast(
+            PLUS, QUBIT, QUBIT, 3 * math.pi / 4, (0.0, 1.0), OptimizerConfig(max_iter=200)
+        )
+        for att in attempts:
+            assert is_covariant_channel(att.map, 1e-8).ok
 
     def test_attempts_are_covariant_channels(self):
         attempts = optimize_broadcast(
