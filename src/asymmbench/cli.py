@@ -1,5 +1,10 @@
 """Batch front door: strict config parsing, seeded dispatch, report emission.
 
+Each experiment's config fields and runner come from its entry in
+experiments.EXPERIMENTS; this module checks and parses fields against
+those specs, fills defaults and assembles the report.  Every state and
+system is parsed here, once, so that validate rejects whatever run would.
+
 Exit codes: 0 all assertions pass, 2 assertion failure, 3 numerical
 error, 4 config error.  Unknown config keys are fatal by design: a
 silently ignored typo in a tolerance name would invalidate a theorem
@@ -13,46 +18,14 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    AssertionFailure,
-    ParseError,
-    SchemaVersionMismatch,
-    WorkbenchError,
-)
-from .experiments import (
-    DegradationConfig,
-    NoBroadcastConfig,
-    NonadditivityConfig,
-    TradeoffConfig,
-    check_broadcast_complementarity,
-    check_fidelity_perturbation_lemma,
-    run_degradation_demo,
-    run_no_broadcast_sweep,
-    run_nonadditivity,
-    run_tradeoff_sweep,
-    twirled_partial_swap,
-    universal_cloner,
-)
-from .ki import ki_decompose, orbit_family, reconstruct_state
-from .linalg import trace_norm, tensor_product
-from .optimize import OptimizerConfig, max_recovery_fidelity
-from .qtypes import (
-    Channel,
-    DensityMatrix,
-    PureState,
-    StateFamily,
-    SystemSpec,
-    choi_from_map,
-    random_density_matrix,
-    tensor_system,
-)
+from .errors import ParseError, SchemaVersionMismatch, WorkbenchError
+from .experiments import EXPERIMENTS
 from .report import ExperimentReport, emit_csv, report_to_json
 from .serialize import density_from_json, system_from_json
 
@@ -61,89 +34,30 @@ SCHEMA_VERSION = 1
 _COMMON_FIELDS = {
     "schema_version": {"type": "int", "required": True},
     "experiment": {"type": "string", "required": True},
-    "seed": {"type": "int", "default": 0},
+    "seed": {"type": "nonnegative_int", "default": 0},
 }
 
 _OPTIMIZER_FIELDS = {
     "max_iter": {"type": "positive_int", "default": None},
     "tol": {"type": "positive_number", "default": None},
     "restarts": {"type": "positive_int", "default": None},
-    "seed": {"type": "int", "default": None},
-}
-
-EXPERIMENT_FIELDS: dict[str, dict] = {
-    "no_broadcast": {
-        "state": {"type": "matrix", "default": None},
-        "system_q": {"type": "system", "default": None},
-        "system_s_out": {"type": "system", "default": None},
-        "t": {"type": "number", "default": math.pi / 2},
-        "lambda_schedule": {"type": "number_list", "default": [0.0, 1.0, 4.0, 16.0, 64.0, 256.0]},
-        "coherence_tol": {"type": "positive_number", "default": 1e-4},
-        "orbit_samples": {"type": "positive_int", "default": 4},
-        "classical_control": {"type": "bool", "default": True},
-        "classical_register_size": {"type": "positive_int", "default": 2},
-        "optimizer": {"type": "optimizer", "default": {}},
-    },
-    "tradeoff": {
-        "state": {"type": "matrix", "default": None},
-        "system_q": {"type": "system", "default": None},
-        "system_s_out": {"type": "system", "default": None},
-        "t_grid": {"type": "number_list", "default": [math.pi / 4, math.pi / 2, 3 * math.pi / 4]},
-        "lambda_schedule": {"type": "number_list", "default": [0.0, 1.0, 4.0, 16.0, 64.0, 256.0]},
-        "optimizer": {"type": "optimizer", "default": {}},
-    },
-    "degradation": {
-        "state": {"type": "matrix", "default": None},
-        "system_q": {"type": "system", "default": None},
-        "system_s": {"type": "system", "default": None},
-        "angle": {"type": "number", "default": math.pi / 4},
-        "probe": {"type": "matrix", "default": None},
-        "degradation_tol": {"type": "positive_number", "default": 1e-6},
-        "optimizer": {"type": "optimizer", "default": {}},
-    },
-    "nonadditivity": {
-        "t": {"type": "number", "default": math.pi / 2},
-        "cloner_n_cap": {"type": "positive_int", "default": 64},
-    },
-    "irrev": {
-        "state": {"type": "matrix", "default": None},
-        "target": {"type": "matrix", "required": True},
-        "system_from": {"type": "system", "default": None},
-        "system_to": {"type": "system", "default": None},
-        "optimizer": {"type": "optimizer", "default": {}},
-    },
-    "ki": {
-        "state": {"type": "matrix", "default": None},
-        "states": {"type": "matrix_list", "default": None},
-        "system_q": {"type": "system", "default": None},
-        "orbit_samples": {"type": "positive_int", "default": 4},
-        "tol": {"type": "positive_number", "default": 1e-8},
-    },
-    "cloner": {
-        "d_list": {"type": "int_list", "default": [2, 3]},
-        "n_max": {"type": "positive_int", "default": 4},
-        "trials_per_case": {"type": "positive_int", "default": 3},
-        "tol": {"type": "positive_number", "default": 1e-10},
-    },
-    "lemma8": {
-        "trials": {"type": "positive_int", "default": 10_000},
-        "dims": {"type": "int_list", "default": [2, 3, 4]},
-    },
-    "complementarity": {
-        "mode": {"type": "string", "default": "identity_prepare"},
-        "dim": {"type": "positive_int", "default": 2},
-        "tol": {"type": "positive_number", "default": 1e-9},
-    },
+    "seed": {"type": "nonnegative_int", "default": None},
 }
 
 
 class RunConfig:
-    """Validated experiment configuration with defaults filled in."""
+    """Validated experiment configuration with defaults filled in.
 
-    def __init__(self, experiment: str, seed: int, params: dict, base_dir: Path):
+    params holds the checked values as echoed into reports (states and
+    systems as their JSON); values holds what the runner gets (states as
+    DensityMatrix, systems as SystemSpec).
+    """
+
+    def __init__(self, experiment: str, seed: int, params: dict, values: dict, base_dir: Path):
         self.experiment = experiment
         self.seed = seed
         self.params = params
+        self.values = values
         self.base_dir = base_dir
 
     def echo(self) -> dict:
@@ -164,10 +78,55 @@ class RunConfig:
         }
 
 
-def _check_type(name: str, value, kind: str, base_dir: Path):
-    if kind == "int":
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ParseError(f"field {name!r} must be an integer")
+# List kinds: the kind of each item and how error messages name the items.
+_LIST_KINDS = {
+    "number_list": ("number", "numbers"),
+    "int_list": ("positive_int", "integers"),
+    "matrix_list": ("matrix", "matrices"),
+}
+
+
+def _check_type(name: str, value, kind: str, base_dir: Path) -> tuple:
+    """Check one field; return (its echo in the report, the value the runner gets).
+
+    The two differ only for states and systems: the echo keeps the JSON,
+    the runner gets the parsed object.
+    """
+    if kind in _LIST_KINDS:
+        item_kind, items = _LIST_KINDS[kind]
+        if not isinstance(value, list) or not value:
+            raise ParseError(f"field {name!r} must be a nonempty list of {items}")
+        pairs = [_check_type(f"{name}[{i}]", v, item_kind, base_dir) for i, v in enumerate(value)]
+        return [echo for echo, _ in pairs], [parsed for _, parsed in pairs]
+    if kind in ("matrix", "pure_state"):
+        obj = _load_inline_or_path(name, value, base_dir)
+        state = _parsed(name, density_from_json, obj)
+        if kind == "pure_state" and np.linalg.eigvalsh(state.mat)[-1] < 1.0 - 1e-9:
+            raise ParseError(f"field {name!r} must be a pure state")
+        return obj, state
+    if kind == "system":
+        obj = _load_inline_or_path(name, value, base_dir)
+        return obj, _parsed(name, system_from_json, obj)
+    if kind == "optimizer":
+        if not isinstance(value, dict):
+            raise ParseError(f"field {name!r} must be an object")
+        unknown = set(value) - set(_OPTIMIZER_FIELDS)
+        if unknown:
+            raise ParseError(f"unknown optimizer key {sorted(unknown)[0]!r}")
+        out = {
+            key: _check_scalar(f"{name}.{key}", value[key], spec["type"])
+            for key, spec in _OPTIMIZER_FIELDS.items()
+            if key in value
+        }
+        return out, out
+    checked = _check_scalar(name, value, kind)
+    return checked, checked
+
+
+def _check_scalar(name: str, value, kind: str):
+    if kind == "nonnegative_int":
+        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+            raise ParseError(f"field {name!r} must be a nonnegative integer")
         return value
     if kind == "positive_int":
         if isinstance(value, bool) or not isinstance(value, int) or value <= 0:
@@ -189,41 +148,15 @@ def _check_type(name: str, value, kind: str, base_dir: Path):
         if not isinstance(value, str):
             raise ParseError(f"field {name!r} must be a string")
         return value
-    if kind == "number_list":
-        if not isinstance(value, list) or not value:
-            raise ParseError(f"field {name!r} must be a nonempty list of numbers")
-        return [
-            _check_type(f"{name}[{i}]", v, "number", base_dir) for i, v in enumerate(value)
-        ]
-    if kind == "int_list":
-        if not isinstance(value, list) or not value:
-            raise ParseError(f"field {name!r} must be a nonempty list of integers")
-        return [
-            _check_type(f"{name}[{i}]", v, "positive_int", base_dir)
-            for i, v in enumerate(value)
-        ]
-    if kind == "matrix":
-        return _load_inline_or_path(name, value, base_dir)
-    if kind == "matrix_list":
-        if not isinstance(value, list) or not value:
-            raise ParseError(f"field {name!r} must be a nonempty list of matrices")
-        return [
-            _load_inline_or_path(f"{name}[{i}]", v, base_dir) for i, v in enumerate(value)
-        ]
-    if kind == "system":
-        return _load_inline_or_path(name, value, base_dir)
-    if kind == "optimizer":
-        if not isinstance(value, dict):
-            raise ParseError(f"field {name!r} must be an object")
-        unknown = set(value) - set(_OPTIMIZER_FIELDS)
-        if unknown:
-            raise ParseError(f"unknown optimizer key {sorted(unknown)[0]!r}")
-        out = {}
-        for key, spec in _OPTIMIZER_FIELDS.items():
-            if key in value:
-                out[key] = _check_type(f"{name}.{key}", value[key], spec["type"], base_dir)
-        return out
     raise ParseError(f"internal: unknown field kind {kind!r}")  # pragma: no cover
+
+
+def _parsed(name: str, parse, obj):
+    """Parse a state or system, turning a malformed one into a config error."""
+    try:
+        return parse(obj)
+    except (ParseError, TypeError, ValueError) as exc:
+        raise ParseError(f"field {name!r}: {exc}") from exc
 
 
 def _load_inline_or_path(name: str, value, base_dir: Path):
@@ -263,45 +196,41 @@ def parse_config(path: str | Path) -> RunConfig:
             f"config schema_version {version!r} is not supported (expected {SCHEMA_VERSION})"
         )
     experiment = raw.get("experiment")
-    if experiment not in EXPERIMENT_FIELDS:
+    if not isinstance(experiment, str) or experiment not in EXPERIMENTS:
         raise ParseError(
-            f"unknown experiment {experiment!r}; choose from {sorted(EXPERIMENT_FIELDS)}"
+            f"unknown experiment {experiment!r}; choose from {sorted(EXPERIMENTS)}"
         )
-    fields = EXPERIMENT_FIELDS[experiment]
-    allowed = set(_COMMON_FIELDS) | set(fields)
-    unknown = set(raw) - allowed
+    fields = EXPERIMENTS[experiment].fields
+    unknown = set(raw) - set(_COMMON_FIELDS) - set(fields)
     if unknown:
         raise ParseError(f"unknown config key {sorted(unknown)[0]!r}")
 
-    seed = raw.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-        raise ParseError("field 'seed' must be a nonnegative integer")
-
     base_dir = path.parent
-    params = {}
+    seed = _check_scalar("seed", raw.get("seed", 0), "nonnegative_int")
+    params, values = {}, {}
     for key, spec in fields.items():
         if key in raw:
-            params[key] = _check_type(key, raw[key], spec["type"], base_dir)
+            params[key], values[key] = _check_type(key, raw[key], spec["type"], base_dir)
+            if "choices" in spec and params[key] not in spec["choices"]:
+                raise ParseError(f"field {key!r} must be one of {spec['choices']}")
         elif spec.get("required"):
             raise ParseError(f"missing required field {key!r}")
         else:
-            params[key] = spec.get("default")
-    return RunConfig(experiment, seed, params, base_dir)
+            params[key] = values[key] = spec.get("default")
+    return RunConfig(experiment, seed, params, values, base_dir)
 
 
 def print_schema() -> str:
     schema = {
         "schema_version": SCHEMA_VERSION,
-        "common": {
-            k: {kk: vv for kk, vv in v.items()} for k, v in _COMMON_FIELDS.items()
-        },
+        "common": _COMMON_FIELDS,
         "optimizer": _OPTIMIZER_FIELDS,
         "experiments": {
             name: {
                 k: {kk: vv for kk, vv in v.items() if kk != "default" or vv is not None}
-                for k, v in fields.items()
+                for k, v in exp.fields.items()
             }
-            for name, fields in EXPERIMENT_FIELDS.items()
+            for name, exp in EXPERIMENTS.items()
         },
         "matrix_format": {"rows": "int", "cols": "int", "re": "[float]", "im": "[float]"},
         "system_format": {
@@ -314,226 +243,10 @@ def print_schema() -> str:
     return json.dumps(schema, indent=2, sort_keys=True)
 
 
-# ---------------------------------------------------------------------------
-# Dispatch
-
-
-def _default_qubit() -> SystemSpec:
-    return SystemSpec.diagonal([0, 1])
-
-
-def _resolve_system(obj, fallback: SystemSpec) -> SystemSpec:
-    return fallback if obj is None else system_from_json(obj)
-
-
-def _resolve_state(obj, fallback: DensityMatrix) -> DensityMatrix:
-    return fallback if obj is None else density_from_json(obj)
-
-
-def _optimizer_config(overrides: dict, seed: int, **defaults) -> OptimizerConfig:
-    base = OptimizerConfig(seed=seed, **defaults)
-    clean = {k: v for k, v in (overrides or {}).items() if v is not None}
-    if not clean:
-        return base
-    from dataclasses import replace
-
-    return replace(base, **clean)
-
-
-def _plus_state() -> DensityMatrix:
-    return DensityMatrix.pure([1.0, 1.0])
-
-
 def run(cfg: RunConfig) -> ExperimentReport:
-    """Dispatch a validated config; deterministic given (config, seed)."""
-    p = cfg.params
+    """Run a validated config through its registry entry; deterministic given (config, seed)."""
     started = time.perf_counter()
-    records: tuple[dict, ...]
-    assertions: list
-
-    if cfg.experiment == "no_broadcast":
-        sys_q = _resolve_system(p["system_q"], _default_qubit())
-        sys_sp = _resolve_system(p["system_s_out"], _default_qubit())
-        state = _resolve_state(p["state"], _plus_state())
-        exp_cfg = NoBroadcastConfig(
-            t=p["t"],
-            lambda_schedule=tuple(p["lambda_schedule"]),
-            coherence_tol=p["coherence_tol"],
-            orbit_samples=p["orbit_samples"],
-            classical_control=p["classical_control"],
-            classical_register_size=p["classical_register_size"],
-            optimizer=_optimizer_config(p["optimizer"], cfg.seed, max_iter=200),
-        )
-        res = run_no_broadcast_sweep(state, sys_q, sys_sp, exp_cfg, raise_on_failure=False)
-        records, assertions = res.records, list(res.assertions)
-
-    elif cfg.experiment == "tradeoff":
-        sys_q = _resolve_system(p["system_q"], _default_qubit())
-        sys_sp = _resolve_system(p["system_s_out"], _default_qubit())
-        state = _resolve_state(p["state"], _plus_state())
-        evals, evecs = np.linalg.eigh(state.mat)
-        if evals[-1] < 1.0 - 1e-9:
-            raise ParseError("tradeoff experiment needs a pure input state")
-        psi = PureState(evecs[:, -1])
-        exp_cfg = TradeoffConfig(
-            t_grid=tuple(p["t_grid"]),
-            lambda_schedule=tuple(p["lambda_schedule"]),
-            optimizer=_optimizer_config(p["optimizer"], cfg.seed, max_iter=200),
-        )
-        res = run_tradeoff_sweep(psi, sys_q, sys_sp, exp_cfg, raise_on_failure=False)
-        records, assertions = res.records, list(res.assertions)
-        from .experiments import Assertion
-
-        assertions.append(
-            Assertion("rows_skipped_at_full_shift", True, float(len(res.skipped_t)))
-        )
-
-    elif cfg.experiment == "degradation":
-        sys_q = _resolve_system(p["system_q"], _default_qubit())
-        sys_s = _resolve_system(p["system_s"], _default_qubit())
-        state = _resolve_state(p["state"], _plus_state())
-        probe = None if p["probe"] is None else density_from_json(p["probe"])
-        lam = twirled_partial_swap(sys_q, sys_s, p["angle"])
-        exp_cfg = DegradationConfig(
-            degradation_tol=p["degradation_tol"],
-            optimizer=_optimizer_config(p["optimizer"], cfg.seed),
-        )
-        res = run_degradation_demo(
-            lam, state, sys_q, sys_s, sys_q, sys_s, exp_cfg, probe=probe, raise_on_failure=False
-        )
-        records, assertions = res.records, list(res.assertions)
-
-    elif cfg.experiment == "nonadditivity":
-        res = run_nonadditivity(
-            NonadditivityConfig(t=p["t"], cloner_n_cap=p["cloner_n_cap"]),
-            raise_on_failure=False,
-        )
-        records, assertions = res.records, list(res.assertions)
-
-    elif cfg.experiment == "irrev":
-        sys_from = _resolve_system(p["system_from"], _default_qubit())
-        sys_to = _resolve_system(p["system_to"], _default_qubit())
-        state = _resolve_state(p["state"], _plus_state())
-        target = density_from_json(p["target"])
-        res = max_recovery_fidelity(
-            state, target, sys_from, sys_to, _optimizer_config(p["optimizer"], cfg.seed)
-        )
-        records = tuple(
-            {"iteration": it, "fidelity": val} for it, val in res.fidelity_trace
-        )
-        from .experiments import Assertion
-
-        assertions = [
-            Assertion("irrev_converged", res.converged, res.value),
-        ]
-
-    elif cfg.experiment == "ki":
-        sys_q = _resolve_system(p["system_q"], _default_qubit())
-        if p["states"] is not None:
-            states = tuple(density_from_json(s) for s in p["states"])
-            fam = StateFamily(states, tuple(f"s{i}" for i in range(len(states))))
-        else:
-            state = _resolve_state(p["state"], _plus_state())
-            fam = orbit_family(state, sys_q, p["orbit_samples"])
-        dec = ki_decompose(fam, tol=p["tol"])
-        recon = 0.0
-        rows = []
-        for mu, blk in enumerate(dec.blocks):
-            worst = 0.0
-            for x in range(len(fam.states)):
-                worst = max(
-                    worst,
-                    0.5 * trace_norm(fam.states[x].mat - reconstruct_state(dec, x)),
-                )
-            recon = max(recon, worst)
-            rows.append(
-                {"block": mu, "m": blk.m, "k": blk.k, "reconstruction_residual": worst}
-            )
-        records = tuple(rows)
-        from .experiments import Assertion
-
-        assertions = [Assertion("ki_reconstruction", recon <= 1e-7, recon)]
-
-    elif cfg.experiment == "cloner":
-        rng = np.random.default_rng(cfg.seed)
-        rows = []
-        worst = 0.0
-        for d in p["d_list"]:
-            for n in range(1, p["n_max"] + 1):
-                if d**n > 1024:
-                    continue
-                cases = [DensityMatrix.maximally_mixed(d)]
-                for _ in range(p["trials_per_case"]):
-                    cases.append(random_density_matrix(d, int(rng.integers(1, d + 1)), rng))
-                err = (0.0, 0.0, 0.0)
-                for rho in cases:
-                    r = universal_cloner(rho, d, n)
-                    err = (
-                        max(err[0], r.trace_error),
-                        max(err[1], r.permutation_error),
-                        max(err[2], r.marginal_error),
-                    )
-                worst = max(worst, err[2])
-                rows.append(
-                    {
-                        "d": d,
-                        "n": n,
-                        "shrink": (d + n) / (n * (d + 1)),
-                        "trace_error": err[0],
-                        "permutation_error": err[1],
-                        "marginal_error": err[2],
-                    }
-                )
-        records = tuple(rows)
-        from .experiments import Assertion
-
-        assertions = [Assertion("cloner_marginal_formula", worst <= p["tol"], worst)]
-
-    elif cfg.experiment == "lemma8":
-        rng = np.random.default_rng(cfg.seed)
-        res = check_fidelity_perturbation_lemma(
-            rng, trials=p["trials"], dims=tuple(p["dims"]), raise_on_failure=False
-        )
-        records, assertions = res.records, list(res.assertions)
-
-    elif cfg.experiment == "complementarity":
-        d = p["dim"]
-        sys_a = SystemSpec.diagonal(list(range(d)))
-        out_sys = tensor_system(sys_a, sys_a)
-        half = DensityMatrix.maximally_mixed(d)
-        if p["mode"] == "identity_prepare":
-            ch = Channel(
-                sys_a,
-                out_sys,
-                choi_from_map(lambda m: tensor_product(half.mat, m), d, d * d),
-            )
-        elif p["mode"] == "move":
-            ch = Channel(
-                sys_a,
-                out_sys,
-                choi_from_map(lambda m: tensor_product(m, half.mat), d, d * d),
-            )
-        elif p["mode"] == "cloner":
-            from .linalg import symmetric_subspace_projector
-
-            proj = symmetric_subspace_projector(d, 2)
-            dn = math.comb(d + 1, 2)
-
-            def cl(m):
-                return (d / dn) * (proj @ tensor_product(m, np.eye(d)) @ proj)
-
-            ch = Channel(sys_a, out_sys, choi_from_map(cl, d, d * d))
-        else:
-            raise ParseError(
-                f"unknown complementarity mode {p['mode']!r} "
-                "(choose identity_prepare, move, or cloner)"
-            )
-        res = check_broadcast_complementarity(ch, tol=p["tol"], raise_on_failure=False)
-        records, assertions = res.records, list(res.assertions)
-
-    else:  # pragma: no cover - parse_config already validated
-        raise ParseError(f"unknown experiment {cfg.experiment!r}")
-
+    records, assertions = EXPERIMENTS[cfg.experiment].run(cfg.values, cfg.seed)
     wall = time.perf_counter() - started
     return ExperimentReport(
         experiment=cfg.experiment,
@@ -592,16 +305,10 @@ def main(argv: list[str] | None = None) -> int:
         if args.seed < 0:
             print("config error: seed must be nonnegative", file=sys.stderr)
             return 4
-        cfg = RunConfig(cfg.experiment, args.seed, cfg.params, cfg.base_dir)
+        cfg = RunConfig(cfg.experiment, args.seed, cfg.params, cfg.values, cfg.base_dir)
 
     try:
         report = run(cfg)
-    except ParseError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 4
-    except AssertionFailure as exc:  # raised only with raise_on_failure=True paths
-        print(f"assertion failure: {exc}", file=sys.stderr)
-        return 2
     except WorkbenchError as exc:
         print(f"numerical error ({cfg.experiment}): {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

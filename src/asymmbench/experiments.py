@@ -6,25 +6,33 @@ poke at.  Assertion failures mean an implementation defect, never a
 counterexample: every claim checked here is proven, so the runners raise
 AssertionFailure (with the result attached) unless raise_on_failure is
 disabled.
+
+EXPERIMENTS, at the end, is the one table of batch experiments: each
+entry gives an experiment's config fields, its CSV columns and its
+runner, and the CLI and the report writer read everything from it.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import asdict, dataclass, field, fields, replace
+from functools import partial
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import AssertionFailure, PreconditionFailed, SizeCap
+from .errors import AssertionFailure, DimensionMismatch, PreconditionFailed, SizeCap
 from .ki import (
     ehrenfest_constancy_check,
     ki_decompose,
     lemma4_reduced_form_check,
     orbit_family,
+    reconstruct_state,
 )
 from .linalg import (
     commutator,
     dagger,
+    factor_permutations,
+    fidelity_arrays,
     max_abs,
     partial_trace,
     symmetric_subspace_projector,
@@ -42,6 +50,7 @@ from .qtypes import (
     Channel,
     DensityMatrix,
     PureState,
+    StateFamily,
     SystemSpec,
     apply_channel,
     apply_choi,
@@ -61,6 +70,8 @@ from .symmetry import (
 )
 
 __all__ = [
+    "Experiment",
+    "EXPERIMENTS",
     "Assertion",
     "TradeoffRecord",
     "NonadditivityRecord",
@@ -400,23 +411,10 @@ def run_tradeoff_sweep(
     assertions.append(
         Assertion("reversible_rows_symmetric", reversible_violation <= 0.0, reversible_violation)
     )
-    records = tuple(
-        {
-            "t": r.t,
-            "ft_input": r.ft_input,
-            "ft_output": r.ft_output,
-            "irrev": r.irrev,
-            "lhs": r.lhs,
-            "rhs": r.rhs,
-            "slack": r.slack,
-            "converged": r.converged,
-        }
-        for r in rows
-    )
     result = TradeoffResult(
         rows=tuple(rows),
         skipped_t=tuple(skipped),
-        records=records,
+        records=tuple(asdict(r) for r in rows),
         assertions=tuple(assertions),
     )
     return _finalize(result, raise_on_failure)
@@ -450,8 +448,6 @@ def twirled_partial_swap(sys_a: SystemSpec, sys_b: SystemSpec, angle: float) -> 
     coherent first input.
     """
     if sys_a.dim != sys_b.dim:
-        from .errors import DimensionMismatch
-
         raise DimensionMismatch("partial swap needs equal dimensions")
     d = sys_a.dim
     swap = np.zeros((d * d, d * d), dtype=np.complex128)
@@ -559,6 +555,14 @@ class ClonerResult:
     marginal_error: float
 
 
+def _clone(m: np.ndarray, proj: np.ndarray, d: int, n: int) -> np.ndarray:
+    """The cloner (d/d(n)) P (m (x) I^(n-1)) P, with P = proj the symmetric projector."""
+    big = m
+    for _ in range(n - 1):
+        big = tensor_product(big, np.eye(d))
+    return (d / math.comb(d + n - 1, n)) * (proj @ big @ proj)
+
+
 def universal_cloner(rho: DensityMatrix, d: int, n: int) -> ClonerResult:
     """Symmetric-subspace cloner E(rho) = (d/d(n)) P (rho (x) I^(n-1)) P.
 
@@ -567,29 +571,18 @@ def universal_cloner(rho: DensityMatrix, d: int, n: int) -> ClonerResult:
     c_n rho + (1 - c_n) I/d with c_n = (d+n)/(n(d+1)).
     """
     if rho.dim != d:
-        from .errors import DimensionMismatch
-
         raise DimensionMismatch(f"state dim {rho.dim} != {d}")
     if n > 4 or d**n > 1024:
         raise SizeCap("explicit cloner capped at n <= 4 and d^n <= 1024")
-    proj = symmetric_subspace_projector(d, n)
-    dn = math.comb(d + n - 1, n)
-    big = rho.mat
-    for _ in range(n - 1):
-        big = tensor_product(big, np.eye(d))
-    joint = (d / dn) * (proj @ big @ proj)
+    joint = _clone(rho.mat, symmetric_subspace_projector(d, n), d, n)
     trace_error = abs(float(np.trace(joint).real) - 1.0)
 
-    from itertools import permutations as _perms
-
+    # The permutation operator with index map target acts as
+    # P J P† = J[inv][:, inv], inv the inverse index map.
     perm_error = 0.0
-    digits = np.array(np.unravel_index(np.arange(d**n), (d,) * n))
-    src = np.arange(d**n)
-    for perm in _perms(range(n)):
-        pmat = np.zeros((d**n, d**n), dtype=np.complex128)
-        target = np.ravel_multi_index(tuple(digits[list(perm), :]), (d,) * n)
-        pmat[target, src] = 1.0
-        perm_error = max(perm_error, max_abs(pmat @ joint @ dagger(pmat) - joint))
+    for target in factor_permutations(d, n):
+        inv = np.argsort(target)
+        perm_error = max(perm_error, max_abs(joint[np.ix_(inv, inv)] - joint))
 
     marginal = partial_trace(joint, [d] * n, keep=[0])
     marginal_error = max_abs(marginal - cloner_marginal(rho.mat, d, n))
@@ -750,21 +743,10 @@ def run_nonadditivity(
             float(smallest_n or -1),
         ),
     ]
-    records = tuple(
-        {
-            "construction": r.construction,
-            "measure": r.measure,
-            "f_joint": r.f_joint,
-            "f_margA": r.f_margA,
-            "f_margB_or_n_scaled": r.f_margB_or_n_scaled,
-            "violated": r.violated,
-        }
-        for r in rows
-    )
     result = NonadditivityResult(
         rows=tuple(rows),
         smallest_cloner_n=smallest_n,
-        records=records,
+        records=tuple(asdict(r) for r in rows),
         assertions=tuple(assertions),
     )
     return _finalize(result, raise_on_failure)
@@ -794,8 +776,6 @@ def check_fidelity_perturbation_lemma(
     |Fid(U tau1 U†, tau1) - Fid(U tau2 U†, tau2)| <= 4 sqrt(1 - Fid(tau1, tau2)),
     with the worst violation reported (expected <= 1e-9).
     """
-    from .linalg import fidelity_arrays
-
     worst = -float("inf")
     per_dim: dict[int, float] = {d: -float("inf") for d in dims}
     for _ in range(trials):
@@ -855,8 +835,6 @@ def check_broadcast_complementarity(
     """
     da = ch.input.dim
     if ch.output.dim % da:
-        from .errors import DimensionMismatch
-
         raise DimensionMismatch("broadcast output does not factor as S (x) A")
     ds = ch.output.dim // da
     j6 = ch.choi.reshape(ds, da, da, ds, da, da)  # (s, a_out, a_in | s, a_out, a_in)
@@ -891,3 +869,297 @@ def check_broadcast_complementarity(
         assertions=tuple(assertions),
     )
     return _finalize(result, raise_on_failure)
+
+
+# ---------------------------------------------------------------------------
+# Experiment registry
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """A batch experiment: config fields, CSV columns and runner.
+
+    fields maps each config key to its spec: a "type" the CLI checks and
+    parses, a "default" or "required", and optionally "choices".
+    run(values, seed) takes the parsed values with defaults filled in
+    (matrix fields as DensityMatrix, system fields as SystemSpec, None
+    where a state or system is not given) and returns (records,
+    assertions), every record keyed by exactly the columns.  A failed
+    assertion is returned, never raised.  The runners call the public
+    functions above through module globals, so anything that rebinds
+    those names (a tracer) sees every call.
+    """
+
+    name: str
+    fields: dict[str, dict]
+    columns: tuple[str, ...]
+    run: Callable[[dict, int], tuple[tuple[dict, ...], tuple[Assertion, ...]]]
+
+
+def _system(system: SystemSpec | None) -> SystemSpec:
+    return SystemSpec.diagonal([0, 1]) if system is None else system
+
+
+def _state(state: DensityMatrix | None) -> DensityMatrix:
+    return DensityMatrix.pure([1.0, 1.0]) if state is None else state
+
+
+def _optimizer(overrides: dict, seed: int, base: OptimizerConfig) -> OptimizerConfig:
+    """The run seed seeds the optimizer unless the config sets optimizer.seed."""
+    return replace(base, **{"seed": seed, **overrides})
+
+
+def _run_no_broadcast(p: dict, seed: int):
+    cfg = NoBroadcastConfig(
+        t=p["t"],
+        lambda_schedule=tuple(p["lambda_schedule"]),
+        coherence_tol=p["coherence_tol"],
+        orbit_samples=p["orbit_samples"],
+        classical_control=p["classical_control"],
+        classical_register_size=p["classical_register_size"],
+        optimizer=_optimizer(p["optimizer"], seed, _NO_BROADCAST.optimizer),
+    )
+    state, sys_q, sys_sp = _state(p["state"]), _system(p["system_q"]), _system(p["system_s_out"])
+    res = run_no_broadcast_sweep(state, sys_q, sys_sp, cfg, raise_on_failure=False)
+    return res.records, res.assertions
+
+
+def _run_tradeoff(p: dict, seed: int):
+    _, evecs = np.linalg.eigh(_state(p["state"]).mat)  # pure: checked at parse time
+    cfg = TradeoffConfig(
+        t_grid=tuple(p["t_grid"]),
+        lambda_schedule=tuple(p["lambda_schedule"]),
+        optimizer=_optimizer(p["optimizer"], seed, _TRADEOFF.optimizer),
+    )
+    psi = PureState(evecs[:, -1])
+    sys_q, sys_sp = _system(p["system_q"]), _system(p["system_s_out"])
+    res = run_tradeoff_sweep(psi, sys_q, sys_sp, cfg, raise_on_failure=False)
+    # Always passes; the witness counts the t rows skipped at f_t = 1.
+    skipped = Assertion("rows_skipped_at_full_shift", True, float(len(res.skipped_t)))
+    return res.records, res.assertions + (skipped,)
+
+
+def _run_degradation(p: dict, seed: int):
+    sys_q, sys_s = _system(p["system_q"]), _system(p["system_s"])
+    cfg = DegradationConfig(
+        degradation_tol=p["degradation_tol"],
+        optimizer=_optimizer(p["optimizer"], seed, _DEGRADATION.optimizer),
+    )
+    lam = twirled_partial_swap(sys_q, sys_s, p["angle"])
+    state, probe = _state(p["state"]), p["probe"]
+    res = run_degradation_demo(
+        lam, state, sys_q, sys_s, sys_q, sys_s, cfg, probe, raise_on_failure=False
+    )
+    return res.records, res.assertions
+
+
+def _run_nonadditivity(p: dict, seed: int):
+    cfg = NonadditivityConfig(t=p["t"], cloner_n_cap=p["cloner_n_cap"])
+    res = run_nonadditivity(cfg, raise_on_failure=False)
+    return res.records, res.assertions
+
+
+def _run_irrev(p: dict, seed: int):
+    res = max_recovery_fidelity(
+        _state(p["state"]),
+        p["target"],
+        _system(p["system_from"]),
+        _system(p["system_to"]),
+        _optimizer(p["optimizer"], seed, OptimizerConfig()),
+    )
+    records = tuple({"iteration": it, "fidelity": val} for it, val in res.fidelity_trace)
+    return records, (Assertion("irrev_converged", res.converged, res.value),)
+
+
+def _run_ki(p: dict, seed: int):
+    if p["states"] is not None:
+        states = tuple(p["states"])
+        fam = StateFamily(states, tuple(f"s{i}" for i in range(len(states))))
+    else:
+        fam = orbit_family(_state(p["state"]), _system(p["system_q"]), p["orbit_samples"])
+    dec = ki_decompose(fam, tol=p["tol"])
+    worst = max(
+        0.5 * trace_norm(state.mat - reconstruct_state(dec, x))
+        for x, state in enumerate(fam.states)
+    )
+    records = tuple(
+        {"block": mu, "m": blk.m, "k": blk.k, "reconstruction_residual": worst}
+        for mu, blk in enumerate(dec.blocks)
+    )
+    return records, (Assertion("ki_reconstruction", worst <= 1e-7, worst),)
+
+
+def _run_cloner(p: dict, seed: int):
+    rng = np.random.default_rng(seed)
+    records = []
+    worst = 0.0
+    for d in p["d_list"]:
+        for n in range(1, p["n_max"] + 1):
+            try:
+                results = [universal_cloner(DensityMatrix.maximally_mixed(d), d, n)]
+            except SizeCap:
+                continue
+            for _ in range(p["trials_per_case"]):
+                rho = random_density_matrix(d, int(rng.integers(1, d + 1)), rng)
+                results.append(universal_cloner(rho, d, n))
+            marginal_error = max(r.marginal_error for r in results)
+            worst = max(worst, marginal_error)
+            records.append(
+                {
+                    "d": d,
+                    "n": n,
+                    "shrink": results[0].shrink,
+                    "trace_error": max(r.trace_error for r in results),
+                    "permutation_error": max(r.permutation_error for r in results),
+                    "marginal_error": marginal_error,
+                }
+            )
+    return tuple(records), (Assertion("cloner_marginal_formula", worst <= p["tol"], worst),)
+
+
+def _run_lemma8(p: dict, seed: int):
+    res = check_fidelity_perturbation_lemma(
+        np.random.default_rng(seed), p["trials"], tuple(p["dims"]), raise_on_failure=False
+    )
+    return res.records, res.assertions
+
+
+# The complementarity experiment's broadcast maps A -> S (x) A, by mode,
+# each built once for the dimension d.
+_BROADCAST_MAPS = {
+    "identity_prepare": lambda d: lambda m: tensor_product(np.eye(d) / d, m),
+    "move": lambda d: lambda m: tensor_product(m, np.eye(d) / d),
+    "cloner": lambda d: partial(_clone, proj=symmetric_subspace_projector(d, 2), d=d, n=2),
+}
+
+
+def _run_complementarity(p: dict, seed: int):
+    d = p["dim"]
+    sys_a = SystemSpec.diagonal(list(range(d)))
+    choi = choi_from_map(_BROADCAST_MAPS[p["mode"]](d), d, d * d)
+    res = check_broadcast_complementarity(
+        Channel(sys_a, tensor_system(sys_a, sys_a), choi), tol=p["tol"], raise_on_failure=False
+    )
+    return res.records, res.assertions
+
+
+def _spec(kind: str, default=None, **extra) -> dict:
+    return {"type": kind, "default": default, **extra}
+
+
+_NO_BROADCAST = NoBroadcastConfig()
+_TRADEOFF = TradeoffConfig()
+_DEGRADATION = DegradationConfig()
+_NONADDITIVITY = NonadditivityConfig()
+
+EXPERIMENTS: dict[str, Experiment] = {
+    e.name: e
+    for e in (
+        Experiment(
+            "no_broadcast",
+            {
+                "state": _spec("matrix"),
+                "system_q": _spec("system"),
+                "system_s_out": _spec("system"),
+                "t": _spec("number", _NO_BROADCAST.t),
+                "lambda_schedule": _spec("number_list", list(_NO_BROADCAST.lambda_schedule)),
+                "coherence_tol": _spec("positive_number", _NO_BROADCAST.coherence_tol),
+                "orbit_samples": _spec("positive_int", _NO_BROADCAST.orbit_samples),
+                "classical_control": _spec("bool", _NO_BROADCAST.classical_control),
+                "classical_register_size": _spec(
+                    "positive_int", _NO_BROADCAST.classical_register_size
+                ),
+                "optimizer": _spec("optimizer", {}),
+            },
+            ("lambda", "marginal_disturbance", "output_coherence", "converged"),
+            _run_no_broadcast,
+        ),
+        Experiment(
+            "tradeoff",
+            {
+                "state": _spec("pure_state"),
+                "system_q": _spec("system"),
+                "system_s_out": _spec("system"),
+                "t_grid": _spec("number_list", list(_TRADEOFF.t_grid)),
+                "lambda_schedule": _spec("number_list", list(_TRADEOFF.lambda_schedule)),
+                "optimizer": _spec("optimizer", {}),
+            },
+            tuple(f.name for f in fields(TradeoffRecord)),
+            _run_tradeoff,
+        ),
+        Experiment(
+            "degradation",
+            {
+                "state": _spec("matrix"),
+                "system_q": _spec("system"),
+                "system_s": _spec("system"),
+                "angle": _spec("number", math.pi / 4),
+                "probe": _spec("matrix"),
+                "degradation_tol": _spec("positive_number", _DEGRADATION.degradation_tol),
+                "optimizer": _spec("optimizer", {}),
+            },
+            ("induced_covariant", "induced_witness", "irrev_lower_bound", "converged"),
+            _run_degradation,
+        ),
+        Experiment(
+            "nonadditivity",
+            {
+                "t": _spec("number", _NONADDITIVITY.t),
+                "cloner_n_cap": _spec("positive_int", _NONADDITIVITY.cloner_n_cap),
+            },
+            tuple(f.name for f in fields(NonadditivityRecord)),
+            _run_nonadditivity,
+        ),
+        Experiment(
+            "irrev",
+            {
+                "state": _spec("matrix"),
+                "target": _spec("matrix", required=True),
+                "system_from": _spec("system"),
+                "system_to": _spec("system"),
+                "optimizer": _spec("optimizer", {}),
+            },
+            ("iteration", "fidelity"),
+            _run_irrev,
+        ),
+        Experiment(
+            "ki",
+            {
+                "state": _spec("matrix"),
+                "states": _spec("matrix_list"),
+                "system_q": _spec("system"),
+                "orbit_samples": _spec("positive_int", 4),
+                "tol": _spec("positive_number", 1e-8),
+            },
+            ("block", "m", "k", "reconstruction_residual"),
+            _run_ki,
+        ),
+        Experiment(
+            "cloner",
+            {
+                "d_list": _spec("int_list", [2, 3]),
+                "n_max": _spec("positive_int", 4),
+                "trials_per_case": _spec("positive_int", 3),
+                "tol": _spec("positive_number", 1e-10),
+            },
+            ("d", "n", "shrink", "trace_error", "permutation_error", "marginal_error"),
+            _run_cloner,
+        ),
+        Experiment(
+            "lemma8",
+            {"trials": _spec("positive_int", 10_000), "dims": _spec("int_list", [2, 3, 4])},
+            ("dim", "max_violation"),
+            _run_lemma8,
+        ),
+        Experiment(
+            "complementarity",
+            {
+                "mode": _spec("string", "identity_prepare", choices=list(_BROADCAST_MAPS)),
+                "dim": _spec("positive_int", 2),
+                "tol": _spec("positive_number", 1e-9),
+            },
+            ("identity_marginal", "identity_deviation", "erasure_residual"),
+            _run_complementarity,
+        ),
+    )
+}

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from itertools import permutations
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -37,6 +37,7 @@ __all__ = [
     "fidelity_arrays",
     "partial_trace",
     "tensor_product",
+    "factor_permutations",
     "symmetric_subspace_projector",
     "maximally_entangled_vec",
     "hilbert_schmidt_inner",
@@ -217,6 +218,17 @@ def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(a, b)
 
 
+def factor_permutations(d: int, n: int) -> Iterator[np.ndarray]:
+    """Index maps of the n! permutations of the factors of (C^d)^{\\otimes n}.
+
+    Yields one array per permutation: the permutation operator sends
+    basis vector i to basis vector target[i].
+    """
+    digits = np.array(np.unravel_index(np.arange(d**n), (d,) * n))  # (n, d^n)
+    for perm in permutations(range(n)):
+        yield np.ravel_multi_index(tuple(digits[list(perm), :]), (d,) * n)
+
+
 def symmetric_subspace_projector(d: int, n: int) -> np.ndarray:
     """Projector onto the permutation-symmetric subspace of (C^d)^{\\otimes n}.
 
@@ -229,11 +241,9 @@ def symmetric_subspace_projector(d: int, n: int) -> np.ndarray:
     if n > 5 or d**n > 4096:
         raise SizeCap(f"symmetric projector capped at n <= 5 and d^n <= 4096 (got d={d}, n={n})")
     dim = d**n
-    digits = np.array(np.unravel_index(np.arange(dim), (d,) * n))  # (n, dim)
     proj = np.zeros((dim, dim), dtype=np.complex128)
     src = np.arange(dim)
-    for perm in permutations(range(n)):
-        target = np.ravel_multi_index(tuple(digits[list(perm), :]), (d,) * n)
+    for target in factor_permutations(d, n):
         proj[target, src] += 1.0
     return proj / math.factorial(n)
 

@@ -33,7 +33,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NoConvergence, SingularPrior, SingularTarget
+from .errors import DimensionMismatch, NoConvergence, SingularPrior, SingularTarget
 from .linalg import (
     dagger,
     fidelity_arrays,
@@ -354,8 +354,6 @@ def max_recovery_fidelity(
     still gives a valid upper bound on the irreversibility).
     """
     if sigma.dim != from_sys.dim or rho_q.dim != to_sys.dim:
-        from .errors import DimensionMismatch
-
         raise DimensionMismatch("state dimensions do not match the recovery spaces")
 
     sigma_t = sigma.mat.T.copy()
@@ -404,8 +402,6 @@ def petz_recovery(ch: Channel, prior: DensityMatrix) -> Channel:
     prior itself is numerically singular beyond regularization.
     """
     if prior.dim != ch.input.dim:
-        from .errors import DimensionMismatch
-
         raise DimensionMismatch("prior dimension != channel input dimension")
     di, do = ch.input.dim, ch.output.dim
     prior_mat = prior.mat

@@ -13,20 +13,9 @@ from dataclasses import dataclass
 
 from . import RNG_ALGORITHM, __version__
 from .errors import IoError, ParseError
+from .experiments import EXPERIMENTS
 
-__all__ = ["ExperimentReport", "CSV_COLUMNS", "emit_csv", "report_to_json", "report_from_json"]
-
-CSV_COLUMNS = {
-    "no_broadcast": ["lambda", "marginal_disturbance", "output_coherence", "converged"],
-    "tradeoff": ["t", "ft_input", "ft_output", "irrev", "lhs", "rhs", "slack", "converged"],
-    "degradation": ["induced_covariant", "induced_witness", "irrev_lower_bound", "converged"],
-    "nonadditivity": ["construction", "measure", "f_joint", "f_margA", "f_margB_or_n_scaled", "violated"],
-    "irrev": ["iteration", "fidelity"],
-    "ki": ["block", "m", "k", "reconstruction_residual"],
-    "cloner": ["d", "n", "shrink", "trace_error", "permutation_error", "marginal_error"],
-    "lemma8": ["dim", "max_violation"],
-    "complementarity": ["identity_marginal", "identity_deviation", "erasure_residual"],
-}
+__all__ = ["ExperimentReport", "emit_csv", "report_to_json", "report_from_json"]
 
 
 @dataclass(frozen=True)
@@ -85,13 +74,23 @@ def _format_cell(value) -> str:
 
 
 def emit_csv(report: ExperimentReport) -> str:
-    """One row per record with the fixed per-experiment header."""
-    columns = CSV_COLUMNS.get(report.experiment)
-    if columns is None:
+    """One row per record under the experiment's registered columns.
+
+    Raises IoError for an unregistered experiment and for a record whose
+    keys are not exactly the columns.
+    """
+    experiment = EXPERIMENTS.get(report.experiment)
+    if experiment is None:
         raise IoError(f"no CSV schema for experiment {report.experiment!r}")
+    columns = experiment.columns
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\r\n")
     writer.writerow(columns)
-    for rec in report.records:
-        writer.writerow([_format_cell(rec.get(col)) for col in columns])
+    for i, rec in enumerate(report.records):
+        if set(rec) != set(columns):
+            raise IoError(
+                f"record {i} has keys {sorted(rec)}, "
+                f"expected the {report.experiment!r} columns {list(columns)}"
+            )
+        writer.writerow([_format_cell(rec[col]) for col in columns])
     return buf.getvalue()

@@ -101,6 +101,25 @@ class TestParseConfig:
         )
         assert cfg.params["optimizer"]["max_iter"] == 50
 
+    def test_negative_optimizer_seed(self, tmp_path):
+        path = write_config(
+            tmp_path,
+            "c.json",
+            {
+                "schema_version": 1,
+                "experiment": "irrev",
+                "target": matrix_to_json(np.eye(2) / 2),
+                "optimizer": {"seed": -1},
+            },
+        )
+        with pytest.raises(ParseError, match="optimizer.seed"):
+            parse_config(path)
+
+    def test_non_string_experiment(self, tmp_path):
+        path = write_config(tmp_path, "c.json", {"schema_version": 1, "experiment": ["ki"]})
+        with pytest.raises(ParseError, match="unknown experiment"):
+            parse_config(path)
+
     def test_unknown_optimizer_key(self, tmp_path):
         path = write_config(
             tmp_path,
@@ -182,6 +201,21 @@ class TestRunAndReports:
             for key in ("trace_error", "marginal_error"):
                 assert float(parsed[key]) == original[key]
 
+    def test_cloner_skips_capped_sizes(self, tmp_path):
+        cfg = parse_config(
+            write_config(
+                tmp_path,
+                "c.json",
+                {"schema_version": 1, "experiment": "cloner", "d_list": [2, 6], "n_max": 5},
+            )
+        )
+        report = run(cfg)
+        assert report.all_passed
+        # n <= 4 and d^n <= 1024: the sizes the explicit cloner accepts.
+        assert [(r["d"], r["n"]) for r in report.records] == [
+            (2, 1), (2, 2), (2, 3), (2, 4), (6, 1), (6, 2), (6, 3),
+        ]
+
     def test_lemma8_determinism(self, tmp_path):
         payload = {"schema_version": 1, "experiment": "lemma8", "trials": 300, "seed": 11}
         r1 = run(parse_config(write_config(tmp_path, "a.json", payload)))
@@ -212,6 +246,40 @@ class TestMainExitCodes:
     def test_config_error_exit_4(self, tmp_path):
         path = write_config(tmp_path, "c.json", {"schema_version": 1, "experiment": "zzz"})
         assert main(["run", "--config", str(path)]) == 4
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"experiment": "complementarity", "mode": "bogus"},
+            {"experiment": "tradeoff", "state": matrix_to_json(np.eye(2) / 2)},
+            {"experiment": "ki", "state": matrix_to_json(np.diag([1.5, -0.5]))},
+            {"experiment": "ki", "system_q": {"dim": 2, "spectrum": [0, 0.5]}},
+            {"experiment": "ki", "state": {"rows": "two", "cols": 2, "re": [], "im": []}},
+            {"experiment": "no_broadcast", "optimizer": {"seed": -1}},
+            {"experiment": "degradation", "optimizer": {"seed": -1}},
+        ],
+    )
+    def test_validate_rejects_what_run_rejects(self, tmp_path, payload):
+        path = write_config(tmp_path, "c.json", {"schema_version": 1, **payload})
+        assert main(["validate", "--config", str(path)]) == 4
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 4
+
+    def test_optimizer_seed_overrides_run_seed(self, tmp_path):
+        def config(name, seed, optimizer):
+            payload = {
+                "schema_version": 1,
+                "experiment": "irrev",
+                "seed": seed,
+                "target": matrix_to_json(np.eye(2) / 2),
+                "optimizer": {"max_iter": 20, "restarts": 2, **optimizer},
+            }
+            return write_config(tmp_path, name, payload)
+
+        pinned = config("pinned.json", 0, {"seed": 3})
+        assert main(["run", "--config", str(pinned), "--out", str(tmp_path / "o")]) == 0
+        records = run(parse_config(pinned)).records
+        assert records == run(parse_config(config("run_seed.json", 3, {}))).records
+        assert records != run(parse_config(config("default.json", 0, {}))).records
 
     def test_run_writes_outputs(self, tmp_path):
         path = write_config(

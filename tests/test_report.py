@@ -53,6 +53,18 @@ class TestCsv:
         with pytest.raises(IoError):
             emit_csv(make_report("mystery", []))
 
+    @pytest.mark.parametrize(
+        "record",
+        [
+            {"block": 0, "m": 1, "k": 1, "reconstruction_residul": 0.0},
+            {"block": 0, "m": 1, "k": 1},
+            {"block": 0, "m": 1, "k": 1, "reconstruction_residual": 0.0, "extra": 1},
+        ],
+    )
+    def test_column_drift_rejected(self, record):
+        with pytest.raises(IoError, match="keys"):
+            emit_csv(make_report("ki", [record]))
+
 
 class TestReportJson:
     def test_lossless_round_trip(self):
