@@ -3,7 +3,7 @@
 Each experiment's config fields and runner come from its entry in
 experiments.EXPERIMENTS; this module checks and parses fields against
 those specs, fills defaults and assembles the report.  Every state and
-system is parsed here, once, so that validate rejects whatever run would.
+system is parsed and dimension-checked here, so validate rejects what run would.
 
 Exit codes: 0 all assertions pass, 2 assertion failure, 3 numerical
 error, 4 config error.  Unknown config keys are fatal by design: a
@@ -217,6 +217,10 @@ def parse_config(path: str | Path) -> RunConfig:
             raise ParseError(f"missing required field {key!r}")
         else:
             params[key] = values[key] = spec.get("default")
+    for group in EXPERIMENTS[experiment].same_dim(values):
+        if len(set(group.values())) > 1:
+            dims = ", ".join(f"{key} {dim}" for key, dim in group.items())
+            raise ParseError(f"fields must share one dimension (defaults included): {dims}")
     return RunConfig(experiment, seed, params, values, base_dir)
 
 

@@ -887,21 +887,27 @@ class Experiment:
     assertions), every record keyed by exactly the columns.  A failed
     assertion is returned, never raised.  The runners call the public
     functions above through module globals, so anything that rebinds
-    those names (a tracer) sees every call.
+    those names (a tracer) sees every call.  same_dim(values) lists the
+    {field: dimension} groups that the runner needs to share one dimension.
     """
 
     name: str
     fields: dict[str, dict]
     columns: tuple[str, ...]
     run: Callable[[dict, int], tuple[tuple[dict, ...], tuple[Assertion, ...]]]
+    same_dim: Callable[[dict], list[dict[str, int]]] = lambda values: []
 
 
-def _system(system: SystemSpec | None) -> SystemSpec:
-    return SystemSpec.diagonal([0, 1]) if system is None else system
+# What the runners use for an unset state and an unset system.
+_PLUS = DensityMatrix.pure([1.0, 1.0])
+_QUBIT = SystemSpec.diagonal([0, 1])
 
 
-def _state(state: DensityMatrix | None) -> DensityMatrix:
-    return DensityMatrix.pure([1.0, 1.0]) if state is None else state
+def _dims(p: dict, *keys: str) -> dict[str, int]:
+    """Dimensions of the named fields, defaulted as the runners do; an unset probe is skipped."""
+    defaults = {key: _QUBIT for key in keys if key.startswith("system")} | {"state": _PLUS}
+    objs = {key: p[key] or defaults.get(key) for key in keys}
+    return {key: obj.dim for key, obj in objs.items() if obj is not None}
 
 
 def _optimizer(overrides: dict, seed: int, base: OptimizerConfig) -> OptimizerConfig:
@@ -919,20 +925,20 @@ def _run_no_broadcast(p: dict, seed: int):
         classical_register_size=p["classical_register_size"],
         optimizer=_optimizer(p["optimizer"], seed, _NO_BROADCAST.optimizer),
     )
-    state, sys_q, sys_sp = _state(p["state"]), _system(p["system_q"]), _system(p["system_s_out"])
+    state, sys_q, sys_sp = p["state"] or _PLUS, p["system_q"] or _QUBIT, p["system_s_out"] or _QUBIT
     res = run_no_broadcast_sweep(state, sys_q, sys_sp, cfg, raise_on_failure=False)
     return res.records, res.assertions
 
 
 def _run_tradeoff(p: dict, seed: int):
-    _, evecs = np.linalg.eigh(_state(p["state"]).mat)  # pure: checked at parse time
+    _, evecs = np.linalg.eigh((p["state"] or _PLUS).mat)  # pure: checked at parse time
     cfg = TradeoffConfig(
         t_grid=tuple(p["t_grid"]),
         lambda_schedule=tuple(p["lambda_schedule"]),
         optimizer=_optimizer(p["optimizer"], seed, _TRADEOFF.optimizer),
     )
     psi = PureState(evecs[:, -1])
-    sys_q, sys_sp = _system(p["system_q"]), _system(p["system_s_out"])
+    sys_q, sys_sp = p["system_q"] or _QUBIT, p["system_s_out"] or _QUBIT
     res = run_tradeoff_sweep(psi, sys_q, sys_sp, cfg, raise_on_failure=False)
     # Always passes; the witness counts the t rows skipped at f_t = 1.
     skipped = Assertion("rows_skipped_at_full_shift", True, float(len(res.skipped_t)))
@@ -940,13 +946,13 @@ def _run_tradeoff(p: dict, seed: int):
 
 
 def _run_degradation(p: dict, seed: int):
-    sys_q, sys_s = _system(p["system_q"]), _system(p["system_s"])
+    sys_q, sys_s = p["system_q"] or _QUBIT, p["system_s"] or _QUBIT
     cfg = DegradationConfig(
         degradation_tol=p["degradation_tol"],
         optimizer=_optimizer(p["optimizer"], seed, _DEGRADATION.optimizer),
     )
     lam = twirled_partial_swap(sys_q, sys_s, p["angle"])
-    state, probe = _state(p["state"]), p["probe"]
+    state, probe = p["state"] or _PLUS, p["probe"]
     res = run_degradation_demo(
         lam, state, sys_q, sys_s, sys_q, sys_s, cfg, probe, raise_on_failure=False
     )
@@ -961,10 +967,10 @@ def _run_nonadditivity(p: dict, seed: int):
 
 def _run_irrev(p: dict, seed: int):
     res = max_recovery_fidelity(
-        _state(p["state"]),
+        p["state"] or _PLUS,
         p["target"],
-        _system(p["system_from"]),
-        _system(p["system_to"]),
+        p["system_from"] or _QUBIT,
+        p["system_to"] or _QUBIT,
         _optimizer(p["optimizer"], seed, OptimizerConfig()),
     )
     records = tuple({"iteration": it, "fidelity": val} for it, val in res.fidelity_trace)
@@ -976,7 +982,7 @@ def _run_ki(p: dict, seed: int):
         states = tuple(p["states"])
         fam = StateFamily(states, tuple(f"s{i}" for i in range(len(states))))
     else:
-        fam = orbit_family(_state(p["state"]), _system(p["system_q"]), p["orbit_samples"])
+        fam = orbit_family(p["state"] or _PLUS, p["system_q"] or _QUBIT, p["orbit_samples"])
     dec = ki_decompose(fam, tol=p["tol"])
     worst = max(
         0.5 * trace_norm(state.mat - reconstruct_state(dec, x))
@@ -1073,6 +1079,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             },
             ("lambda", "marginal_disturbance", "output_coherence", "converged"),
             _run_no_broadcast,
+            lambda p: [_dims(p, "state", "system_q")],
         ),
         Experiment(
             "tradeoff",
@@ -1086,6 +1093,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             },
             tuple(f.name for f in fields(TradeoffRecord)),
             _run_tradeoff,
+            lambda p: [_dims(p, "state", "system_q")],
         ),
         Experiment(
             "degradation",
@@ -1100,6 +1108,8 @@ EXPERIMENTS: dict[str, Experiment] = {
             },
             ("induced_covariant", "induced_witness", "irrev_lower_bound", "converged"),
             _run_degradation,
+            # The partial swap needs system_q and system_s of one dimension.
+            lambda p: [_dims(p, "state", "system_q", "system_s", "probe")],
         ),
         Experiment(
             "nonadditivity",
@@ -1121,6 +1131,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             },
             ("iteration", "fidelity"),
             _run_irrev,
+            lambda p: [_dims(p, "target", "system_from"), _dims(p, "state", "system_to")],
         ),
         Experiment(
             "ki",
@@ -1133,6 +1144,11 @@ EXPERIMENTS: dict[str, Experiment] = {
             },
             ("block", "m", "k", "reconstruction_residual"),
             _run_ki,
+            # A given states list replaces the orbit of state under system_q.
+            lambda p: [
+                _dims(p, "state", "system_q") if p["states"] is None
+                else {f"states[{i}]": s.dim for i, s in enumerate(p["states"])}
+            ],
         ),
         Experiment(
             "cloner",

@@ -405,12 +405,16 @@ def _support_restrict(fam: StateFamily):
     return w_iso, np.asarray(wk), hatted
 
 
+def _transition_operators(wk: np.ndarray, hatted: list[np.ndarray]) -> list[np.ndarray]:
+    """rho_bar^{-1/2} rho_x rho_bar^{-1/2} on the support, where rho_bar = diag(wk)."""
+    inv_root = np.diag(1.0 / np.sqrt(wk)).astype(np.complex128)
+    return [inv_root @ h @ inv_root for h in hatted]
+
+
 def _modular_closed_transition_algebra(
     wk: np.ndarray, hatted: list[np.ndarray], tol: float
 ) -> list[np.ndarray]:
-    inv_root = np.diag(1.0 / np.sqrt(wk)).astype(np.complex128)
-    trans = [inv_root @ h @ inv_root for h in hatted]
-    trans = [(t + dagger(t)) / 2 for t in trans]
+    trans = [(t + dagger(t)) / 2 for t in _transition_operators(wk, hatted)]
     log_avg = np.diag(np.log(wk)).astype(np.complex128)
     gens = list(trans)
     r = wk.shape[0]
@@ -735,9 +739,7 @@ def ki_refinement_oracle(fam: StateFamily, tol: float = 1e-8) -> KIDecomposition
 
 def _transition_algebra_dim(fam: StateFamily) -> int:
     _, wk, hatted = _support_restrict(fam)
-    inv_root = np.diag(1.0 / np.sqrt(wk)).astype(np.complex128)
-    trans = [inv_root @ h @ inv_root for h in hatted]
-    return len(generate_algebra(trans))
+    return len(generate_algebra(_transition_operators(wk, hatted)))
 
 
 def _sampled_orbit(rho: DensityMatrix, sys: SystemSpec, n: int) -> StateFamily:

@@ -28,12 +28,10 @@ __all__ = [
     "max_abs",
     "dagger",
     "commutator",
-    "is_hermitian",
     "hermitian_eig",
+    "hermitian_function",
     "psd_sqrt",
-    "pinv_sqrt",
     "trace_norm",
-    "trace_distance",
     "fidelity_arrays",
     "partial_trace",
     "tensor_product",
@@ -79,11 +77,6 @@ def _require_finite(m: np.ndarray) -> None:
         raise NonFinite("matrix contains NaN or Inf entries")
 
 
-def is_hermitian(m: np.ndarray, tol: float = TOL_STRUCT) -> bool:
-    m = as_complex(m)
-    return max_abs(m - dagger(m)) <= tol * (1.0 + max_abs(m))
-
-
 def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix.
 
@@ -94,10 +87,9 @@ def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     m = _require_square(m)
     _require_finite(m)
-    if not is_hermitian(m):
-        raise NonHermitian(
-            f"matrix is not Hermitian (deviation {max_abs(m - dagger(m)):.3e})"
-        )
+    dev = max_abs(m - dagger(m))
+    if dev > TOL_STRUCT * (1.0 + max_abs(m)):
+        raise NonHermitian(f"matrix is not Hermitian (deviation {dev:.3e})")
     try:
         w, v = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
@@ -105,42 +97,29 @@ def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
+def hermitian_function(m: np.ndarray, f, cutoff: float | None = None) -> np.ndarray:
+    """V f(w) V† for a Hermitian m = V diag(w) V†, from one eigendecomposition.
+
+    f maps an ascending eigenvalue array to values and may raise.  With a
+    cutoff, an eigenvalue below -TOL_STRUCT * (1 + the largest) raises
+    NotPSD, and only those at or above the cutoff reach f; the rest map to 0.
+    """
+    w, v = hermitian_eig(m)
+    if cutoff is not None:
+        scale = 1.0 + max(0.0, float(w[-1])) if w.size else 1.0
+        if w.size and w[0] < -TOL_STRUCT * scale:
+            raise NotPSD(f"minimum eigenvalue {w[0]:.3e} below -{TOL_STRUCT:g}")
+        first = int(np.searchsorted(w, cutoff))  # w ascends
+        fw = np.zeros(w.shape)
+        fw[first:] = f(w[first:])
+    else:
+        fw = f(w)
+    return (v * fw) @ dagger(v)
+
+
 def psd_sqrt(m: np.ndarray) -> np.ndarray:
-    """Positive-semidefinite square root.
-
-    Eigenvalues below the rank cutoff are clipped to zero before the
-    square root; eigenvalues below -TOL_STRUCT raise NotPSD.
-    """
-    m = _require_square(m)
-    w, v = hermitian_eig(m)
-    scale = 1.0 + max(0.0, float(w[-1])) if w.size else 1.0
-    if w.size and w[0] < -TOL_STRUCT * scale:
-        raise NotPSD(f"minimum eigenvalue {w[0]:.3e} below -{TOL_STRUCT:g}")
-    w = np.where(w < TOL_RANK, 0.0, w)
-    return (v * np.sqrt(w)) @ dagger(v)
-
-
-def pinv_sqrt(m: np.ndarray, cutoff: float = TOL_RANK) -> tuple[np.ndarray, np.ndarray, float]:
-    """Inverse square root on the support of a PSD matrix.
-
-    Returns (m^{-1/2} on support, support projector, condition number of
-    the retained spectrum).  Eigenvalues <= cutoff are treated as exact
-    zeros and excluded from inversion.
-    """
-    m = _require_square(m)
-    w, v = hermitian_eig(m)
-    scale = 1.0 + max(0.0, float(w[-1])) if w.size else 1.0
-    if w.size and w[0] < -TOL_STRUCT * scale:
-        raise NotPSD(f"minimum eigenvalue {w[0]:.3e} below -{TOL_STRUCT:g}")
-    keep = w > cutoff
-    if not np.any(keep):
-        return np.zeros_like(m), np.zeros_like(m), float("inf")
-    wk = w[keep]
-    vk = v[:, keep]
-    inv_root = (vk / np.sqrt(wk)) @ dagger(vk)
-    support = vk @ dagger(vk)
-    cond = float(wk[-1] / wk[0])
-    return inv_root, support, cond
+    """Positive-semidefinite square root; see hermitian_function for the cutoff."""
+    return hermitian_function(m, np.sqrt, TOL_RANK)
 
 
 def trace_norm(m: np.ndarray) -> float:
@@ -148,11 +127,6 @@ def trace_norm(m: np.ndarray) -> float:
     m = _require_square(m)
     _require_finite(m)
     return float(np.sum(np.linalg.svd(m, compute_uv=False)))
-
-
-def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """(1/2)||a - b||_1."""
-    return 0.5 * trace_norm(as_complex(a) - as_complex(b))
 
 
 def fidelity_arrays(a: np.ndarray, b: np.ndarray) -> float:

@@ -37,10 +37,9 @@ from .errors import DimensionMismatch, NoConvergence, SingularPrior, SingularTar
 from .linalg import (
     dagger,
     fidelity_arrays,
-    hermitian_eig,
+    hermitian_function,
     max_abs,
     partial_trace,
-    pinv_sqrt,
     psd_sqrt,
     tensor_product,
     trace_norm,
@@ -55,6 +54,7 @@ from .qtypes import (
     tensor_system,
 )
 from .symmetry import CovarianceSector, random_covariant_channel
+from .tolerances import TOL_RANK
 
 logger = logging.getLogger(__name__)
 
@@ -293,12 +293,14 @@ def fidelity_gradient(rho_target: DensityMatrix, x: DensityMatrix | np.ndarray) 
     if w[0] < REG_EPS:
         logger.info("fidelity_gradient: ridge-regularizing target with eps=%g", REG_EPS)
         mid = mid + REG_EPS * np.eye(mid.shape[0])
-    inv_root, _, cond = pinv_sqrt(mid)
-    if cond > 1e14:
-        raise SingularTarget(
-            f"sqrt(rho) X sqrt(rho) condition number {cond:.3e} exceeds 1e14"
-        )
-    g = 0.5 * (root @ inv_root @ root)
+
+    def inv_sqrt(wk):
+        cond = float(wk[-1] / wk[0]) if wk.size else float("inf")
+        if cond > 1e14:
+            raise SingularTarget(f"sqrt(rho) X sqrt(rho) condition number {cond:.3e} exceeds 1e14")
+        return 1.0 / np.sqrt(wk)
+
+    g = 0.5 * (root @ hermitian_function(mid, inv_sqrt, TOL_RANK) @ root)
     return (g + dagger(g)) / 2
 
 
@@ -407,15 +409,16 @@ def petz_recovery(ch: Channel, prior: DensityMatrix) -> Channel:
     prior_mat = prior.mat
     w = np.linalg.eigvalsh(prior_mat)
     if w[0] < REG_EPS:
+        # The ridge shifts the spectrum by REG_EPS before the positive rescale.
+        if w[0] + REG_EPS <= 0:
+            raise SingularPrior("prior has nonpositive eigenvalues after regularization")
         logger.info("petz_recovery: regularizing prior with eps=%g", REG_EPS)
         prior_mat = (prior_mat + REG_EPS * np.eye(di)) / (1.0 + di * REG_EPS)
-    if np.linalg.eigvalsh(prior_mat)[0] <= 0:
-        raise SingularPrior("prior has nonpositive eigenvalues after regularization")
     root_prior = psd_sqrt(prior_mat)
     out_state = apply_choi(ch.choi, do, di, prior_mat)
     out_state = (out_state + dagger(out_state)) / 2
-    inv_root_out, support, _ = pinv_sqrt(out_state)
-    complement = np.eye(do) - support
+    inv_root_out = hermitian_function(out_state, lambda wk: 1.0 / np.sqrt(wk), TOL_RANK)
+    complement = np.eye(do) - hermitian_function(out_state, np.ones_like, TOL_RANK)
 
     def petz_map(x):
         core = root_prior @ adjoint_apply_choi(
@@ -541,8 +544,7 @@ def _broadcast_gradient(rho_q, sig_q, sig_sp, shifted, u_t, lam, mu, dq, dsp):
         grad_sp = np.zeros((dsp, dsp), dtype=np.complex128)
     # d smooth-trace-norm / d sigma_Q with phi(y) = y / sqrt(y^2 + mu^2).
     y = (sig_q - rho_q.mat + dagger(sig_q - rho_q.mat)) / 2
-    w, v = hermitian_eig(y)
-    phi = (v * (w / np.sqrt(w * w + mu * mu))) @ dagger(v)
+    phi = hermitian_function(y, lambda w: w / np.sqrt(w * w + mu * mu))
     grad_x = tensor_product(np.eye(dq), grad_sp) - lam * tensor_product(
         phi, np.eye(dsp)
     )
@@ -554,9 +556,10 @@ def _renorm(m: np.ndarray) -> np.ndarray:
     tr = float(np.trace(m).real)
     if abs(tr - 1.0) > 1e-12 and tr > 0:
         m = m / tr
-    w, v = hermitian_eig(m)
+    return hermitian_function(m, _unit_trace_clip)
+
+
+def _unit_trace_clip(w: np.ndarray) -> np.ndarray:
     w = np.maximum(w, 0.0)
     s = float(np.sum(w))
-    if s > 0:
-        w = w / s
-    return (v * w) @ dagger(v)
+    return w / s if s > 0 else w

@@ -199,12 +199,6 @@ class Channel:
             )
         object.__setattr__(self, "choi", j)
 
-    @property
-    def choi4(self) -> np.ndarray:
-        """Choi reshaped to (out, in, out, in) index order."""
-        di, do = self.input.dim, self.output.dim
-        return self.choi.reshape(do, di, do, di)
-
 
 @dataclass(frozen=True)
 class StateFamily:

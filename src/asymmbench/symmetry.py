@@ -32,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionMismatch, Singular
-from .linalg import commutator, dagger, max_abs, psd_sqrt, tensor_product
+from .linalg import commutator, dagger, hermitian_function, max_abs, psd_sqrt, tensor_product
 from .qtypes import Channel, DensityMatrix, SystemSpec, fidelity, tensor_system
 
 __all__ = [
@@ -181,15 +181,21 @@ def random_covariant_channel(
         j0 = sec.dephase(g @ dagger(g))
         j0 = (j0 + dagger(j0)) / 2
         x = np.einsum("aiaj->ij", j0.reshape(do, di, do, di))
-        w, v = np.linalg.eigh(x)
-        if w[0] < 1e-8:
+        try:
+            x_inv_root = hermitian_function(x, _regular_inv_sqrt)
+        except Singular:
             continue
-        x_inv_root = (v / np.sqrt(w)) @ dagger(v)
         factor = tensor_product(np.eye(do), x_inv_root)
         j = factor @ j0 @ factor
         j = (j + dagger(j)) / 2
         return Channel(in_sys, out_sys, j)
     raise Singular("normalization marginal stayed singular after 100 draws")
+
+
+def _regular_inv_sqrt(w: np.ndarray) -> np.ndarray:
+    if w[0] < 1e-8:
+        raise Singular("normalization marginal is near singular")
+    return 1.0 / np.sqrt(w)
 
 
 def measure_ft(rho: DensityMatrix, sys: SystemSpec, t: float) -> float:

@@ -12,6 +12,12 @@ from asymmbench.report import emit_csv, report_from_json, report_to_json
 from asymmbench.serialize import matrix_to_json
 
 
+HALF = matrix_to_json(np.eye(2) / 2)
+MIXED3 = matrix_to_json(np.eye(3) / 3)
+PLUS3 = matrix_to_json(np.ones((3, 3)) / 3)
+QUTRIT = {"dim": 3, "spectrum": [0, 1, 2], "eigenbasis": "computational"}
+
+
 def write_config(tmp_path, name, payload):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
@@ -263,6 +269,47 @@ class TestMainExitCodes:
         path = write_config(tmp_path, "c.json", {"schema_version": 1, **payload})
         assert main(["validate", "--config", str(path)]) == 4
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 4
+
+    @pytest.mark.parametrize(
+        "payload, fields",
+        [
+            ({"experiment": "ki", "state": MIXED3}, "state 3, system_q 2"),
+            ({"experiment": "ki", "system_q": QUTRIT}, "state 2, system_q 3"),
+            ({"experiment": "ki", "states": [HALF, MIXED3]}, "states[0] 2, states[1] 3"),
+            ({"experiment": "tradeoff", "state": PLUS3}, "state 3, system_q 2"),
+            ({"experiment": "no_broadcast", "system_q": QUTRIT}, "state 2, system_q 3"),
+            ({"experiment": "degradation", "system_s": QUTRIT}, "system_q 2, system_s 3"),
+            ({"experiment": "degradation", "probe": MIXED3}, "probe 3"),
+            ({"experiment": "degradation", "state": MIXED3}, "state 3, system_q 2"),
+            ({"experiment": "irrev", "target": MIXED3}, "target 3, system_from 2"),
+            ({"experiment": "irrev", "target": HALF, "system_to": QUTRIT}, "state 2, system_to 3"),
+        ],
+    )
+    def test_dimension_mismatch_is_a_config_error(self, tmp_path, capsys, payload, fields):
+        path = write_config(tmp_path, "c.json", {"schema_version": 1, **payload})
+        assert main(["validate", "--config", str(path)]) == 4
+        assert fields in capsys.readouterr().err
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 4
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"experiment": "ki", "state": MIXED3, "system_q": QUTRIT},
+            # The states list replaces the orbit, so system_q is not checked against it.
+            {"experiment": "ki", "states": [MIXED3, PLUS3], "system_q": QUTRIT},
+            {"experiment": "degradation", "system_q": QUTRIT, "system_s": QUTRIT, "state": PLUS3},
+            {
+                "experiment": "irrev",
+                "target": MIXED3,
+                "state": PLUS3,
+                "system_from": QUTRIT,
+                "system_to": QUTRIT,
+            },
+        ],
+    )
+    def test_matching_dimensions_validate(self, tmp_path, payload):
+        path = write_config(tmp_path, "c.json", {"schema_version": 1, **payload})
+        assert main(["validate", "--config", str(path)]) == 0
 
     def test_optimizer_seed_overrides_run_seed(self, tmp_path):
         def config(name, seed, optimizer):

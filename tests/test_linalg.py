@@ -1,8 +1,11 @@
 """Numeric-core primitives against closed forms and independent oracles."""
 import math
+from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from asymmbench.errors import (
     BadIndex,
@@ -13,8 +16,10 @@ from asymmbench.errors import (
     SizeCap,
 )
 from asymmbench.linalg import (
+    factor_permutations,
     fidelity_arrays,
     hermitian_eig,
+    hermitian_function,
     max_abs,
     maximally_entangled_vec,
     partial_trace,
@@ -24,6 +29,7 @@ from asymmbench.linalg import (
     trace_norm,
 )
 from asymmbench.qtypes import DensityMatrix, fidelity, random_density_matrix
+from asymmbench.tolerances import TOL_RANK, TOL_STRUCT
 
 from conftest import random_unitary
 
@@ -93,6 +99,85 @@ class TestPsdSqrt:
     def test_rejects_negative(self):
         with pytest.raises(NotPSD):
             psd_sqrt(np.diag([1.0, -0.5]))
+
+
+def spectral_matrix(spectrum, seed):
+    """U diag(spectrum) U† in a random eigenbasis, with that basis."""
+    u = random_unitary(len(spectrum), np.random.default_rng(seed))
+    m = (u * np.asarray(spectrum, dtype=float)) @ u.conj().T
+    return (m + m.conj().T) / 2, u
+
+
+SEEDS = st.integers(0, 2**32 - 1)
+UNIT = st.floats(0.0, 1.0)
+
+
+class TestHermitianFunction:
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(spectrum=st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=5), seed=SEEDS)
+    def test_identity_reconstructs(self, spectrum, seed):
+        m, _ = spectral_matrix(spectrum, seed)
+        assert max_abs(hermitian_function(m, lambda w: w) - m) <= 1e-13 * (1 + max_abs(m))
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(
+        spectrum=st.lists(UNIT, min_size=1, max_size=5),
+        scale=st.sampled_from([1e-3, 1.0, 1e3]),
+        seed=SEEDS,
+    )
+    def test_psd_sqrt_squares_back(self, spectrum, scale, seed):
+        m, _ = spectral_matrix(scale * np.asarray(spectrum), seed)
+        root = psd_sqrt(m)
+        assert max_abs(root @ root - m) <= 1e-9 * (1 + max_abs(m))
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(
+        support=st.lists(st.floats(0.01, 1.0), min_size=1, max_size=4),
+        kernel=st.integers(0, 3),
+        seed=SEEDS,
+    )
+    def test_inverse_root_sandwich_is_support_projector(self, support, kernel, seed):
+        m, u = spectral_matrix([0.0] * kernel + support, seed)
+        seen = []
+
+        def inv_sqrt(w):
+            seen.append(w)
+            return 1.0 / np.sqrt(w)
+
+        r = hermitian_function(m, inv_sqrt, TOL_RANK)
+        projector = u[:, kernel:] @ u[:, kernel:].conj().T
+        assert max_abs(r @ m @ r - projector) <= 1e-9
+        assert len(seen) == 1 and len(seen[0]) == len(support)
+        assert np.all(seen[0] >= TOL_RANK)
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(
+        negative=st.floats(1e-6, 1.0),
+        rest=st.lists(UNIT, min_size=0, max_size=4),
+        seed=SEEDS,
+    )
+    def test_negative_eigenvalue_raises(self, negative, rest, seed):
+        assert negative > 2 * TOL_STRUCT  # 1 + the largest eigenvalue is at most 2
+        m, _ = spectral_matrix([-negative] + rest, seed)
+        with pytest.raises(NotPSD):
+            hermitian_function(m, np.sqrt, TOL_RANK)
+
+    @settings(max_examples=30, deadline=None, database=None)
+    @given(
+        spectrum=st.lists(UNIT, min_size=1, max_size=4),
+        cutoff=st.sampled_from([None, TOL_RANK]),
+        seed=SEEDS,
+    )
+    def test_exception_from_f_propagates(self, spectrum, cutoff, seed):
+        class Refused(Exception):
+            pass
+
+        def refuse(w):
+            raise Refused
+
+        m, _ = spectral_matrix(spectrum, seed)
+        with pytest.raises(Refused):
+            hermitian_function(m, refuse, cutoff)
 
 
 class TestTraceNorm:
@@ -249,6 +334,25 @@ class TestSymmetricSubspace:
             symmetric_subspace_projector(2, 6)
         with pytest.raises(SizeCap):
             symmetric_subspace_projector(9, 5)
+
+
+class TestFactorPermutations:
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_maps_permute_product_factors(self, d, rng):
+        vecs = [rng.standard_normal(d) + 1j * rng.standard_normal(d) for _ in range(3)]
+        product = np.kron(np.kron(vecs[0], vecs[1]), vecs[2])
+        expected = {
+            perm: np.kron(np.kron(vecs[perm[0]], vecs[perm[1]]), vecs[perm[2]])
+            for perm in permutations(range(3))
+        }
+        matched = []
+        for target in factor_permutations(d, 3):
+            image = np.zeros_like(product)
+            image[target] = product  # the operator sends basis vector i to target[i]
+            matched += [p for p, want in expected.items() if max_abs(image - want) < 1e-12]
+        # Distinct random factors make the six products distinct, so each map
+        # must match exactly one of them and together they cover all six.
+        assert sorted(matched) == sorted(expected)
 
 
 class TestMaximallyEntangled:
