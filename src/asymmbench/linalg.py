@@ -47,8 +47,7 @@ def as_complex(m) -> np.ndarray:
 
 
 def max_abs(m: np.ndarray) -> float:
-    m = np.asarray(m)
-    return float(np.max(np.abs(m))) if m.size else 0.0
+    return float(np.abs(m).max(initial=0.0))
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
@@ -67,29 +66,44 @@ def hilbert_schmidt_inner(a: np.ndarray, b: np.ndarray) -> complex:
 
 def _require_square(m: np.ndarray) -> np.ndarray:
     m = as_complex(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise DimensionMismatch(f"expected a square matrix or a stack of them, got shape {m.shape}")
     return m
 
 
 def _require_finite(m: np.ndarray) -> None:
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.isfinite(m).all():
         raise NonFinite("matrix contains NaN or Inf entries")
 
 
+def _max_abs_each(m: np.ndarray) -> np.ndarray:
+    """Largest entry modulus of a matrix, or of each matrix in a stack."""
+    return np.abs(m).max(axis=(-2, -1), initial=0.0)
+
+
+def _unstack(x: np.ndarray) -> float | np.ndarray:
+    """A Python float for a single matrix's value, the array for a stack's."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
 def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix, or of each matrix in a stack.
 
     Returns (eigenvalues ascending, eigenvectors as columns of a unitary)
-    with m = V diag(w) V†.  Degenerate eigenvalues come with an arbitrary
-    orthonormal basis of the eigenspace; callers must not rely on the
-    basis choice inside a degenerate block.
+    with m = V diag(w) V†; for a stack of shape (..., d, d) the results
+    have shapes (..., d) and (..., d, d).  Every member must be finite and
+    Hermitian to TOL_STRUCT relative to its own largest entry.  Degenerate
+    eigenvalues come with an arbitrary orthonormal basis of the
+    eigenspace; callers must not rely on the basis choice inside a
+    degenerate block.
     """
     m = _require_square(m)
     _require_finite(m)
-    dev = max_abs(m - dagger(m))
-    if dev > TOL_STRUCT * (1.0 + max_abs(m)):
-        raise NonHermitian(f"matrix is not Hermitian (deviation {dev:.3e})")
+    dev = _max_abs_each(m - dagger(m))
+    bad = dev > TOL_STRUCT * (1.0 + _max_abs_each(m))
+    if bad.any():
+        worst = float(np.max(np.where(bad, dev, 0.0)))
+        raise NonHermitian(f"matrix is not Hermitian (deviation {worst:.3e})")
     try:
         w, v = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
@@ -100,47 +114,56 @@ def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def hermitian_function(m: np.ndarray, f, cutoff: float | None = None) -> np.ndarray:
     """V f(w) V† for a Hermitian m = V diag(w) V†, from one eigendecomposition.
 
-    f maps an ascending eigenvalue array to values and may raise.  With a
-    cutoff, an eigenvalue below -TOL_STRUCT * (1 + the largest) raises
-    NotPSD, and only those at or above the cutoff reach f; the rest map to 0.
+    f maps eigenvalues to values and may raise.  With a cutoff, an
+    eigenvalue below -TOL_STRUCT * (1 + the largest of its matrix) raises
+    NotPSD, and only those at or above the cutoff reach f, as one flat
+    array; the rest map to 0.  Without one, f gets the ascending
+    eigenvalue array, of shape (..., d) for a stack.  A stack is mapped
+    matrix by matrix, so with a cutoff f must act elementwise.
     """
     w, v = hermitian_eig(m)
     if cutoff is not None:
-        scale = 1.0 + max(0.0, float(w[-1])) if w.size else 1.0
-        if w.size and w[0] < -TOL_STRUCT * scale:
-            raise NotPSD(f"minimum eigenvalue {w[0]:.3e} below -{TOL_STRUCT:g}")
-        first = int(np.searchsorted(w, cutoff))  # w ascends
+        if w.shape[-1]:
+            lowest = w[..., 0]
+            low = lowest < -TOL_STRUCT * (1.0 + np.maximum(w[..., -1], 0.0))
+            if low.any():
+                worst = float(np.min(np.where(low, lowest, 0.0)))
+                raise NotPSD(f"minimum eigenvalue {worst:.3e} below -{TOL_STRUCT:g}")
+        keep = w >= cutoff
         fw = np.zeros(w.shape)
-        fw[first:] = f(w[first:])
+        fw[keep] = f(w[keep])
     else:
         fw = f(w)
-    return (v * fw) @ dagger(v)
+    return (v * fw[..., None, :]) @ dagger(v)
 
 
 def psd_sqrt(m: np.ndarray) -> np.ndarray:
-    """Positive-semidefinite square root; see hermitian_function for the cutoff."""
+    """Positive-semidefinite square root of a matrix or of each matrix in a stack.
+
+    See hermitian_function for the PSD check and the rank cutoff.
+    """
     return hermitian_function(m, np.sqrt, TOL_RANK)
 
 
-def trace_norm(m: np.ndarray) -> float:
-    """Sum of singular values."""
+def trace_norm(m: np.ndarray) -> float | np.ndarray:
+    """Sum of singular values: a float, or an array of shape (...) for a stack."""
     m = _require_square(m)
     _require_finite(m)
-    return float(np.sum(np.linalg.svd(m, compute_uv=False)))
+    return _unstack(np.linalg.svd(m, compute_uv=False).sum(axis=-1))
 
 
-def fidelity_arrays(a: np.ndarray, b: np.ndarray) -> float:
+def fidelity_arrays(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
     """Uhlmann fidelity ||sqrt(a) sqrt(b)||_1, clamped to [0, 1].
 
-    Takes raw PSD Hermitian arrays of equal dimension; the typed wrapper
-    in qtypes validates density matrices first.
+    Takes raw PSD Hermitian arrays of equal shape, single matrices or
+    stacks that pair up member by member; the typed wrapper in qtypes
+    validates density matrices first.
     """
     a = _require_square(a)
     b = _require_square(b)
     if a.shape != b.shape:
         raise DimensionMismatch(f"fidelity of {a.shape} vs {b.shape}")
-    val = trace_norm(psd_sqrt(a) @ psd_sqrt(b))
-    return float(min(1.0, max(0.0, val)))
+    return _unstack(np.clip(trace_norm(psd_sqrt(a) @ psd_sqrt(b)), 0.0, 1.0))
 
 
 def partial_trace(m: np.ndarray, dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:

@@ -32,6 +32,8 @@ from .tolerances import TOL_STRUCT
 
 __all__ = [
     "DensityMatrix",
+    "check_density",
+    "normalized_gram",
     "PureState",
     "SystemSpec",
     "Channel",
@@ -61,17 +63,9 @@ class DensityMatrix:
 
     def __post_init__(self):
         m = _readonly(self.mat)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        if m.ndim != 2:
             raise DimensionMismatch(f"density matrix must be square, got {m.shape}")
-        dev = max_abs(m - dagger(m))
-        if dev > TOL_STRUCT:
-            raise NonHermitian(f"state deviates from Hermitian by {dev:.3e}")
-        evals = np.linalg.eigvalsh((m + dagger(m)) / 2)
-        if evals[0] < -TOL_STRUCT:
-            raise NotPSD(f"state has eigenvalue {evals[0]:.3e}")
-        tr = complex(np.trace(m))
-        if abs(tr - 1.0) > TOL_STRUCT:
-            raise DimensionMismatch(f"state trace {tr:.12f} != 1")
+        check_density(m)
         object.__setattr__(self, "mat", m)
 
     @property
@@ -87,6 +81,34 @@ class DensityMatrix:
     @classmethod
     def maximally_mixed(cls, dim: int) -> "DensityMatrix":
         return cls(np.eye(dim, dtype=np.complex128) / dim)
+
+
+def check_density(m: np.ndarray) -> None:
+    """Raise unless m, or each matrix of a stack m, is a state within TOL_STRUCT.
+
+    A state is square, Hermitian, PSD and of unit trace; the error names
+    the worst member of a stack.
+    """
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise DimensionMismatch(f"density matrix must be square, got {m.shape}")
+    mh = dagger(m)
+    dev = max_abs(m - mh)
+    if dev > TOL_STRUCT:
+        raise NonHermitian(f"state deviates from Hermitian by {dev:.3e}")
+    lowest = np.linalg.eigvalsh((m + mh) / 2).min(initial=np.inf)
+    if lowest < -TOL_STRUCT:
+        raise NotPSD(f"state has eigenvalue {lowest:.3e}")
+    tr = m.trace(0, -2, -1)
+    off = abs(tr - 1.0)
+    if not (off <= TOL_STRUCT).all():
+        worst = complex(np.ravel(tr)[np.argmax(off)])
+        raise DimensionMismatch(f"state trace {worst:.12f} != 1")
+
+
+def normalized_gram(g: np.ndarray) -> np.ndarray:
+    """G G† / Tr(G G†) for a matrix G, or for each matrix of a stack."""
+    m = g @ dagger(g)
+    return m / m.trace(0, -2, -1).real[..., None, None]
 
 
 @dataclass(frozen=True, eq=False)
@@ -293,8 +315,7 @@ def random_density_matrix(d: int, rank: int, rng: np.random.Generator) -> Densit
     if not (1 <= rank <= d):
         raise DimensionMismatch(f"rank must be in [1, {d}], got {rank}")
     g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
-    m = g @ dagger(g)
-    return DensityMatrix(m / np.trace(m).real)
+    return DensityMatrix(normalized_gram(g))
 
 
 def maximally_entangled_state(d: int) -> PureState:

@@ -337,6 +337,18 @@ class TestMainExitCodes:
         files = sorted(p.name for p in (tmp_path / "out").iterdir())
         assert files == ["cloner_seed0.records.csv", "cloner_seed0.report.json"]
 
+    def test_lemma8_unsampled_dims_fail_with_valid_json(self, tmp_path):
+        path = write_config(
+            tmp_path, "c.json", {"schema_version": 1, "experiment": "lemma8", "trials": 1}
+        )
+        code = main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 2
+
+        def refuse(constant):
+            raise ValueError(f"non-finite literal {constant} in the report")
+
+        json.loads((tmp_path / "o" / "lemma8_seed0.report.json").read_text(), parse_constant=refuse)
+
     def test_seed_override(self, tmp_path):
         path = write_config(
             tmp_path, "c.json", {"schema_version": 1, "experiment": "lemma8", "trials": 100}

@@ -1,10 +1,13 @@
 """Experiment runners: constructions, assertions, and flagged failure modes."""
+import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from asymmbench.errors import PreconditionFailed, SizeCap
+from asymmbench import experiments
+from asymmbench.errors import AssertionFailure, DimensionMismatch, PreconditionFailed, SizeCap
 from asymmbench.experiments import (
     NoBroadcastConfig,
     TradeoffConfig,
@@ -20,7 +23,7 @@ from asymmbench.experiments import (
     twirled_partial_swap,
     universal_cloner,
 )
-from asymmbench.linalg import max_abs, tensor_product
+from asymmbench.linalg import dagger, fidelity_arrays, max_abs, tensor_product
 from asymmbench.optimize import OptimizerConfig
 from asymmbench.qtypes import (
     Channel,
@@ -29,6 +32,7 @@ from asymmbench.qtypes import (
     SystemSpec,
     choi_from_map,
     cyclic_shift_system,
+    normalized_gram,
     random_density_matrix,
     tensor_system,
 )
@@ -111,7 +115,61 @@ class TestNonadditivity:
             assert abs(skew_information(rho, QUBIT) - 0.25 * (1 - math.sqrt(1 - c * c))) < 1e-9
 
 
+def scalar_lemma8(rng, trials, dims):
+    """Per-dim worst violation from the per-trial loop over fidelity_arrays.
+
+    The reference for the batched runner: same draws, same order.
+    """
+    per_dim = {}
+    for _ in range(trials):
+        d = int(rng.choice(list(dims)))
+        r1 = int(rng.integers(1, d + 1))
+        r2 = int(rng.integers(1, d + 1))
+        tau1 = random_density_matrix(d, r1, rng).mat
+        tau2 = random_density_matrix(d, r2, rng).mat
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        q, _ = np.linalg.qr(g)
+        spec = rng.integers(-3, 4, size=d).astype(np.float64)
+        s = rng.uniform(0.0, 2 * math.pi)
+        u = (q * np.exp(-1j * spec * s)) @ dagger(q)
+        lhs = abs(
+            fidelity_arrays(u @ tau1 @ dagger(u), tau1)
+            - fidelity_arrays(u @ tau2 @ dagger(u), tau2)
+        )
+        rhs = 4.0 * math.sqrt(max(0.0, 1.0 - fidelity_arrays(tau1, tau2)))
+        per_dim[d] = max(per_dim.get(d, -math.inf), lhs - rhs)
+    return per_dim
+
+
 class TestPerturbationLemma:
+    @pytest.mark.parametrize(
+        "seed, dims", [(0, (2, 3, 4)), (7, (2, 3, 4)), (1, (1,)), (2, (3,)), (3, (1, 2, 5))]
+    )
+    def test_batched_equals_scalar_loop(self, seed, dims):
+        res = check_fidelity_perturbation_lemma(np.random.default_rng(seed), 300, dims)
+        expected = scalar_lemma8(np.random.default_rng(seed), 300, dims)
+        assert {r["dim"]: r["max_violation"] for r in res.records} == expected
+        assert res.max_violation == max(expected.values())
+
+    def test_unsampled_dim_fails_with_finite_records(self):
+        res = check_fidelity_perturbation_lemma(
+            np.random.default_rng(0), 1, (2, 3, 4), raise_on_failure=False
+        )
+        assert len(res.records) == 1
+        assert not res.assertions[0].passed
+        json.dumps([res.records, [res.assertions[0].witness]], allow_nan=False)
+        with pytest.raises(AssertionFailure):
+            check_fidelity_perturbation_lemma(np.random.default_rng(0), 1, (2, 3, 4))
+
+    def test_drawn_states_are_validated(self, monkeypatch):
+        monkeypatch.setattr(experiments, "normalized_gram", lambda g: 2 * normalized_gram(g))
+        with pytest.raises(DimensionMismatch):
+            check_fidelity_perturbation_lemma(np.random.default_rng(0), 5)
+
+    def test_no_trials_is_refused(self, rng):
+        with pytest.raises(PreconditionFailed):
+            check_fidelity_perturbation_lemma(rng, 0)
+
     def test_equal_states_saturate_nothing(self, rng):
         from asymmbench.linalg import fidelity_arrays
 
@@ -268,6 +326,19 @@ class TestTradeoffSweep:
         res = run_tradeoff_sweep(PLUS_VEC, QUBIT, QUBIT, cfg)
         assert res.rows == ()
         assert res.skipped_t == (math.pi,)
+
+    def test_no_converged_row_fails(self, monkeypatch):
+        real = experiments.max_recovery_fidelity
+        monkeypatch.setattr(
+            experiments,
+            "max_recovery_fidelity",
+            lambda *args, **kwargs: replace(real(*args, **kwargs), converged=False),
+        )
+        cfg = TradeoffConfig(t_grid=(math.pi / 2,), lambda_schedule=(64.0,), optimizer=FAST)
+        res = run_tradeoff_sweep(PLUS_VEC, QUBIT, QUBIT, cfg, raise_on_failure=False)
+        slack = next(a for a in res.assertions if a.name == "tradeoff_slack")
+        assert not slack.passed
+        assert slack.witness == res.rows[0].slack and math.isfinite(slack.witness)
 
     def test_keep_and_prepare_attempt_trivial_row(self):
         # a marginal-preserving attempt has zero output coherence and

@@ -247,6 +247,87 @@ class TestFidelity:
             fidelity(DensityMatrix.maximally_mixed(2), DensityMatrix.maximally_mixed(3))
 
 
+@st.composite
+def psd_stacks(draw, min_size=1):
+    """A stack of equal-size PSD matrices of mixed rank and scale.
+
+    Kernel eigenvalues are exact zeros before the rotation, which leaves
+    them at roundoff level of either sign.
+    """
+    d = draw(st.integers(1, 4))
+    members = []
+    for _ in range(draw(st.integers(min_size, 6))):
+        rank = draw(st.integers(1, d))
+        support = draw(st.lists(UNIT, min_size=rank, max_size=rank))
+        scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+        m, _ = spectral_matrix(scale * np.asarray([0.0] * (d - rank) + support), draw(SEEDS))
+        members.append(m)
+    return np.array(members)
+
+
+class TestStacks:
+    """A stack (..., d, d) gives each member exactly its single-matrix result."""
+
+    @settings(max_examples=80, deadline=None, database=None)
+    @given(stack=psd_stacks(min_size=2))
+    def test_stacked_equals_per_matrix(self, stack):
+        w, v = hermitian_eig(stack)
+        roots = psd_sqrt(stack)
+        products = stack @ roots[::-1]
+        norms = trace_norm(products)
+        half = len(stack) // 2
+        a, b = stack[:half], stack[half : 2 * half]
+        fids = fidelity_arrays(a, b)
+        for i, m in enumerate(stack):
+            wi, vi = hermitian_eig(m)
+            assert np.array_equal(w[i], wi) and np.array_equal(v[i], vi)
+            assert np.array_equal(roots[i], psd_sqrt(m))
+            assert norms[i] == trace_norm(products[i])
+        assert fids.tolist() == [fidelity_arrays(x, y) for x, y in zip(a, b)]
+        assert np.array_equal(psd_sqrt(stack.reshape(1, -1, *stack.shape[1:]))[0], roots)
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(
+        stack=psd_stacks(),
+        where=st.integers(0, 5),
+        negative=st.floats(1e-6, 1.0),
+        seed=SEEDS,
+    )
+    def test_one_bad_member_raises(self, stack, where, negative, seed):
+        i = where % len(stack)
+        d = stack.shape[-1]
+        bad = stack.copy()
+        bad[i], _ = spectral_matrix([-negative] + [1.0] * (d - 1), seed)
+        with pytest.raises(NotPSD):
+            psd_sqrt(bad)
+        with pytest.raises(NotPSD):
+            fidelity_arrays(bad, stack)
+        bad = stack.copy()
+        bad[i, 0, 0] += 1e-7j * (1.0 + max_abs(bad[i]))
+        for fn in (hermitian_eig, psd_sqrt):
+            with pytest.raises(NonHermitian):
+                fn(bad)
+        with pytest.raises(NonHermitian):
+            fidelity_arrays(stack, bad)
+
+    def test_tolerances_are_per_member(self):
+        # -5e-7 is within TOL_STRUCT of a member whose largest eigenvalue is
+        # 1e3, but not of one whose largest eigenvalue is 1
+        big, _ = spectral_matrix([-5e-7, 1e3], 1)
+        small, _ = spectral_matrix([-5e-7, 1.0], 2)
+        assert np.array_equal(psd_sqrt(np.array([big, big / 1e3 + 1.0]))[0], psd_sqrt(big))
+        with pytest.raises(NotPSD):
+            psd_sqrt(np.array([big, small]))
+
+    def test_shape_errors(self):
+        with pytest.raises(DimensionMismatch):
+            psd_sqrt(np.zeros((3, 2, 3)))
+        with pytest.raises(DimensionMismatch):
+            fidelity_arrays(np.eye(2)[None], np.eye(2)[None].repeat(2, axis=0))
+        with pytest.raises(NonFinite):
+            trace_norm(np.array([np.eye(2), np.full((2, 2), np.nan)]))
+
+
 class TestPartialTrace:
     def test_bell_marginal(self):
         bell = np.outer(maximally_entangled_vec(2), maximally_entangled_vec(2).conj())

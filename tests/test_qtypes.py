@@ -13,10 +13,12 @@ from asymmbench.qtypes import (
     PureState,
     SystemSpec,
     apply_channel,
+    check_density,
     choi_from_map,
     cyclic_shift_system,
     induce_channel,
     maximally_entangled_state,
+    normalized_gram,
     random_density_matrix,
     tensor_system,
 )
@@ -50,6 +52,29 @@ class TestDensityMatrix:
     def test_pure_normalizes(self):
         rho = DensityMatrix.pure([2.0, 0.0])
         assert abs(rho.mat[0, 0] - 1) < 1e-12
+
+    @pytest.mark.parametrize(
+        "bad, error",
+        [
+            ([[0.5, 0.1], [0.0, 0.5]], NonHermitian),
+            ([[1.2, 0.0], [0.0, -0.2]], NotPSD),
+            ([[0.6, 0.0], [0.0, 0.6]], DimensionMismatch),
+        ],
+    )
+    def test_stack_check_rejects_one_bad_member(self, bad, error, rng):
+        stack = np.array([random_density_matrix(2, r, rng).mat for r in (1, 2, 2, 1)])
+        check_density(stack)
+        stack[2] = bad
+        with pytest.raises(error):
+            check_density(stack)
+        with pytest.raises(error):
+            DensityMatrix(stack[2])
+
+    def test_normalized_gram_stack_matches_members(self, rng):
+        g = rng.standard_normal((5, 3, 2)) + 1j * rng.standard_normal((5, 3, 2))
+        stack = normalized_gram(g)
+        check_density(stack)
+        assert all(np.array_equal(stack[i], normalized_gram(g[i])) for i in range(5))
 
 
 class TestPureState:
