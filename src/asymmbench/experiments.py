@@ -365,8 +365,8 @@ def run_tradeoff_sweep(
     denominator vanishes) and each penalty, records
     lhs = f_t(sigma_S') against rhs = 4 sqrt(irrev) / (1 - f_t(psi)) and
     asserts slack = rhs - lhs >= -1e-6 on converged rows; the assertion
-    fails when no row converged, and passes only when every shift was
-    skipped.  Rows that come out essentially reversible must also carry
+    fails when no row converged, which includes a sweep whose every shift
+    was skipped.  Rows that come out essentially reversible must also carry
     essentially no output coherence (the reversible limit of the bound).
     """
     psi = psi_q.density()
@@ -402,14 +402,13 @@ def run_tradeoff_sweep(
                 )
             )
 
-    # An unconverged row checks nothing: when rows exist but none converged,
-    # the assertion fails with the worst unconverged slack as its witness.
+    # An unconverged row checks nothing: when no row converged the assertion
+    # fails, with the worst unconverged slack (0.0 if there is no row at all)
+    # as its witness.
     converged = [r.slack for r in rows if r.converged]
     worst_slack = min(converged or [r.slack for r in rows], default=0.0)
     assertions = [
-        Assertion(
-            "tradeoff_slack", worst_slack >= -1e-6 and (bool(converged) or not rows), worst_slack
-        ),
+        Assertion("tradeoff_slack", worst_slack >= -1e-6 and bool(converged), worst_slack),
     ]
     reversible_violation = 0.0
     for r in rows:

@@ -8,21 +8,27 @@ H = (+)_mu L_mu (x) R_mu such that every member factors as
 
 with a common per-block fixed state omega_mu.  The construction used
 here: form transition operators T_x = rho_bar^{-1/2} rho_x rho_bar^{-1/2}
-on the support, generate the *-algebra they span, and close it under
-commutation with log(rho_bar) (conjugation by rho_bar^{it} preserves the
-closed algebra, which is what forces the block components of rho_bar to
-factor as a_L (x) omega).  Without that closure the bare transition
-algebra fails to reproduce noncommuting families, so the closure is not
-optional.  Correctness is never assumed: every decomposition is checked
-against the reconstruction, isometry, completeness, and maximality
-invariants before it is returned.
+on the support and take the *-algebra they generate together with its
+images under ad_{log rho_bar} (conjugation by rho_bar^{it} must preserve
+the algebra, which is what forces the block components of rho_bar to
+factor as a_L (x) omega).  In the eigenbasis of rho_bar that derivation
+multiplies entry (i, j) by the frequency log w_i - log w_j, so the
+closure is the algebra generated by the parts of each T_x at each
+distinct frequency: one dephasing, no iteration.  The blocks are read
+off the commutant of that algebra (Murota, Kanno, Kojima & Kojima,
+Japan J. Indust. Appl. Math. 27, 2010).  Correctness is never assumed:
+every decomposition is checked against the reconstruction, isometry,
+completeness, and maximality invariants before it is returned.
 
-An independent refinement oracle (commutant splitting plus intertwiner
-merging, d <= 6) cross-checks block dimensions in the test suite.
+An independent refinement oracle (eigenspace splitting of the family
+itself plus intertwiner merging, d <= 6) cross-checks block dimensions
+in the test suite.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -36,10 +42,8 @@ from .errors import (
     SizeCap,
 )
 from .linalg import (
-    commutator,
     dagger,
     hermitian_eig,
-    hilbert_schmidt_inner,
     max_abs,
     partial_trace,
     tensor_product,
@@ -66,16 +70,12 @@ __all__ = [
 _ALGEBRA_DIM_CAP = 64
 _KI_DIM_CAP = 32
 _ORACLE_DIM_CAP = 6
+# log-spectrum differences closer than this count as one modular frequency
+_FREQ_TOL = 1e-6
 
 
 # ---------------------------------------------------------------------------
 # *-algebra generation
-
-
-def _project_out(v: np.ndarray, basis: list[np.ndarray]) -> np.ndarray:
-    for b in basis:
-        v = v - hilbert_schmidt_inner(b, v) * b
-    return v
 
 
 def generate_algebra(gens: list[np.ndarray], tol: float = 1e-6) -> list[np.ndarray]:
@@ -84,12 +84,14 @@ def generate_algebra(gens: list[np.ndarray], tol: float = 1e-6) -> list[np.ndarr
     Closure under products and adjoints; the loop stops once a full
     product pass adds no new direction.  Dimension is bounded by d^2.
 
-    The span is extracted per pass from the Gram matrix of unit-normalized
-    candidates (identity, current basis, adjoints, pairwise products): a
-    direction is kept when its Gram eigenvalue exceeds tol^2 times the
-    largest.  Compared to incremental Gram-Schmidt this never normalizes
-    a tiny residual, so floating-point junk cannot be amplified into a
-    spurious basis direction.
+    The span is extracted per pass from the Gram matrix of the candidates
+    (current basis, adjoints, pairwise products): a direction is kept when
+    its Gram eigenvalue exceeds tol^2 times the largest.  Only the
+    generators are normalized (numerically zero ones are dropped); the
+    products of the orthonormal basis enter with their own norms.  A
+    product that nearly cancels carries its rounding error at full
+    relative weight, so normalizing it would feed floating-point junk
+    into the next pass, where it compounds into spurious directions.
     """
     if not gens:
         raise DimensionMismatch("no generators")
@@ -100,76 +102,46 @@ def generate_algebra(gens: list[np.ndarray], tol: float = 1e-6) -> list[np.ndarr
         if np.asarray(g).shape != (d, d):
             raise DimensionMismatch("generators have unequal dimensions")
 
-    def span_of(cands: list[np.ndarray]) -> list[np.ndarray]:
-        norms = [float(np.linalg.norm(c)) for c in cands]
-        finite = [n for n in norms if np.isfinite(n)]
-        floor = 1e-8 * max(1.0, max(finite) if finite else 1.0)
-        gram = np.zeros((d * d, d * d), dtype=np.complex128)
-        for c, nrm in zip(cands, norms):
-            if not np.isfinite(nrm) or nrm <= floor:
-                # numerically zero (e.g. a vanishing commutator); normalizing
-                # it would promote floating-point junk to a basis direction
-                continue
-            v = c.ravel() / nrm
-            gram += np.outer(v, np.conj(v))
+    def span_of(groups: Iterable[np.ndarray]) -> np.ndarray:
+        gram = sum(f.T @ f.conj() for f in (g.reshape(-1, d * d) for g in groups))
         w, vecs = np.linalg.eigh(gram)
-        cutoff = tol * tol * max(1.0, float(w[-1]))
-        return [
-            vecs[:, i].reshape(d, d) for i in range(d * d) if w[i] > cutoff
-        ]
+        keep = w > tol * tol * max(1.0, float(w[-1]))
+        return vecs[:, keep].T.reshape(-1, d, d)
 
-    seed = [np.eye(d, dtype=np.complex128)]
-    for g in gens:
-        g = np.asarray(g, dtype=np.complex128)
-        seed.append(g)
-        seed.append(dagger(g))
-    basis = span_of(seed)
-
-    passes = 0
-    while True:
-        if passes > d * d:
-            raise NoConvergence("algebra closure did not stabilize")  # pragma: no cover
-        cands = list(basis)
-        cands.extend(dagger(a) for a in basis)
-        cands.extend(a @ b for a in basis for b in basis)
-        new_basis = span_of(cands)
-        passes += 1
+    norms = [float(np.linalg.norm(g)) for g in gens]
+    finite = [n for n in norms if np.isfinite(n)]
+    floor = 1e-8 * max(1.0, max(finite) if finite else 1.0)
+    seed = np.array(
+        [np.eye(d) / np.sqrt(d)]
+        + [g / n for g, n in zip(gens, norms) if np.isfinite(n) and n > floor],
+        dtype=np.complex128,
+    )
+    basis = span_of([seed, dagger(seed)])
+    for _ in range(d * d + 1):
+        # the products a @ b enter one a at a time, keeping memory at l d^2
+        new_basis = span_of(chain([basis, dagger(basis)], (a @ basis for a in basis)))
         if len(new_basis) == len(basis):
-            return new_basis
+            return list(new_basis)
         basis = new_basis
+    raise NoConvergence("algebra closure did not stabilize")  # pragma: no cover
 
 
-def _contains(basis: list[np.ndarray], m: np.ndarray, tol: float) -> bool:
-    r = _project_out(m, basis)
+def _contains(flat: np.ndarray, m: np.ndarray, tol: float) -> bool:
+    """Whether m lies in the span of the orthonormal rows of flat (raveled matrices)."""
+    v = m.ravel()
+    r = v - (flat.conj() @ v) @ flat
     return np.linalg.norm(r) <= tol * (1.0 + np.linalg.norm(m))
 
 
-def _hermitian_span(basis: list[np.ndarray]) -> list[np.ndarray]:
-    """Real-orthonormal Hermitian spanning set of a *-closed complex span.
+def _generic_hermitian(basis: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Hermitian part of a random complex combination of a *-closed span's basis.
 
-    The Hermitian part of an l-dimensional *-closed complex span has real
-    dimension exactly l, so the basis is the top-l eigenvectors of the
-    real Gram matrix of the (anti)Hermitian parts; no rank threshold is
-    involved, which keeps numerical junk out by count.
+    The span holds the adjoint of each of its elements, so the result is a
+    generic Hermitian element of the span.
     """
-    ell = len(basis)
-    d = basis[0].shape[0]
-    gram = np.zeros((2 * d * d, 2 * d * d))
-    for b in basis:
-        for cand in ((b + dagger(b)) / 2, (b - dagger(b)) / 2j):
-            # accumulate unnormalized: a near-zero part is then invisible
-            # instead of being inflated into a junk direction
-            vec = np.concatenate([cand.real.ravel(), cand.imag.ravel()])
-            gram += np.outer(vec, vec)
-    w, vecs = np.linalg.eigh(gram)
-    out = []
-    for i in range(2 * d * d - ell, 2 * d * d):
-        re = vecs[: d * d, i].reshape(d, d)
-        im = vecs[d * d :, i].reshape(d, d)
-        h = re + 1j * im
-        h = (h + dagger(h)) / 2
-        out.append(h / np.linalg.norm(h))
-    return out
+    coeffs = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
+    c = np.tensordot(coeffs, np.asarray(basis), axes=1)
+    return (c + dagger(c)) / 2
 
 
 def _cluster(values: np.ndarray, eps: float) -> list[np.ndarray]:
@@ -184,27 +156,39 @@ def _cluster(values: np.ndarray, eps: float) -> list[np.ndarray]:
     return [np.array(g) for g in groups]
 
 
-def _cluster_count(values: np.ndarray, n_clusters: int) -> list[np.ndarray]:
-    """Split sorted values into exactly n_clusters at the largest gaps.
+def _commutant_basis(mats: list[np.ndarray], tol: float = 1e-9) -> list[np.ndarray]:
+    """Basis of {Y : [Y, A] = 0 for all A} via the smallest eigenvectors of sum L†L."""
+    p = mats[0].shape[0]
+    eye = np.eye(p)
+    acc = np.zeros((p * p, p * p), dtype=np.complex128)
+    scale = 0.0
+    for a in mats:
+        l_op = np.kron(a, eye) - np.kron(eye, a.T)  # row-major vec: vec(AY - YA)
+        acc += dagger(l_op) @ l_op
+        scale = max(scale, float(np.linalg.norm(a)) ** 2)
+    w, v = np.linalg.eigh(acc)
+    null = [v[:, i].reshape(p, p) for i in range(p * p) if w[i] <= tol * max(1.0, scale)]
+    return null
 
-    Used where the number of distinct eigenvalues is known a priori (a
-    generic element of an l-dimensional commutative algebra has exactly l
-    of them), which avoids any threshold on the within-cluster noise.
-    """
-    order = np.argsort(values)
-    if n_clusters <= 1 or len(order) <= n_clusters:
-        if n_clusters >= len(order):
-            return [np.array([i]) for i in order]
-        return [order]
-    gaps = np.diff(values[order])
-    boundaries = np.sort(np.argsort(gaps)[-(n_clusters - 1):])
-    groups = []
-    start = 0
-    for b in boundaries:
-        groups.append(order[start : b + 1])
-        start = b + 1
-    groups.append(order[start:])
-    return groups
+
+def _connected_components(adj: np.ndarray) -> list[list[int]]:
+    n = adj.shape[0]
+    seen = np.zeros(n, dtype=bool)
+    comps = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        stack, comp = [start], [start]
+        seen[start] = True
+        while stack:
+            u = stack.pop()
+            for w in np.nonzero(adj[u])[0]:
+                if not seen[w]:
+                    seen[w] = True
+                    stack.append(w)
+                    comp.append(int(w))
+        comps.append(sorted(comp))
+    return comps
 
 
 # ---------------------------------------------------------------------------
@@ -226,10 +210,15 @@ def wedderburn_decompose(
 ) -> list[WedderburnBlock]:
     """Block structure {Pi_mu, V_mu, (m_mu, k_mu)} of a unital *-algebra.
 
-    Central projectors come from a generic Hermitian element of the
-    center; inside each block an isometry realizes the factorization
-    A|_mu ~ M_m (x) I_k.  Degenerate generic elements are resampled up to
-    five times before CenterDegenerate is raised.
+    Read off the commutant, which for A ~ (+)_mu M_m (x) I_k is
+    (+)_mu I_m (x) M_k: the eigenspaces of a generic Hermitian commutant
+    element are the irreducible subspaces of A, a second generic element
+    couples exactly those that carry the same block, and the polar factor
+    of that coupling aligns their frames so the isometry realizes
+    A|_mu ~ M_m (x) I_k.  The result is accepted only if every basis
+    element factors through it and sum m^2 equals dim A; otherwise the
+    generic elements are resampled up to five times before
+    CenterDegenerate is raised.
     """
     if not algebra_basis:
         raise DimensionMismatch("empty algebra basis")
@@ -237,129 +226,73 @@ def wedderburn_decompose(
     rng = np.random.default_rng(20240 + len(algebra_basis) + d)
 
     # Precondition spot check: unital and closed under products/adjoints.
-    if not _contains(algebra_basis, np.eye(d, dtype=np.complex128), 100 * tol):
+    stack = np.array(algebra_basis)
+    flat = stack.reshape(len(stack), -1)
+    if not _contains(flat, np.eye(d, dtype=np.complex128), 100 * tol):
         raise PreconditionFailed("basis does not span a unital algebra")
     n = len(algebra_basis)
     for _ in range(20):
         i, j = rng.integers(0, n, size=2)
-        prod = algebra_basis[i] @ algebra_basis[j]
-        if not _contains(algebra_basis, prod, 100 * tol):
+        if not _contains(flat, stack[i] @ stack[j], 100 * tol):
             raise PreconditionFailed("basis is not closed under products")
-        if not _contains(algebra_basis, dagger(algebra_basis[int(i)]), 100 * tol):
+        if not _contains(flat, dagger(stack[i]), 100 * tol):
             raise PreconditionFailed("basis is not closed under adjoints")
 
-    # Center: coefficient-space null space of x -> [sum x_k B_k, B_i].
-    cols = []
-    for b_k in algebra_basis:
-        col = np.concatenate([commutator(b_k, b_i).ravel() for b_i in algebra_basis])
-        cols.append(col)
-    l_mat = np.array(cols).T  # (n*d*d, n)
-    _, svals, vh = np.linalg.svd(l_mat, full_matrices=True)
-    # The basis is orthonormal, so nontrivial commutators are O(1); an
-    # absolute floor keeps commutative algebras (all svals ~ 0) intact.
-    cutoff = 1e-8 * max(1.0, float(svals[0]) if svals.size else 1.0)
-    null_mask = np.ones(n, dtype=bool)
-    null_mask[: svals.size] = svals <= cutoff
-    center = [
-        sum(c * b for c, b in zip(np.conj(vh[idx]), algebra_basis))
-        for idx in range(n)
-        if null_mask[idx]
-    ]
-    center_h = _hermitian_span(center)
-    if not center_h:
-        raise PreconditionFailed("algebra has an empty center (identity missing?)")
-
-    blocks: list[WedderburnBlock] = []
+    # the commutant of a *-algebra is *-closed
+    comm = np.array(_commutant_basis(algebra_basis))
     last_err: Exception | None = None
     for _ in range(5):
         try:
-            coeffs = rng.standard_normal(len(center_h))
-            generic = sum(c * z for c, z in zip(coeffs, center_h))
-            w, v = hermitian_eig(generic)
-            spread = max(1.0, float(w[-1] - w[0]))
-            # A generic element of the l-dimensional center has exactly l
-            # distinct eigenvalues: split at the l-1 largest gaps.
-            clusters = _cluster_count(w, len(center_h))
-            means = [float(np.mean(w[c])) for c in clusters]
-            for a in range(len(means)):
-                for b in range(a + 1, len(means)):
-                    if abs(means[a] - means[b]) < 10 * tol * spread:
-                        raise CenterDegenerate(
-                            f"central eigenvalues {means[a]:.3e} and {means[b]:.3e} too close"
-                        )
-            blocks = [
-                _factor_block(algebra_basis, v[:, c], rng, tol) for c in clusters
-            ]
+            w, v = hermitian_eig(_generic_hermitian(comm, rng))
+            spaces = [v[:, c] for c in _cluster(w, 1e-7 * max(1.0, float(w[-1] - w[0])))]
+            g = _generic_hermitian(comm, rng)
+            coupling = np.array([[max_abs(dagger(a) @ g @ b) for b in spaces] for a in spaces])
+            blocks = []
+            for comp in _connected_components(coupling > 1e-6 * max(1.0, max_abs(coupling))):
+                base = spaces[comp[0]]
+                m, k = base.shape[1], len(comp)
+                iso = np.zeros((d, m * k), dtype=np.complex128)
+                iso[:, 0::k] = base
+                for alpha, a in enumerate(comp[1:], start=1):
+                    if spaces[a].shape[1] != m:
+                        raise CenterDegenerate("coupled eigenspaces of unequal dimension")
+                    # within a block the coupling is a scalar times a unitary
+                    uu, ss, vvh = np.linalg.svd(dagger(spaces[a]) @ g @ base)
+                    if ss[-1] < 1e-9 * max(1.0, ss[0]):
+                        raise CenterDegenerate("commutant coupling is rank deficient")
+                    iso[:, alpha::k] = spaces[a] @ (uu @ vvh)
+                blocks.append(WedderburnBlock(iso @ dagger(iso), iso, m, k))
+            _check_factorization(stack, blocks, tol)
             return blocks
         except CenterDegenerate as exc:
             last_err = exc
-            continue
-    raise CenterDegenerate(f"generic central element stayed degenerate: {last_err}")
+    raise CenterDegenerate(f"generic commutant element stayed degenerate: {last_err}")
 
 
-def _factor_block(
-    algebra_basis: list[np.ndarray],
-    w_cols: np.ndarray,
-    rng: np.random.Generator,
-    tol: float,
-) -> WedderburnBlock:
-    """Realize one central block as M_m (x) I_k via an explicit isometry."""
-    big_d = w_cols.shape[1]
-    compressed = []
-    for b in algebra_basis:
-        c = dagger(w_cols) @ b @ w_cols
-        if np.linalg.norm(c) > 1e-12:
-            compressed.append(c)
-    block_basis = generate_algebra(compressed)
-    m_sq = len(block_basis)
-    m = int(round(np.sqrt(m_sq)))
-    if m * m != m_sq or big_d % m != 0:
-        raise CenterDegenerate(
-            f"block of size {big_d} has algebra dimension {m_sq}, not a square factor"
-        )
-    k = big_d // m
-    herm = _hermitian_span(block_basis)
+def _check_factorization(
+    stack: np.ndarray, blocks: list[WedderburnBlock], tol: float
+) -> None:
+    """Raise CenterDegenerate unless the blocks realize the algebra spanned by stack.
 
-    for _ in range(5):
-        h = sum(c * z for c, z in zip(rng.standard_normal(len(herm)), herm))
-        w, v = hermitian_eig(h)
-        # Generic h ~ h_L (x) I_k has exactly m distinct eigenvalues.
-        clusters = _cluster_count(w, m)
-        if len(clusters) != m or any(len(c) != k for c in clusters):
-            continue
-        g = sum(c * z for c, z in zip(rng.standard_normal(len(herm)), herm))
-        u0 = v[:, clusters[0]]
-        frames = [u0]
-        ok = True
-        for c in clusters[1:]:
-            ua = v[:, c]
-            b_a = dagger(ua) @ g @ u0  # proportional to a unitary, generically nonzero
-            uu, ss, vvh = np.linalg.svd(b_a)
-            if ss[-1] < 1e-9 * max(1.0, ss[0]):
-                ok = False
-                break
-            frames.append(ua @ (uu @ vvh))
-        if not ok:
-            continue
-        iso = np.zeros((big_d, m * k), dtype=np.complex128)
-        for a, frame in enumerate(frames):
-            iso[:, a * k : (a + 1) * k] = frame
-        # Verify every element factors as g_L (x) I_k through this isometry.
-        good = True
-        for b in block_basis:
-            mat = (dagger(iso) @ b @ iso).reshape(m, k, m, k)
-            g_l = np.einsum("akbk->ab", mat) / k
-            if max_abs(mat - np.einsum("ab,kl->akbl", g_l, np.eye(k))) > 1e3 * tol:
-                good = False
-                break
-        if good:
-            return WedderburnBlock(
-                projector=w_cols @ dagger(w_cols),
-                isometry=w_cols @ iso,
-                m=m,
-                k=k,
-            )
-    raise CenterDegenerate("block factorization failed after 5 generic draws")
+    Every basis element, rotated into the blocks' frames, must vanish off
+    the block diagonal and read g_L (x) I_k on it; with sum m^2 = dim A the
+    algebra is then exactly (+)_mu M_m (x) I_k.
+    """
+    if sum(b.m * b.m for b in blocks) != len(stack):
+        raise CenterDegenerate("block dimensions do not add up to the algebra dimension")
+    frame = np.hstack([b.isometry for b in blocks])
+    rotated = dagger(frame) @ stack @ frame
+    off = 0
+    for b in blocks:
+        size = b.m * b.k
+        sub = rotated[:, off : off + size, off : off + size].reshape(-1, b.m, b.k, b.m, b.k)
+        g_l = np.einsum("nakbk->nab", sub) / b.k
+        rotated[:, off : off + size, off : off + size] = (
+            sub - np.einsum("nab,kl->nakbl", g_l, np.eye(b.k))
+        ).reshape(-1, size, size)
+        off += size
+    if max_abs(rotated) > 1e3 * tol:
+        raise CenterDegenerate("an algebra element does not factor through the blocks")
 
 
 # ---------------------------------------------------------------------------
@@ -411,21 +344,21 @@ def _transition_operators(wk: np.ndarray, hatted: list[np.ndarray]) -> list[np.n
     return [inv_root @ h @ inv_root for h in hatted]
 
 
-def _modular_closed_transition_algebra(
-    wk: np.ndarray, hatted: list[np.ndarray], tol: float
-) -> list[np.ndarray]:
+def _modular_components(wk: np.ndarray, hatted: list[np.ndarray]) -> list[np.ndarray]:
+    """Parts of each Hermitised T_x at each distinct frequency log w_i - log w_j.
+
+    ad_{log rho_bar} scales entry (i, j) by that frequency, so these parts
+    span the smallest ad-invariant subspace holding the T_x; ad is a
+    derivation, so the *-algebra they generate is closed under it.
+    """
+    log_w = np.log(wk)
+    freqs = (log_w[:, None] - log_w[None, :]).ravel()
     trans = [(t + dagger(t)) / 2 for t in _transition_operators(wk, hatted)]
-    log_avg = np.diag(np.log(wk)).astype(np.complex128)
-    gens = list(trans)
-    r = wk.shape[0]
-    for _ in range(r * r + 1):
-        basis = generate_algebra(gens, tol=tol)
-        extended = basis + [commutator(log_avg, b) for b in basis]
-        bigger = generate_algebra(extended, tol=tol)
-        if len(bigger) == len(basis):
-            return basis
-        gens = bigger
-    raise NoConvergence("modular closure did not stabilize")  # pragma: no cover
+    parts = []
+    for group in _cluster(freqs, _FREQ_TOL):
+        mask = np.isin(np.arange(freqs.size), group).reshape(wk.size, wk.size)
+        parts.extend(np.where(mask, t, 0.0) for t in trans)
+    return parts
 
 
 def ki_decompose(fam: StateFamily, tol: float = 1e-8, validate: bool = True) -> KIDecomposition:
@@ -439,7 +372,7 @@ def ki_decompose(fam: StateFamily, tol: float = 1e-8, validate: bool = True) -> 
     if fam.dim > _KI_DIM_CAP:
         raise SizeCap(f"ki_decompose capped at dimension {_KI_DIM_CAP}")
     w_iso, wk, hatted = _support_restrict(fam)
-    basis = _modular_closed_transition_algebra(wk, hatted, tol=1e-6)
+    basis = generate_algebra(_modular_components(wk, hatted), tol=1e-6)
     raw_blocks = wedderburn_decompose(basis, tol=1e-9)
 
     avg_hat = np.diag(wk).astype(np.complex128)
@@ -527,41 +460,6 @@ def _validate_decomposition(dec: KIDecomposition, fam: StateFamily, tol: float) 
 # Independent refinement oracle (d <= 6)
 
 
-def _commutant_basis(mats: list[np.ndarray], tol: float = 1e-9) -> list[np.ndarray]:
-    """Basis of {Y : [Y, A] = 0 for all A} via the smallest eigenvectors of sum L†L."""
-    p = mats[0].shape[0]
-    eye = np.eye(p)
-    acc = np.zeros((p * p, p * p), dtype=np.complex128)
-    scale = 0.0
-    for a in mats:
-        l_op = np.kron(a, eye) - np.kron(eye, a.T)  # row-major vec: vec(AY - YA)
-        acc += dagger(l_op) @ l_op
-        scale = max(scale, float(np.linalg.norm(a)) ** 2)
-    w, v = np.linalg.eigh(acc)
-    null = [v[:, i].reshape(p, p) for i in range(p * p) if w[i] <= tol * max(1.0, scale)]
-    return null
-
-
-def _connected_components(adj: np.ndarray) -> list[list[int]]:
-    n = adj.shape[0]
-    seen = np.zeros(n, dtype=bool)
-    comps = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        stack, comp = [start], [start]
-        seen[start] = True
-        while stack:
-            u = stack.pop()
-            for w in np.nonzero(adj[u])[0]:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-                    comp.append(int(w))
-        comps.append(sorted(comp))
-    return comps
-
-
 def _split_irreducible(iso: np.ndarray, hatted: list[np.ndarray], rng) -> list[np.ndarray]:
     """Recursively split a subspace until the compressed family is irreducible.
 
@@ -596,10 +494,8 @@ def _split_irreducible(iso: np.ndarray, hatted: list[np.ndarray], rng) -> list[n
     comm = _commutant_basis(fam_c)
     if len(comm) <= 1:
         return [iso]
-    herm = _hermitian_span(comm)
     for _ in range(5):
-        c = sum(x * z for x, z in zip(rng.standard_normal(len(herm)), herm))
-        w, v = hermitian_eig(c)
+        w, v = hermitian_eig(_generic_hermitian(comm, rng))
         spread = max(1.0, float(w[-1] - w[0]))
         clusters = _cluster(w, 1e-7 * spread)
         if len(clusters) < 2:

@@ -54,6 +54,16 @@ def random_structured_family(rng, d, n_states=3):
             rem -= m * k
         if sum(m * k for m, k in blocks) == d:
             break
+    return planted_family(rng, blocks, n_states), sorted(blocks)
+
+
+def planted_family(rng, blocks, n_states=3):
+    """States (+)_mu p_mu(x) rho_L,mu(x) (x) omega_mu in a random frame.
+
+    blocks lists the (m, k) of each planted block; generic draws make
+    these the family's Koashi-Imoto block dimensions.
+    """
+    d = sum(m * k for m, k in blocks)
     q = random_unitary(d, rng)
     omegas = [random_density_matrix(k, k, rng).mat for _, k in blocks]
     states = []
@@ -68,7 +78,7 @@ def random_structured_family(rng, d, n_states=3):
             off += m * k
         states.append(DensityMatrix(q @ full @ np.conj(q.T)))
     labels = tuple(f"s{i}" for i in range(n_states))
-    return StateFamily(tuple(states), labels), sorted(blocks)
+    return StateFamily(tuple(states), labels)
 
 
 @pytest.fixture

@@ -220,10 +220,10 @@ def test_criterion_07_ki_decomposition():
     worst_recon = 0.0
     for _ in range(100):
         d = int(rng.integers(2, 7))
-        fam, _ = random_structured_family(rng, d)
+        fam, planted = random_structured_family(rng, d)
         dec = ki_decompose(fam)
         oracle = ki_refinement_oracle(fam)
-        if dec.block_dims != oracle.block_dims:
+        if dec.block_dims != oracle.block_dims or dec.block_dims != planted:
             mismatches += 1
         for x in range(len(fam.states)):
             worst_recon = max(

@@ -322,10 +322,13 @@ class TestTradeoffSweep:
         assert res.skipped_t == ()
 
     def test_pi_row_skipped(self):
+        # the only shift is skipped, so no row checks the bound: that fails
         cfg = TradeoffConfig(t_grid=(math.pi,), lambda_schedule=(0.0,), optimizer=FAST)
-        res = run_tradeoff_sweep(PLUS_VEC, QUBIT, QUBIT, cfg)
+        res = run_tradeoff_sweep(PLUS_VEC, QUBIT, QUBIT, cfg, raise_on_failure=False)
         assert res.rows == ()
         assert res.skipped_t == (math.pi,)
+        slack = next(a for a in res.assertions if a.name == "tradeoff_slack")
+        assert not slack.passed
 
     def test_no_converged_row_fails(self, monkeypatch):
         real = experiments.max_recovery_fidelity

@@ -3,9 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from asymmbench.errors import PreconditionFailed, SizeCap
 from asymmbench.ki import (
+    _modular_components,
+    _support_restrict,
     ehrenfest_constancy_check,
     generate_algebra,
     ki_decompose,
@@ -15,7 +19,7 @@ from asymmbench.ki import (
     reconstruct_state,
     wedderburn_decompose,
 )
-from asymmbench.linalg import max_abs, tensor_product, trace_norm
+from asymmbench.linalg import commutator, max_abs, tensor_product, trace_norm
 from asymmbench.qtypes import (
     Channel,
     DensityMatrix,
@@ -27,12 +31,16 @@ from asymmbench.qtypes import (
 )
 from asymmbench.symmetry import is_symmetric_state
 
-from conftest import random_structured_family, random_unitary
+from conftest import planted_family, random_structured_family, random_unitary
 
 QUBIT = SystemSpec.diagonal([0, 1])
 PLUS = DensityMatrix.pure([1, 1])
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
+# planted (m, k) block lists on at most six dimensions
+PLANTED = st.lists(
+    st.tuples(st.integers(1, 3), st.integers(1, 3)), min_size=1, max_size=4
+).filter(lambda blocks: sum(m * k for m, k in blocks) <= 6)
 
 
 class TestGenerateAlgebra:
@@ -184,13 +192,36 @@ class TestKIDecompose:
     def test_oracle_agreement(self, rng):
         for _ in range(25):
             d = int(rng.integers(2, 7))
-            fam, _ = random_structured_family(rng, d)
-            assert ki_decompose(fam).block_dims == ki_refinement_oracle(fam).block_dims
+            fam, planted = random_structured_family(rng, d)
+            dims = ki_decompose(fam).block_dims
+            assert dims == planted
+            assert dims == ki_refinement_oracle(fam).block_dims
 
     def test_size_cap(self, rng):
         big = DensityMatrix.maximally_mixed(64)
         with pytest.raises(SizeCap):
             ki_decompose(StateFamily((big,), ("a",)))
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(blocks=PLANTED, n_states=st.integers(2, 4), seed=st.integers(0, 2**32 - 1))
+    def test_planted_blocks_in_random_frame(self, blocks, n_states, seed):
+        fam = planted_family(np.random.default_rng(seed), blocks, n_states)
+        # The one-step modular closure: ad_{log rho_bar} maps the algebra
+        # generated by the modular components into itself.  Two-state
+        # families exercise it, since T_1 + T_2 = 2I makes the transition
+        # operators alone generate a commutative algebra.
+        _, wk, hatted = _support_restrict(fam)
+        basis = generate_algebra(_modular_components(wk, hatted), tol=1e-6)
+        flat = np.array(basis).reshape(len(basis), -1)
+        log_avg = np.diag(np.log(wk)).astype(complex)
+        for b in basis:
+            c = commutator(log_avg, b).ravel()
+            outside = c - (flat.conj() @ c) @ flat
+            assert np.linalg.norm(outside) <= 1e-7 * (1.0 + np.linalg.norm(c))
+        dec = ki_decompose(fam)
+        assert dec.block_dims == sorted(blocks)
+        for x, state in enumerate(fam.states):
+            assert 0.5 * trace_norm(state.mat - reconstruct_state(dec, x)) <= 1e-7
 
 
 class TestOrbitFamily:
