@@ -330,6 +330,7 @@ class TradeoffRecord:
     ft_input: float
     ft_output: float
     irrev: float
+    irrev_lower: float
     lhs: float
     rhs: float
     slack: float
@@ -363,7 +364,9 @@ def run_tradeoff_sweep(
 
     For each shift t (rows with f_t(psi) = 1 are skipped, as the bound's
     denominator vanishes) and each penalty, records
-    lhs = f_t(sigma_S') against rhs = 4 sqrt(irrev) / (1 - f_t(psi)) and
+    lhs = f_t(sigma_S') against rhs = 4 sqrt(irrev_lower) / (1 - f_t(psi)),
+    with irrev_lower the certified lower bound on the irreversibility
+    (irrev, the achieved upper bound, is recorded beside it), and
     asserts slack = rhs - lhs >= -1e-6 on converged rows; the assertion
     fails when no row converged, which includes a sweep whose every shift
     was skipped.  Rows that come out essentially reversible must also carry
@@ -388,13 +391,14 @@ def run_tradeoff_sweep(
             )
             irr = max_recovery_fidelity(psi, sig_q, sys_q, sys_q, cfg.optimizer)
             lhs = att.output_coherence
-            rhs = 4.0 * math.sqrt(max(0.0, irr.value)) / (1.0 - ft_in)
+            rhs = 4.0 * math.sqrt(irr.irrev_lower) / (1.0 - ft_in)
             rows.append(
                 TradeoffRecord(
                     t=float(t),
                     ft_input=ft_in,
                     ft_output=att.output_coherence,
                     irrev=irr.value,
+                    irrev_lower=irr.irrev_lower,
                     lhs=lhs,
                     rhs=rhs,
                     slack=rhs - lhs,
@@ -483,9 +487,10 @@ def run_degradation_demo(
     Checks the joint channel is covariant, forms the induced map on the
     second system, and, when that map is not covariant, measures the
     irreversibility of the first system's state conversion with the probe
-    (default maximally mixed) on the second input.  The assertion is
-    irrev > cfg.degradation_tol with a converged optimizer; a covariant
-    induced map yields no degradation claim.
+    (default maximally mixed) on the second input.  The assertion is that
+    the certified lower bound on that irreversibility exceeds
+    cfg.degradation_tol with a converged optimizer; a covariant induced map
+    yields no degradation claim.
     """
     cov = is_covariant_channel(lam, 1e-8)
     if not cov.ok:
@@ -496,7 +501,7 @@ def run_degradation_demo(
     verdict = is_covariant_channel(induced, 1e-8)
 
     assertions = []
-    irrev_value = 0.0
+    irrev_lower = 0.0
     irrev_converged = True
     if not verdict.ok:
         if probe is None:
@@ -507,27 +512,27 @@ def run_degradation_demo(
             partial_trace(out.mat, [sys_qp.dim, sys_sp.dim], keep=[0])
         )
         irr = max_recovery_fidelity(rho_q, sigma_qp, sys_qp, sys_q, cfg.optimizer)
-        irrev_value = irr.value
+        irrev_lower = irr.irrev_lower
         irrev_converged = irr.converged
         assertions.append(
             Assertion(
                 "degradation_positive",
-                irrev_converged and irrev_value > cfg.degradation_tol,
-                irrev_value,
+                irrev_converged and irrev_lower > cfg.degradation_tol,
+                irrev_lower,
             )
         )
     records = (
         {
             "induced_covariant": verdict.ok,
             "induced_witness": verdict.witness,
-            "irrev_lower_bound": irrev_value,
+            "irrev_lower_bound": irrev_lower,
             "converged": irrev_converged,
         },
     )
     result = DegradationResult(
         induced_covariant=verdict.ok,
         induced_witness=verdict.witness,
-        irrev_lower_bound=irrev_value,
+        irrev_lower_bound=irrev_lower,
         irrev_converged=irrev_converged,
         records=records,
         assertions=tuple(assertions),

@@ -15,12 +15,13 @@ tolerance.
 
 The recovery-fidelity maximization is a concave objective on a convex
 set, so projected gradient ascent with backtracking converges to the
-global maximum; multi-restart agreement is used as the convergence
-certificate.  A run that stops short still returns a feasible channel, so
-its fidelity is a lower bound on the maximum and the reported
-irreversibility an upper bound.  That direction is safe for checks that
-irreversibility is small, but not for the degradation demo and the
-tradeoff relation, which need a lower bound on the irreversibility.
+global maximum, and the Frank-Wolfe duality gap (Jaggi, ICML 2013) at
+any feasible point bounds how far below the maximum it is.  The ascent
+stops once that gap is within tolerance, and reports it: the achieved
+fidelity F gives an upper bound 1 - F^2 on the irreversibility, and
+F + gap a lower bound 1 - (F + gap)^2.  Checks that irreversibility is
+small read the first; the degradation demo and the tradeoff relation,
+which need irreversibility to be large, read the second.
 
 Matrix inverses are regularized at eps = 1e-10; each regularized call is
 logged through the standard logging module.
@@ -28,6 +29,7 @@ logged through the standard logging module.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -60,6 +62,11 @@ logger = logging.getLogger(__name__)
 
 REG_EPS = 1e-10
 
+# A recovery is certified converged when its duality gap is at most the
+# tolerance plus this roundoff: the gap subtracts traces of order one,
+# each rounded at about 1e-16 per matrix entry.
+_GAP_ROUNDOFF = 1e-12
+
 # Dual-Newton projection: TP residual ||Tr_out X - I||_F to reach, per unit
 # of the largest input entry, and the step cap.  The line search halves at
 # most _MAX_HALVINGS times and forgives a rise of the dual value up to its
@@ -91,7 +98,7 @@ DEFAULT_LAMBDA_SCHEDULE = (0.0, 1.0, 4.0, 16.0, 64.0, 256.0)
 class OptimizerConfig:
     max_iter: int = 2000
     tol: float = 1e-8
-    restarts: int = 5
+    restarts: int = 1
     seed: int = 0
     smoothing: float = 1e-6
 
@@ -100,19 +107,26 @@ class OptimizerConfig:
 class IrrevResult:
     """Outcome of the covariant-recovery maximization.
 
-    value = 1 - (best fidelity)^2; the fidelity trace is nondecreasing
-    (monotone ascent under backtracking); converged means the restarts
-    agreed within 1e-4.
+    value = 1 - F^2 for the best fidelity F achieved, an upper bound on the
+    irreversibility; the fidelity trace is nondecreasing (monotone ascent
+    under backtracking) and ends at F.  gap bounds the optimum from above,
+    F* <= F + gap (inf when no certificate exists), so irrev_lower is a
+    lower bound.  converged means gap <= cfg.tol + _GAP_ROUNDOFF.
     """
 
     value: float
     best_recovery: Channel
     fidelity_trace: tuple[tuple[int, float], ...]
     converged: bool
+    gap: float
 
     @property
     def fidelity(self) -> float:
-        return float(np.sqrt(max(0.0, 1.0 - self.value)))
+        return self.fidelity_trace[-1][1]
+
+    @property
+    def irrev_lower(self) -> float:
+        return 1.0 - min(1.0, self.fidelity + self.gap) ** 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -311,14 +325,34 @@ def _ascend(
     in_sys: SystemSpec,
     out_sys: SystemSpec,
     cfg: OptimizerConfig,
+    gap=None,
 ):
-    """Projected gradient ascent with backtracking; returns (J, trace, value)."""
+    """Projected gradient ascent with backtracking; returns (J, trace, value, gap).
+
+    With a gap function (J, gradient at J) -> bound on the optimum minus
+    the objective at J, the ascent stops once that bound is at most cfg.tol
+    and returns the bound at the final J.  Without one it stops when the
+    relative rise falls below cfg.tol, and the returned gap is inf, as it
+    is when the gradient raises SingularTarget.  Either way it also stops
+    when no step rises or after cfg.max_iter steps.
+    """
     j = project_covariant_tp_psd(j0, in_sys, out_sys)
     val = objective(j)
     trace = [(0, val)]
     step = 1.0
-    for it in range(1, cfg.max_iter + 1):
-        grad = gradient(j)
+    width = math.inf
+    # With a gap function, one more gradient certifies the last step's J.
+    for it in range(1, cfg.max_iter + 1 + (gap is not None)):
+        try:
+            grad = gradient(j)
+        except SingularTarget:
+            # No gradient: no step and no certificate.
+            width = math.inf
+            break
+        if gap is not None:
+            width = gap(j, grad)
+            if width <= cfg.tol or it > cfg.max_iter:
+                break
         improved = False
         for _ in range(40):
             cand = project_covariant_tp_psd(j + step * grad, in_sys, out_sys)
@@ -335,9 +369,9 @@ def _ascend(
         j, val = cand, cand_val
         trace.append((it, val))
         step = min(step * 1.5, 1e3)
-        if 0 <= rel < cfg.tol:
+        if gap is None and 0 <= rel < cfg.tol:
             break
-    return j, trace, val
+    return j, trace, val, width
 
 
 def max_recovery_fidelity(
@@ -349,48 +383,68 @@ def max_recovery_fidelity(
 ) -> IrrevResult:
     """Maximize Fid(rho_Q, R(sigma)) over covariant channels R: from -> to.
 
-    Projected gradient ascent on the Choi matrix of R; the objective is
-    concave on the convex covariant-TP-PSD set, so the converged value is
-    the global maximum within tolerance.  Restarts must agree within 1e-4
-    for converged=True; value = 1 - fidelity^2 either way (a failed run
-    still gives a valid upper bound on the irreversibility).
+    Projected gradient ascent on the Choi matrix J of R, stopped by the
+    Frank-Wolfe duality gap.  With nabla the gradient of F at J and G its
+    covariant twirl, every covariant channel S has Tr[nabla S] = Tr[G S],
+    and Y = Y0 + s I with Y0 = herm(Tr_out(G J)) and
+    s = lambda_max(G - I (x) Y0) has I (x) Y >= G, so
+    Tr[G S] <= Tr[Y Tr_out S] = Tr Y0 + d_in s.  F is concave, so
+    F(S) <= F(J) + Tr[G (S - J)] <= F(J) + gap with
+    gap = Tr Y0 + d_in s - Tr[G J].  At the optimum G J = (I (x) Y0) J and
+    the gap closes.  nabla carries fidelity_gradient's ridge: it is the
+    exact gradient of the ridged fidelity Tr (A + REG_EPS)^{1/2}, with
+    A = sqrt(rho) R(sigma) sqrt(rho), so the bound holds to within
+    rank(rho) REG_EPS / (2 sqrt(a)) for the smallest eigenvalue a of A on
+    the support of rho.
+    A target without a gradient (SingularTarget) stops the ascent and
+    leaves the result uncertified, with an infinite gap.
+
+    The first start is the identity channel when the spaces match, any
+    further one (cfg.restarts) a random covariant channel; the best
+    achieved value wins.
     """
     if sigma.dim != from_sys.dim or rho_q.dim != to_sys.dim:
         raise DimensionMismatch("state dimensions do not match the recovery spaces")
 
+    d_out, d_in = to_sys.dim, from_sys.dim
     sigma_t = sigma.mat.T.copy()
+    sector = CovarianceSector.for_channel(to_sys, from_sys)
+    eye_out = np.eye(d_out)
 
     def objective(j):
-        return fidelity_arrays(rho_q.mat, apply_choi(j, to_sys.dim, from_sys.dim, sigma.mat))
+        return fidelity_arrays(rho_q.mat, apply_choi(j, d_out, d_in, sigma.mat))
 
     def gradient(j):
-        out = apply_choi(j, to_sys.dim, from_sys.dim, sigma.mat)
+        out = apply_choi(j, d_out, d_in, sigma.mat)
         g = fidelity_gradient(rho_q, (out + dagger(out)) / 2)
         return tensor_product(g, sigma_t)
 
-    seeds = np.random.SeedSequence(cfg.seed).spawn(max(1, cfg.restarts))
+    def gap(j, grad):
+        g = sector.dephase(grad)
+        gj = g @ j
+        y0 = partial_trace(gj, [d_out, d_in], keep=[1])
+        y0 = (y0 + dagger(y0)) / 2
+        shift = float(np.linalg.eigvalsh(g - tensor_product(eye_out, y0))[-1])
+        width = float(np.trace(y0).real) + d_in * shift - float(np.trace(gj).real)
+        # The exact gap is nonnegative at a feasible J; NaN stays NaN.
+        return max(width, 0.0)
+
     best = None
-    finals = []
-    for idx, seq in enumerate(seeds):
-        rng = np.random.default_rng(seq)
-        if idx == 0 and from_sys.dim == to_sys.dim:
-            start = CovarianceSector.for_channel(to_sys, from_sys).dephase(
-                choi_from_map(lambda m: m, from_sys.dim, to_sys.dim)
-            )
+    for idx, seq in enumerate(np.random.SeedSequence(cfg.seed).spawn(max(1, cfg.restarts))):
+        if idx == 0 and d_in == d_out:
+            start = sector.dephase(choi_from_map(lambda m: m, d_in, d_out))
         else:
-            start = random_covariant_channel(from_sys, to_sys, rng).choi
-        j, trace, val = _ascend(start, objective, gradient, from_sys, to_sys, cfg)
-        finals.append(val)
-        if best is None or val > best[2]:
-            best = (j, trace, val)
-    j, trace, val = best
-    converged = (max(finals) - min(finals)) <= 1e-4
-    recovery = Channel(from_sys, to_sys, j)
+            start = random_covariant_channel(from_sys, to_sys, np.random.default_rng(seq)).choi
+        run = _ascend(start, objective, gradient, from_sys, to_sys, cfg, gap)
+        if best is None or run[2] > best[2]:
+            best = run
+    j, trace, val, width = best
     return IrrevResult(
         value=1.0 - val * val,
-        best_recovery=recovery,
+        best_recovery=Channel(from_sys, to_sys, j),
         fidelity_trace=tuple(trace),
-        converged=converged,
+        converged=width <= cfg.tol + _GAP_ROUNDOFF,
+        gap=width,
     )
 
 
@@ -515,7 +569,7 @@ def optimize_broadcast(
             starts.append(random_covariant_channel(sys_q, out_sys, rng).choi)
         best = None
         for start in starts:
-            j, _, val = _ascend(start, objective, gradient, sys_q, out_sys, cfg)
+            j, _, val, _ = _ascend(start, objective, gradient, sys_q, out_sys, cfg)
             if best is None or val > best[1]:
                 best = (j, val)
         j = best[0]

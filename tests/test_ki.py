@@ -197,6 +197,26 @@ class TestKIDecompose:
             assert dims == planted
             assert dims == ki_refinement_oracle(fam).block_dims
 
+    def test_near_equal_frequencies_stay_apart(self):
+        # rho_bar = diag(w), w ∝ (1, e^{-a}, e^{-a-delta}): the modular
+        # frequencies a and a + delta (and 0 and delta) are close but
+        # distinct.  The states differ from rho_bar by a coherence from
+        # level 0 to levels 1 and 2 only.  Kept apart, its parts at the two
+        # frequencies generate M_3; summed into one part, they generate
+        # only M_2 (+) C, which the modular flow does not preserve.
+        a, delta = 1.0, 0.1
+        w = np.exp([0.0, -a, -a - delta])
+        root = np.diag(np.sqrt(w / w.sum())).astype(complex)
+        coh = np.zeros((3, 3), dtype=complex)
+        coh[0, 1], coh[0, 2] = 0.3, 0.2j
+        coh = coh + coh.conj().T
+        fam = StateFamily(
+            tuple(DensityMatrix(root @ (np.eye(3) + s * coh) @ root) for s in (1, -1)),
+            ("a", "b"),
+        )
+        assert ki_decompose(fam).block_dims == [(3, 1)]
+        assert ki_refinement_oracle(fam).block_dims == [(3, 1)]
+
     def test_size_cap(self, rng):
         big = DensityMatrix.maximally_mixed(64)
         with pytest.raises(SizeCap):

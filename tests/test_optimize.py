@@ -5,6 +5,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from asymmbench import optimize
+from asymmbench.errors import SingularTarget
 from asymmbench.linalg import fidelity_arrays, max_abs, partial_trace, tensor_product
 from asymmbench.optimize import (
     OptimizerConfig,
@@ -251,6 +253,63 @@ class TestMaxRecoveryFidelity:
     def test_recovery_channel_is_covariant(self):
         res = max_recovery_fidelity(PLUS, HALF, QUBIT, QUBIT)
         assert is_covariant_channel(res.best_recovery, 1e-8).ok
+
+
+def _recovery_pair(seed: int, d: int, pure: bool):
+    """(system, rho, E, E(rho)) for a random rho and covariant channel E."""
+    rng = np.random.default_rng(seed)
+    system = SystemSpec.diagonal(range(d))
+    if pure:
+        rho = DensityMatrix.pure(rng.standard_normal(d) + 1j * rng.standard_normal(d))
+    else:
+        rho = random_density_matrix(d, d, rng)
+    channel = random_covariant_channel(system, system, rng)
+    return system, rho, channel, apply_channel(channel, rho)
+
+
+RECOVERY_PAIRS = dict(
+    seed=st.integers(0, 2**32 - 1), d=st.sampled_from([2, 3]), pure=st.booleans()
+)
+# The bounds hold at every iterate, and mixed targets can take hundreds of
+# steps to certify, so the properties run short ascents.
+SHORT = OptimizerConfig(max_iter=30)
+
+
+class TestRecoveryCertificate:
+    @settings(max_examples=30, deadline=None, database=None)
+    @given(**RECOVERY_PAIRS)
+    def test_lower_bound_below_achieved(self, seed, d, pure):
+        system, rho, _, sigma = _recovery_pair(seed, d, pure)
+        res = max_recovery_fidelity(rho, sigma, system, system, SHORT)
+        assert 0.0 <= res.irrev_lower <= res.value
+
+    def test_plus_from_maximally_mixed_bracketed(self):
+        # the optimum is 1/2, reached by the identity start
+        res = max_recovery_fidelity(PLUS, HALF, QUBIT, QUBIT)
+        assert res.irrev_lower <= 0.5 + 1e-12
+        assert res.value >= 0.5 - 1e-12
+        assert res.value - res.irrev_lower <= 1e-12
+
+    @settings(max_examples=30, deadline=None, database=None)
+    @given(**RECOVERY_PAIRS)
+    def test_petz_below_certified_fidelity(self, seed, d, pure):
+        # the Petz map of E at the maximally mixed prior is covariant, so
+        # the certified upper bound on the fidelity covers it
+        system, rho, channel, sigma = _recovery_pair(seed, d, pure)
+        petz = petz_recovery(channel, DensityMatrix.maximally_mixed(d))
+        petz_fid = fidelity_arrays(rho.mat, apply_channel(petz, sigma).mat)
+        res = max_recovery_fidelity(rho, sigma, system, system, SHORT)
+        assert petz_fid <= math.sqrt(1.0 - res.irrev_lower) + 1e-9
+
+    def test_singular_target_is_uncertified(self, monkeypatch):
+        def no_gradient(*args):
+            raise SingularTarget("no gradient")
+
+        monkeypatch.setattr(optimize, "fidelity_gradient", no_gradient)
+        res = max_recovery_fidelity(PLUS, HALF, QUBIT, QUBIT)
+        assert not res.converged and res.gap == math.inf
+        assert res.irrev_lower == 0.0
+        assert len(res.fidelity_trace) == 1
 
 
 class TestPetzRecovery:

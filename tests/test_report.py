@@ -28,7 +28,7 @@ class TestCsv:
     def test_empty_records_header_only(self):
         text = emit_csv(make_report("tradeoff", []))
         assert text.splitlines() == [
-            "t,ft_input,ft_output,irrev,lhs,rhs,slack,converged"
+            "t,ft_input,ft_output,irrev,irrev_lower,lhs,rhs,slack,converged"
         ]
 
     def test_floats_round_trip_exactly(self):
@@ -38,6 +38,7 @@ class TestCsv:
             "ft_input": 1e-17,
             "ft_output": 0.0,
             "irrev": 2.0 / 3.0,
+            "irrev_lower": 1.0 / 3.0,
             "lhs": value,
             "rhs": value,
             "slack": 0.0,
@@ -45,7 +46,7 @@ class TestCsv:
         }
         text = emit_csv(make_report("tradeoff", [rec]))
         row = next(csv.DictReader(io.StringIO(text)))
-        for key in ("t", "ft_input", "irrev"):
+        for key in ("t", "ft_input", "irrev", "irrev_lower"):
             assert float(row[key]) == rec[key]
         assert row["converged"] == "true"
 
