@@ -78,14 +78,6 @@ class DecompositionInvalid(WorkbenchError):
     """A computed decomposition failed its own output invariants."""
 
 
-class AssertionFailure(WorkbenchError):
-    """A theorem-verification assertion failed (implementation defect)."""
-
-    def __init__(self, message, result=None):
-        super().__init__(message)
-        self.result = result
-
-
 class ParseError(WorkbenchError):
     """Config file is malformed or violates the strict schema."""
 

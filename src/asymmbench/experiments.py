@@ -2,10 +2,10 @@
 
 Each runner returns a result object carrying flat records (for CSV), a
 list of named assertions with witnesses, and the typed artifacts tests
-poke at.  Assertion failures mean an implementation defect, never a
-counterexample: every claim checked here is proven, so the runners raise
-AssertionFailure (with the result attached) unless raise_on_failure is
-disabled.
+poke at.  A failed assertion means an implementation defect, never a
+counterexample: every claim checked here is proven.  The runners return
+failed assertions like passed ones and never raise them; the caller (the
+CLI's exit code, a test) decides what a failure means.
 
 EXPERIMENTS, at the end, is the one table of batch experiments: each
 entry gives an experiment's config fields, its CSV columns and its
@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import AssertionFailure, DimensionMismatch, PreconditionFailed, SizeCap
+from .errors import DimensionMismatch, PreconditionFailed, SizeCap
 from .ki import (
     ehrenfest_constancy_check,
     ki_decompose,
@@ -31,7 +31,6 @@ from .ki import (
 from .linalg import (
     commutator,
     dagger,
-    factor_permutations,
     max_abs,
     partial_trace,
     psd_sqrt,
@@ -108,17 +107,6 @@ class Assertion:
     witness: float
 
 
-def _finalize(result, raise_on_failure: bool):
-    if raise_on_failure:
-        failed = [a for a in result.assertions if not a.passed]
-        if failed:
-            raise AssertionFailure(
-                "; ".join(f"{a.name} (witness {a.witness:.3e})" for a in failed),
-                result=result,
-            )
-    return result
-
-
 # ---------------------------------------------------------------------------
 # No-broadcasting sweep
 
@@ -153,7 +141,6 @@ def run_no_broadcast_sweep(
     sys_q: SystemSpec,
     sys_sp: SystemSpec,
     cfg: NoBroadcastConfig = NoBroadcastConfig(),
-    raise_on_failure: bool = True,
 ) -> NoBroadcastResult:
     """Broadcast-frontier sweep plus the decomposition cross-checks.
 
@@ -230,7 +217,7 @@ def run_no_broadcast_sweep(
         }
         for a in attempts
     )
-    result = NoBroadcastResult(
+    return NoBroadcastResult(
         attempts=attempts,
         smallest_bucket=smallest,
         bucket_coherence=bucket_coherence,
@@ -242,7 +229,6 @@ def run_no_broadcast_sweep(
         records=records,
         assertions=tuple(assertions),
     )
-    return _finalize(result, raise_on_failure)
 
 
 def clone_in_basis_channel(register: SystemSpec) -> Channel:
@@ -357,8 +343,6 @@ def run_tradeoff_sweep(
     sys_q: SystemSpec,
     sys_sp: SystemSpec,
     cfg: TradeoffConfig = TradeoffConfig(),
-    raise_on_failure: bool = True,
-    t_grid: Sequence[float] | None = None,
 ) -> TradeoffResult:
     """Tradeoff between broadcast coherence and recovery irreversibility.
 
@@ -373,10 +357,9 @@ def run_tradeoff_sweep(
     essentially no output coherence (the reversible limit of the bound).
     """
     psi = psi_q.density()
-    grid = cfg.t_grid if t_grid is None else tuple(t_grid)
     rows: list[TradeoffRecord] = []
     skipped: list[float] = []
-    for t in grid:
+    for t in cfg.t_grid:
         ft_in = measure_ft(psi, sys_q, t)
         if ft_in >= 1.0 - 1e-12:
             skipped.append(float(t))
@@ -422,13 +405,12 @@ def run_tradeoff_sweep(
     assertions.append(
         Assertion("reversible_rows_symmetric", reversible_violation <= 0.0, reversible_violation)
     )
-    result = TradeoffResult(
+    return TradeoffResult(
         rows=tuple(rows),
         skipped_t=tuple(skipped),
         records=tuple(asdict(r) for r in rows),
         assertions=tuple(assertions),
     )
-    return _finalize(result, raise_on_failure)
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +462,6 @@ def run_degradation_demo(
     sys_sp: SystemSpec,
     cfg: DegradationConfig = DegradationConfig(),
     probe: DensityMatrix | None = None,
-    raise_on_failure: bool = True,
 ) -> DegradationResult:
     """Asymmetry degradation: a non-covariant induced map costs recovery fidelity.
 
@@ -529,7 +510,7 @@ def run_degradation_demo(
             "converged": irrev_converged,
         },
     )
-    result = DegradationResult(
+    return DegradationResult(
         induced_covariant=verdict.ok,
         induced_witness=verdict.witness,
         irrev_lower_bound=irrev_lower,
@@ -537,7 +518,6 @@ def run_degradation_demo(
         records=records,
         assertions=tuple(assertions),
     )
-    return _finalize(result, raise_on_failure)
 
 
 # ---------------------------------------------------------------------------
@@ -563,7 +543,6 @@ class ClonerResult:
     joint: np.ndarray
     marginal: np.ndarray
     trace_error: float
-    permutation_error: float
     marginal_error: float
 
 
@@ -578,9 +557,8 @@ def _clone(m: np.ndarray, proj: np.ndarray, d: int, n: int) -> np.ndarray:
 def universal_cloner(rho: DensityMatrix, d: int, n: int) -> ClonerResult:
     """Symmetric-subspace cloner E(rho) = (d/d(n)) P (rho (x) I^(n-1)) P.
 
-    Verifies unit trace, permutation invariance of the joint output, and
-    that each single-system marginal equals the closed form
-    c_n rho + (1 - c_n) I/d with c_n = (d+n)/(n(d+1)).
+    Verifies unit trace and that each single-system marginal equals the
+    closed form c_n rho + (1 - c_n) I/d with c_n = (d+n)/(n(d+1)).
     """
     if rho.dim != d:
         raise DimensionMismatch(f"state dim {rho.dim} != {d}")
@@ -588,13 +566,6 @@ def universal_cloner(rho: DensityMatrix, d: int, n: int) -> ClonerResult:
         raise SizeCap("explicit cloner capped at n <= 4 and d^n <= 1024")
     joint = _clone(rho.mat, symmetric_subspace_projector(d, n), d, n)
     trace_error = abs(float(np.trace(joint).real) - 1.0)
-
-    # The permutation operator with index map target acts as
-    # P J P† = J[inv][:, inv], inv the inverse index map.
-    perm_error = 0.0
-    for target in factor_permutations(d, n):
-        inv = np.argsort(target)
-        perm_error = max(perm_error, max_abs(joint[np.ix_(inv, inv)] - joint))
 
     marginal = partial_trace(joint, [d] * n, keep=[0])
     marginal_error = max_abs(marginal - cloner_marginal(rho.mat, d, n))
@@ -605,7 +576,6 @@ def universal_cloner(rho: DensityMatrix, d: int, n: int) -> ClonerResult:
         joint=joint,
         marginal=marginal,
         trace_error=trace_error,
-        permutation_error=perm_error,
         marginal_error=marginal_error,
     )
 
@@ -634,10 +604,7 @@ class NonadditivityConfig:
     cloner_n_cap: int = 64
 
 
-def run_nonadditivity(
-    cfg: NonadditivityConfig = NonadditivityConfig(),
-    raise_on_failure: bool = True,
-) -> NonadditivityResult:
+def run_nonadditivity(cfg: NonadditivityConfig = NonadditivityConfig()) -> NonadditivityResult:
     """Three constructions showing a faithful asymmetry measure is neither
     sub-additive nor super-additive.
 
@@ -755,13 +722,12 @@ def run_nonadditivity(
             float(smallest_n or -1),
         ),
     ]
-    result = NonadditivityResult(
+    return NonadditivityResult(
         rows=tuple(rows),
         smallest_cloner_n=smallest_n,
         records=tuple(asdict(r) for r in rows),
         assertions=tuple(assertions),
     )
-    return _finalize(result, raise_on_failure)
 
 
 # ---------------------------------------------------------------------------
@@ -780,7 +746,6 @@ def check_fidelity_perturbation_lemma(
     rng: np.random.Generator,
     trials: int = 10_000,
     dims: Sequence[int] = (2, 3, 4),
-    raise_on_failure: bool = True,
 ) -> Lemma8Result:
     """Monte Carlo check of the fidelity perturbation bound.
 
@@ -821,13 +786,12 @@ def check_fidelity_perturbation_lemma(
         Assertion("perturbation_bound", worst <= 1e-9 and len(per_dim) == len(draws), worst)
     ]
     records = tuple({"dim": d, "max_violation": v} for d, v in per_dim.items())
-    result = Lemma8Result(
+    return Lemma8Result(
         trials=trials,
         max_violation=worst,
         records=records,
         assertions=tuple(assertions),
     )
-    return _finalize(result, raise_on_failure)
 
 
 def _perturbation_violations(d: int, batch: list[tuple]) -> np.ndarray:
@@ -866,9 +830,7 @@ class ComplementarityVerdict:
     assertions: tuple[Assertion, ...]
 
 
-def check_broadcast_complementarity(
-    ch: Channel, tol: float = 1e-9, raise_on_failure: bool = True
-) -> ComplementarityVerdict:
+def check_broadcast_complementarity(ch: Channel, tol: float = 1e-9) -> ComplementarityVerdict:
     """If a broadcast map A -> S (x) A reproduces A exactly, S gets a constant.
 
     Tests whether the A-marginal equals the identity channel within tol;
@@ -904,14 +866,13 @@ def check_broadcast_complementarity(
             "erasure_residual": erasure_residual,
         },
     )
-    result = ComplementarityVerdict(
+    return ComplementarityVerdict(
         identity_marginal=identity_marginal,
         identity_deviation=identity_deviation,
         erasure_residual=erasure_residual,
         records=records,
         assertions=tuple(assertions),
     )
-    return _finalize(result, raise_on_failure)
 
 
 # ---------------------------------------------------------------------------
@@ -969,7 +930,7 @@ def _run_no_broadcast(p: dict, seed: int):
         optimizer=_optimizer(p["optimizer"], seed, _NO_BROADCAST.optimizer),
     )
     state, sys_q, sys_sp = p["state"] or _PLUS, p["system_q"] or _QUBIT, p["system_s_out"] or _QUBIT
-    res = run_no_broadcast_sweep(state, sys_q, sys_sp, cfg, raise_on_failure=False)
+    res = run_no_broadcast_sweep(state, sys_q, sys_sp, cfg)
     return res.records, res.assertions
 
 
@@ -982,7 +943,7 @@ def _run_tradeoff(p: dict, seed: int):
     )
     psi = PureState(evecs[:, -1])
     sys_q, sys_sp = p["system_q"] or _QUBIT, p["system_s_out"] or _QUBIT
-    res = run_tradeoff_sweep(psi, sys_q, sys_sp, cfg, raise_on_failure=False)
+    res = run_tradeoff_sweep(psi, sys_q, sys_sp, cfg)
     # Always passes; the witness counts the t rows skipped at f_t = 1.
     skipped = Assertion("rows_skipped_at_full_shift", True, float(len(res.skipped_t)))
     return res.records, res.assertions + (skipped,)
@@ -996,15 +957,13 @@ def _run_degradation(p: dict, seed: int):
     )
     lam = twirled_partial_swap(sys_q, sys_s, p["angle"])
     state, probe = p["state"] or _PLUS, p["probe"]
-    res = run_degradation_demo(
-        lam, state, sys_q, sys_s, sys_q, sys_s, cfg, probe, raise_on_failure=False
-    )
+    res = run_degradation_demo(lam, state, sys_q, sys_s, sys_q, sys_s, cfg, probe)
     return res.records, res.assertions
 
 
 def _run_nonadditivity(p: dict, seed: int):
     cfg = NonadditivityConfig(t=p["t"], cloner_n_cap=p["cloner_n_cap"])
-    res = run_nonadditivity(cfg, raise_on_failure=False)
+    res = run_nonadditivity(cfg)
     return res.records, res.assertions
 
 
@@ -1026,7 +985,7 @@ def _run_ki(p: dict, seed: int):
         fam = StateFamily(states, tuple(f"s{i}" for i in range(len(states))))
     else:
         fam = orbit_family(p["state"] or _PLUS, p["system_q"] or _QUBIT, p["orbit_samples"])
-    dec = ki_decompose(fam, tol=p["tol"])
+    dec = ki_decompose(fam)
     worst = max(
         0.5 * trace_norm(state.mat - reconstruct_state(dec, x))
         for x, state in enumerate(fam.states)
@@ -1059,7 +1018,6 @@ def _run_cloner(p: dict, seed: int):
                     "n": n,
                     "shrink": results[0].shrink,
                     "trace_error": max(r.trace_error for r in results),
-                    "permutation_error": max(r.permutation_error for r in results),
                     "marginal_error": marginal_error,
                 }
             )
@@ -1067,9 +1025,8 @@ def _run_cloner(p: dict, seed: int):
 
 
 def _run_lemma8(p: dict, seed: int):
-    res = check_fidelity_perturbation_lemma(
-        np.random.default_rng(seed), p["trials"], tuple(p["dims"]), raise_on_failure=False
-    )
+    rng = np.random.default_rng(seed)
+    res = check_fidelity_perturbation_lemma(rng, p["trials"], tuple(p["dims"]))
     return res.records, res.assertions
 
 
@@ -1086,9 +1043,8 @@ def _run_complementarity(p: dict, seed: int):
     d = p["dim"]
     sys_a = SystemSpec.diagonal(list(range(d)))
     choi = choi_from_map(_BROADCAST_MAPS[p["mode"]](d), d, d * d)
-    res = check_broadcast_complementarity(
-        Channel(sys_a, tensor_system(sys_a, sys_a), choi), tol=p["tol"], raise_on_failure=False
-    )
+    ch = Channel(sys_a, tensor_system(sys_a, sys_a), choi)
+    res = check_broadcast_complementarity(ch, p["tol"])
     return res.records, res.assertions
 
 
@@ -1183,7 +1139,6 @@ EXPERIMENTS: dict[str, Experiment] = {
                 "states": _spec("matrix_list"),
                 "system_q": _spec("system"),
                 "orbit_samples": _spec("positive_int", 4),
-                "tol": _spec("positive_number", 1e-8),
             },
             ("block", "m", "k", "reconstruction_residual"),
             _run_ki,
@@ -1201,7 +1156,7 @@ EXPERIMENTS: dict[str, Experiment] = {
                 "trials_per_case": _spec("positive_int", 3),
                 "tol": _spec("positive_number", 1e-10),
             },
-            ("d", "n", "shrink", "trace_error", "permutation_error", "marginal_error"),
+            ("d", "n", "shrink", "trace_error", "marginal_error"),
             _run_cloner,
         ),
         Experiment(

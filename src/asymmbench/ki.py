@@ -70,15 +70,23 @@ __all__ = [
 _ALGEBRA_DIM_CAP = 64
 _KI_DIM_CAP = 32
 _ORACLE_DIM_CAP = 6
+_ORBIT_SAMPLE_CAP = 64
 # log-spectrum differences closer than this count as one modular frequency
 _FREQ_TOL = 1e-6
+# generate_algebra keeps Gram eigenvalues above _ALGEBRA_TOL^2 times the largest
+_ALGEBRA_TOL = 1e-6
+# wedderburn_decompose's closure spot checks and factorization check scale with this
+_WEDDERBURN_TOL = 1e-9
+# null-space cutoffs of _commutant_basis and _intertwiner, per unit of scale
+_COMMUTANT_TOL = 1e-9
+_INTERTWINER_TOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
 # *-algebra generation
 
 
-def generate_algebra(gens: list[np.ndarray], tol: float = 1e-6) -> list[np.ndarray]:
+def generate_algebra(gens: list[np.ndarray]) -> list[np.ndarray]:
     """Orthonormal Hilbert-Schmidt basis of the unital *-algebra of the generators.
 
     Closure under products and adjoints; the loop stops once a full
@@ -86,7 +94,7 @@ def generate_algebra(gens: list[np.ndarray], tol: float = 1e-6) -> list[np.ndarr
 
     The span is extracted per pass from the Gram matrix of the candidates
     (current basis, adjoints, pairwise products): a direction is kept when
-    its Gram eigenvalue exceeds tol^2 times the largest.  Only the
+    its Gram eigenvalue exceeds _ALGEBRA_TOL^2 times the largest.  Only the
     generators are normalized (numerically zero ones are dropped); the
     products of the orthonormal basis enter with their own norms.  A
     product that nearly cancels carries its rounding error at full
@@ -105,7 +113,7 @@ def generate_algebra(gens: list[np.ndarray], tol: float = 1e-6) -> list[np.ndarr
     def span_of(groups: Iterable[np.ndarray]) -> np.ndarray:
         gram = sum(f.T @ f.conj() for f in (g.reshape(-1, d * d) for g in groups))
         w, vecs = np.linalg.eigh(gram)
-        keep = w > tol * tol * max(1.0, float(w[-1]))
+        keep = w > _ALGEBRA_TOL**2 * max(1.0, float(w[-1]))
         return vecs[:, keep].T.reshape(-1, d, d)
 
     norms = [float(np.linalg.norm(g)) for g in gens]
@@ -156,7 +164,7 @@ def _cluster(values: np.ndarray, eps: float) -> list[np.ndarray]:
     return [np.array(g) for g in groups]
 
 
-def _commutant_basis(mats: list[np.ndarray], tol: float = 1e-9) -> list[np.ndarray]:
+def _commutant_basis(mats: list[np.ndarray]) -> list[np.ndarray]:
     """Basis of {Y : [Y, A] = 0 for all A} via the smallest eigenvectors of sum L†L."""
     p = mats[0].shape[0]
     eye = np.eye(p)
@@ -167,8 +175,8 @@ def _commutant_basis(mats: list[np.ndarray], tol: float = 1e-9) -> list[np.ndarr
         acc += dagger(l_op) @ l_op
         scale = max(scale, float(np.linalg.norm(a)) ** 2)
     w, v = np.linalg.eigh(acc)
-    null = [v[:, i].reshape(p, p) for i in range(p * p) if w[i] <= tol * max(1.0, scale)]
-    return null
+    cutoff = _COMMUTANT_TOL * max(1.0, scale)
+    return [v[:, i].reshape(p, p) for i in range(p * p) if w[i] <= cutoff]
 
 
 def _connected_components(adj: np.ndarray) -> list[list[int]]:
@@ -205,9 +213,7 @@ class WedderburnBlock:
     k: int
 
 
-def wedderburn_decompose(
-    algebra_basis: list[np.ndarray], tol: float = 1e-9
-) -> list[WedderburnBlock]:
+def wedderburn_decompose(algebra_basis: list[np.ndarray]) -> list[WedderburnBlock]:
     """Block structure {Pi_mu, V_mu, (m_mu, k_mu)} of a unital *-algebra.
 
     Read off the commutant, which for A ~ (+)_mu M_m (x) I_k is
@@ -228,14 +234,14 @@ def wedderburn_decompose(
     # Precondition spot check: unital and closed under products/adjoints.
     stack = np.array(algebra_basis)
     flat = stack.reshape(len(stack), -1)
-    if not _contains(flat, np.eye(d, dtype=np.complex128), 100 * tol):
+    if not _contains(flat, np.eye(d, dtype=np.complex128), 100 * _WEDDERBURN_TOL):
         raise PreconditionFailed("basis does not span a unital algebra")
     n = len(algebra_basis)
     for _ in range(20):
         i, j = rng.integers(0, n, size=2)
-        if not _contains(flat, stack[i] @ stack[j], 100 * tol):
+        if not _contains(flat, stack[i] @ stack[j], 100 * _WEDDERBURN_TOL):
             raise PreconditionFailed("basis is not closed under products")
-        if not _contains(flat, dagger(stack[i]), 100 * tol):
+        if not _contains(flat, dagger(stack[i]), 100 * _WEDDERBURN_TOL):
             raise PreconditionFailed("basis is not closed under adjoints")
 
     # the commutant of a *-algebra is *-closed
@@ -262,16 +268,14 @@ def wedderburn_decompose(
                         raise CenterDegenerate("commutant coupling is rank deficient")
                     iso[:, alpha::k] = spaces[a] @ (uu @ vvh)
                 blocks.append(WedderburnBlock(iso @ dagger(iso), iso, m, k))
-            _check_factorization(stack, blocks, tol)
+            _check_factorization(stack, blocks)
             return blocks
         except CenterDegenerate as exc:
             last_err = exc
     raise CenterDegenerate(f"generic commutant element stayed degenerate: {last_err}")
 
 
-def _check_factorization(
-    stack: np.ndarray, blocks: list[WedderburnBlock], tol: float
-) -> None:
+def _check_factorization(stack: np.ndarray, blocks: list[WedderburnBlock]) -> None:
     """Raise CenterDegenerate unless the blocks realize the algebra spanned by stack.
 
     Every basis element, rotated into the blocks' frames, must vanish off
@@ -291,7 +295,7 @@ def _check_factorization(
             sub - np.einsum("nab,kl->nakbl", g_l, np.eye(b.k))
         ).reshape(-1, size, size)
         off += size
-    if max_abs(rotated) > 1e3 * tol:
+    if max_abs(rotated) > 1e3 * _WEDDERBURN_TOL:
         raise CenterDegenerate("an algebra element does not factor through the blocks")
 
 
@@ -361,19 +365,18 @@ def _modular_components(wk: np.ndarray, hatted: list[np.ndarray]) -> list[np.nda
     return parts
 
 
-def ki_decompose(fam: StateFamily, tol: float = 1e-8, validate: bool = True) -> KIDecomposition:
+def ki_decompose(fam: StateFamily) -> KIDecomposition:
     """Koashi-Imoto decomposition of a state family (see module docstring).
 
     The output always satisfies the reconstruction (<= 1e-7 trace
     distance), isometry, projector-completeness, and maximality
-    invariants; with validate=True they are checked on every call and
-    DecompositionInvalid is raised on any violation.
+    invariants; they are checked on every call and DecompositionInvalid
+    is raised on any violation.
     """
     if fam.dim > _KI_DIM_CAP:
         raise SizeCap(f"ki_decompose capped at dimension {_KI_DIM_CAP}")
     w_iso, wk, hatted = _support_restrict(fam)
-    basis = generate_algebra(_modular_components(wk, hatted), tol=1e-6)
-    raw_blocks = wedderburn_decompose(basis, tol=1e-9)
+    raw_blocks = wedderburn_decompose(generate_algebra(_modular_components(wk, hatted)))
 
     avg_hat = np.diag(wk).astype(np.complex128)
     blocks: list[KIBlock] = []
@@ -412,8 +415,7 @@ def ki_decompose(fam: StateFamily, tol: float = 1e-8, validate: bool = True) -> 
         labels=fam.labels,
         l_states=tuple(tuple(row) for row in l_states),
     )
-    if validate:
-        _validate_decomposition(dec, fam, tol)
+    _validate_decomposition(dec, fam)
     return dec
 
 
@@ -430,7 +432,7 @@ def reconstruct_state(dec: KIDecomposition, x: int) -> np.ndarray:
     return out
 
 
-def _validate_decomposition(dec: KIDecomposition, fam: StateFamily, tol: float) -> None:
+def _validate_decomposition(dec: KIDecomposition, fam: StateFamily) -> None:
     w_iso, _, _ = _support_restrict(fam)
     support = w_iso @ dagger(w_iso)
     total = sum(b.projector for b in dec.blocks)
@@ -514,7 +516,7 @@ def _split_irreducible(iso: np.ndarray, hatted: list[np.ndarray], rng) -> list[n
     return [iso]
 
 
-def _intertwiner(a_fam: list[np.ndarray], b_fam: list[np.ndarray], tol: float = 1e-8):
+def _intertwiner(a_fam: list[np.ndarray], b_fam: list[np.ndarray]):
     """Unitary u and scale lam with lam * u A_x u† = B_x, or None if inequivalent."""
     p = a_fam[0].shape[0]
     tr_a = sum(float(np.trace(a).real) for a in a_fam)
@@ -530,7 +532,7 @@ def _intertwiner(a_fam: list[np.ndarray], b_fam: list[np.ndarray], tol: float = 
         acc += dagger(l_op) @ l_op
         scale = max(scale, float(np.linalg.norm(a)) ** 2)
     w, v = np.linalg.eigh(acc)
-    if w[0] > tol * max(1.0, scale):
+    if w[0] > _INTERTWINER_TOL * max(1.0, scale):
         return None
     m = v[:, 0].reshape(p, p)
     gram = dagger(m) @ m
@@ -546,7 +548,7 @@ def _intertwiner(a_fam: list[np.ndarray], b_fam: list[np.ndarray], tol: float = 
     return u, lam
 
 
-def ki_refinement_oracle(fam: StateFamily, tol: float = 1e-8) -> KIDecomposition:
+def ki_refinement_oracle(fam: StateFamily) -> KIDecomposition:
     """Brute-force fallback: eigenspace splitting plus intertwiner merging.
 
     Independent of the transition-algebra path: splits the support into
@@ -569,7 +571,7 @@ def ki_refinement_oracle(fam: StateFamily, tol: float = 1e-8) -> KIDecomposition
         for grp in groups:
             if piece.shape[1] != grp["dim"]:
                 continue
-            res = _intertwiner(grp["ref_fam"], a_fam, tol)
+            res = _intertwiner(grp["ref_fam"], a_fam)
             if res is not None:
                 u, lam = res
                 grp["members"].append((piece, u, lam))
@@ -625,17 +627,12 @@ def ki_refinement_oracle(fam: StateFamily, tol: float = 1e-8) -> KIDecomposition
         labels=fam.labels,
         l_states=tuple(tuple(row) for row in l_states),
     )
-    _validate_decomposition(dec, fam, tol)
+    _validate_decomposition(dec, fam)
     return dec
 
 
 # ---------------------------------------------------------------------------
 # Orbit families and the structure checks used by the no-broadcasting argument
-
-
-def _transition_algebra_dim(fam: StateFamily) -> int:
-    _, wk, hatted = _support_restrict(fam)
-    return len(generate_algebra(_transition_operators(wk, hatted)))
 
 
 def _sampled_orbit(rho: DensityMatrix, sys: SystemSpec, n: int) -> StateFamily:
@@ -649,24 +646,30 @@ def _sampled_orbit(rho: DensityMatrix, sys: SystemSpec, n: int) -> StateFamily:
 
 
 def orbit_family(rho: DensityMatrix, sys: SystemSpec, n_samples: int) -> StateFamily:
-    """Translates of rho at equally spaced group times.
+    """Translates of rho at n equally spaced group times.
 
-    The sample count doubles (cap 64) until the transition-operator
-    algebra dimension is stable across one doubling, so the family
-    carries the same algebra as the continuous orbit.
+    n is the smallest n_samples * 2^k at which the spectral differences
+    s_i - s_j of sys stay distinct mod n (n > 2 D, D the spectral width,
+    always qualifies); SizeCap above _ORBIT_SAMPLE_CAP.  Entry (i, j) of
+    rho(t) turns at frequency s_i - s_j, so n samples alias two
+    frequencies onto one exactly when they agree mod n.  Without aliasing
+    the samples span the same operators as the continuous orbit and
+    average to its twirl, so the family carries the continuous orbit's
+    algebra.
     """
     if n_samples < 2:
         raise PreconditionFailed("orbit sampling needs at least 2 points")
+    spectrum = np.array(sys.spectrum)
+    freqs = np.unique(np.subtract.outer(spectrum, spectrum))
+    # every nonzero difference between two frequencies
+    clashes = np.subtract.outer(freqs, freqs)
+    clashes = clashes[clashes > 0]
     n = int(n_samples)
-    dim_n = _transition_algebra_dim(_sampled_orbit(rho, sys, n))
-    while True:
-        if 2 * n > 64:
-            raise SizeCap("orbit sampling exceeded the 64-sample cap")
-        dim_2n = _transition_algebra_dim(_sampled_orbit(rho, sys, 2 * n))
-        if dim_2n == dim_n:
-            return _sampled_orbit(rho, sys, n)
+    while np.any(clashes % n == 0):
         n *= 2
-        dim_n = dim_2n
+    if n > _ORBIT_SAMPLE_CAP:
+        raise SizeCap(f"orbit sampling needs {n} samples, above the cap {_ORBIT_SAMPLE_CAP}")
+    return _sampled_orbit(rho, sys, n)
 
 
 def ehrenfest_constancy_check(

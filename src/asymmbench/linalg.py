@@ -38,7 +38,6 @@ __all__ = [
     "factor_permutations",
     "symmetric_subspace_projector",
     "maximally_entangled_vec",
-    "hilbert_schmidt_inner",
 ]
 
 
@@ -57,11 +56,6 @@ def dagger(m: np.ndarray) -> np.ndarray:
 
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b - b @ a
-
-
-def hilbert_schmidt_inner(a: np.ndarray, b: np.ndarray) -> complex:
-    """Tr(a† b)."""
-    return complex(np.sum(np.conj(a) * b))
 
 
 def _require_square(m: np.ndarray) -> np.ndarray:

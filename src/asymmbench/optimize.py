@@ -62,6 +62,10 @@ logger = logging.getLogger(__name__)
 
 REG_EPS = 1e-10
 
+# The broadcast penalty ||sigma_Q - rho_Q||_1 is smoothed to
+# sum_i sqrt(w_i^2 + _SMOOTHING^2) over the eigenvalues w_i.
+_SMOOTHING = 1e-6
+
 # A recovery is certified converged when its duality gap is at most the
 # tolerance plus this roundoff: the gap subtracts traces of order one,
 # each rounded at about 1e-16 per matrix entry.
@@ -100,7 +104,6 @@ class OptimizerConfig:
     tol: float = 1e-8
     restarts: int = 1
     seed: int = 0
-    smoothing: float = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -501,11 +504,12 @@ def optimize_broadcast(
     (sub)gradient ascent with a smoothed trace norm, warm-starting each
     penalty from the previous solution plus fixed feasible seeds.  Every
     returned attempt is a feasible covariant channel (a lower-bound
-    witness for the frontier); non-converged points are flagged.
+    witness for the frontier).  Its converged flag is always True: the
+    penalty ascent has no stopping certificate, so a point that did not
+    converge is not flagged.
     """
     dq, dsp = sys_q.dim, sys_sp.dim
     out_sys = tensor_system(sys_q, sys_sp)
-    mu = cfg.smoothing
     u_t = sys_sp.translation(t)
 
     def marginals(j):
@@ -517,7 +521,7 @@ def optimize_broadcast(
 
     def smooth_tn(y):
         w = np.linalg.eigvalsh((y + dagger(y)) / 2)
-        return float(np.sum(np.sqrt(w * w + mu * mu)))
+        return float(np.sum(np.sqrt(w * w + _SMOOTHING * _SMOOTHING)))
 
     def ft_term(sig_sp):
         shifted = u_t @ sig_sp @ dagger(u_t)
@@ -535,7 +539,7 @@ def optimize_broadcast(
             sig_q, sig_sp = marginals(j)
             shifted = u_t @ sig_sp @ dagger(u_t)
             return _broadcast_gradient(
-                rho_q, sig_q, sig_sp, shifted, u_t, lam, mu, dq, dsp
+                rho_q, sig_q, sig_sp, shifted, u_t, lam, dq, dsp
             )
 
         return gradient
@@ -587,7 +591,7 @@ def optimize_broadcast(
     return attempts
 
 
-def _broadcast_gradient(rho_q, sig_q, sig_sp, shifted, u_t, lam, mu, dq, dsp):
+def _broadcast_gradient(rho_q, sig_q, sig_sp, shifted, u_t, lam, dq, dsp):
     """Gradient of the broadcast objective with respect to the Choi matrix."""
     # d f_t / d sigma_S' : both fidelity slots depend on sigma_S'.
     try:
@@ -596,9 +600,9 @@ def _broadcast_gradient(rho_q, sig_q, sig_sp, shifted, u_t, lam, mu, dq, dsp):
         grad_sp = -(ga + dagger(u_t) @ gb @ u_t)
     except SingularTarget:
         grad_sp = np.zeros((dsp, dsp), dtype=np.complex128)
-    # d smooth-trace-norm / d sigma_Q with phi(y) = y / sqrt(y^2 + mu^2).
+    # d smooth-trace-norm / d sigma_Q with phi(y) = y / sqrt(y^2 + _SMOOTHING^2).
     y = (sig_q - rho_q.mat + dagger(sig_q - rho_q.mat)) / 2
-    phi = hermitian_function(y, lambda w: w / np.sqrt(w * w + mu * mu))
+    phi = hermitian_function(y, lambda w: w / np.sqrt(w * w + _SMOOTHING * _SMOOTHING))
     grad_x = tensor_product(np.eye(dq), grad_sp) - lam * tensor_product(
         phi, np.eye(dsp)
     )

@@ -65,9 +65,7 @@ class CovarianceSector:
 
     basis = V_out (x) conj(V_in) diagonalizes the generator
     K = H_out (x) I - I (x) H_in^T, and labels[i] is the integer eigenvalue
-    of its column i.  sectors maps each eigenvalue of K to its orthogonal
-    projector; the projectors are complete by construction.  generator and
-    sectors are built on first use.
+    of its column i.  generator is built on first use.
     """
 
     out_sys: SystemSpec
@@ -88,14 +86,6 @@ class CovarianceSector:
         return tensor_product(self.out_sys.hamiltonian, np.eye(di)) - tensor_product(
             np.eye(do), self.in_sys.hamiltonian.T
         )
-
-    @cached_property
-    def sectors(self) -> dict[int, np.ndarray]:
-        sectors = {}
-        for lab in np.unique(self.labels):
-            cols = self.basis[:, self.labels == lab]
-            sectors[int(lab)] = cols @ dagger(cols)
-        return sectors
 
     def dephase(self, j: np.ndarray) -> np.ndarray:
         """Zero all matrix elements between distinct eigenvalue sectors of K."""

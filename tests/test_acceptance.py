@@ -54,6 +54,10 @@ HALF = DensityMatrix.maximally_mixed(2)
 PLUS_VEC = PureState(np.array([1.0, 1.0]) / math.sqrt(2))
 
 
+def all_passed(*results) -> bool:
+    return all(a.passed for res in results for a in res.assertions)
+
+
 def report(criterion, passed, elapsed, budget, detail):
     line = (
         f"ACCEPTANCE {criterion}: {'PASS' if passed else 'FAIL'} "
@@ -128,7 +132,7 @@ def test_criterion_03_fidelity_perturbation_bound():
     elapsed = time.perf_counter() - start
     report(
         "3 (fidelity perturbation bound, 1e4 trials)",
-        res.max_violation <= 1e-9,
+        res.max_violation <= 1e-9 and all_passed(res),
         elapsed,
         120,
         f"max violation {res.max_violation:.2e}",
@@ -140,7 +144,8 @@ def test_criterion_04_no_broadcasting():
     res = run_no_broadcast_sweep(PLUS, QUBIT, QUBIT, NoBroadcastConfig())
     classical = res.classical
     ok = (
-        res.smallest_bucket == 1e-5
+        all_passed(res)
+        and res.smallest_bucket == 1e-5
         and res.bucket_coherence <= 1e-4
         and classical["disturbance"] <= 1e-8
         and abs(classical["output_coherence"] - classical["unconstrained_max"]) <= 1e-9
@@ -170,7 +175,7 @@ def test_criterion_05_tradeoff_relation():
     elapsed = time.perf_counter() - start
     report(
         "5 (tradeoff relation sweep)",
-        worst_slack >= -1e-6 and skip_exact and res.skipped_t == (),
+        worst_slack >= -1e-6 and skip_exact and res.skipped_t == () and all_passed(res, with_pi),
         elapsed,
         600,
         f"worst slack {worst_slack:.2e}, rows {len(res.rows)}, pi-skip {skip_exact}",
@@ -263,7 +268,7 @@ def test_criterion_08_nonadditivity():
         if r.construction == "EntangledSubadditivity" and r.measure == "skew_information"
     )
     ok = (
-        all(a.passed for a in res.assertions)
+        all_passed(res)
         and abs(bell.f_joint - 1.0) < 1e-10
         and bell.f_margA == 0.0
         and res.smallest_cloner_n == 14
@@ -283,7 +288,8 @@ def test_criterion_09_degradation_demo():
     lam = twirled_partial_swap(QUBIT, QUBIT, math.pi / 4)
     res = run_degradation_demo(lam, PLUS, QUBIT, QUBIT, QUBIT, QUBIT)
     ok = (
-        not res.induced_covariant
+        all_passed(res)
+        and not res.induced_covariant
         and res.induced_witness > 0.01
         and res.irrev_converged
         and res.irrev_lower_bound > 1e-3
@@ -302,23 +308,21 @@ def test_criterion_10_determinism():
     start = time.perf_counter()
 
     def one_round():
-        out = {}
         fast = OptimizerConfig(max_iter=60)
-        nb = run_no_broadcast_sweep(
-            PLUS, QUBIT, QUBIT, NoBroadcastConfig(lambda_schedule=(0.0, 16.0), optimizer=fast)
-        )
-        out["no_broadcast"] = nb.records
-        tr = run_tradeoff_sweep(
-            PLUS_VEC, QUBIT, QUBIT,
-            TradeoffConfig(t_grid=(math.pi / 2,), lambda_schedule=(0.0, 16.0), optimizer=fast),
-        )
-        out["tradeoff"] = tr.records
-        out["nonadditivity"] = run_nonadditivity().records
         lam = twirled_partial_swap(QUBIT, QUBIT, math.pi / 4)
-        out["degradation"] = run_degradation_demo(lam, PLUS, QUBIT, QUBIT, QUBIT, QUBIT).records
-        out["lemma8"] = check_fidelity_perturbation_lemma(
-            np.random.default_rng(5), trials=500
-        ).records
+        results = {
+            "no_broadcast": run_no_broadcast_sweep(
+                PLUS, QUBIT, QUBIT, NoBroadcastConfig(lambda_schedule=(0.0, 16.0), optimizer=fast)
+            ),
+            "tradeoff": run_tradeoff_sweep(
+                PLUS_VEC, QUBIT, QUBIT,
+                TradeoffConfig(t_grid=(math.pi / 2,), lambda_schedule=(0.0, 16.0), optimizer=fast),
+            ),
+            "nonadditivity": run_nonadditivity(),
+            "degradation": run_degradation_demo(lam, PLUS, QUBIT, QUBIT, QUBIT, QUBIT),
+            "lemma8": check_fidelity_perturbation_lemma(np.random.default_rng(5), trials=500),
+        }
+        out = {name: res.records for name, res in results.items()}
         irr = max_recovery_fidelity(PLUS, HALF, QUBIT, QUBIT, fast)
         out["irrev"] = tuple({"iteration": i, "fidelity": v} for i, v in irr.fidelity_trace)
         rng = np.random.default_rng(31)
@@ -327,14 +331,14 @@ def test_criterion_10_determinism():
         out["ki"] = tuple(
             {"block": mu, "m": blk.m, "k": blk.k} for mu, blk in enumerate(dec.blocks)
         )
-        return json.dumps(out, sort_keys=True, default=repr)
+        return json.dumps(out, sort_keys=True, default=repr), all_passed(*results.values())
 
-    first = one_round()
-    second = one_round()
+    first, first_passed = one_round()
+    second, second_passed = one_round()
     elapsed = time.perf_counter() - start
     report(
         "10 (determinism: byte-identical record sets)",
-        first == second,
+        first == second and first_passed and second_passed,
         elapsed,
         600,
         f"payload bytes {len(first)}",

@@ -253,6 +253,15 @@ class TestMainExitCodes:
         path = write_config(tmp_path, "c.json", {"schema_version": 1, "experiment": "zzz"})
         assert main(["run", "--config", str(path)]) == 4
 
+    def test_ki_tol_is_an_unknown_key(self, tmp_path, capsys):
+        # ki's tolerances are fixed, so a tol key would be silently ignored
+        payload = {"schema_version": 1, "experiment": "ki", "tol": 1e-8}
+        path = write_config(tmp_path, "c.json", payload)
+        assert main(["validate", "--config", str(path)]) == 4
+        assert "'tol'" in capsys.readouterr().err
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 4
+        assert "'tol'" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "payload",
         [

@@ -203,19 +203,25 @@ class TestKIDecompose:
         # distinct.  The states differ from rho_bar by a coherence from
         # level 0 to levels 1 and 2 only.  Kept apart, its parts at the two
         # frequencies generate M_3; summed into one part, they generate
-        # only M_2 (+) C, which the modular flow does not preserve.
-        a, delta = 1.0, 0.1
+        # only M_2 (+) C, which the modular flow does not preserve.  The
+        # second family plants the same factor beside a fixed state omega
+        # with log-gap b: the block becomes (3, 2), and the frequencies
+        # b and b +- delta sit just below a.
+        a, delta, b = 1.0, 0.1, math.log(7 / 3)
         w = np.exp([0.0, -a, -a - delta])
         root = np.diag(np.sqrt(w / w.sum())).astype(complex)
         coh = np.zeros((3, 3), dtype=complex)
         coh[0, 1], coh[0, 2] = 0.3, 0.2j
         coh = coh + coh.conj().T
-        fam = StateFamily(
-            tuple(DensityMatrix(root @ (np.eye(3) + s * coh) @ root) for s in (1, -1)),
-            ("a", "b"),
-        )
-        assert ki_decompose(fam).block_dims == [(3, 1)]
-        assert ki_refinement_oracle(fam).block_dims == [(3, 1)]
+        factors = [root @ (np.eye(3) + s * coh) @ root for s in (1, -1)]
+        omega = np.diag([1.0, np.exp(-b)]) / (1.0 + np.exp(-b))
+        for states, planted in [
+            (factors, [(3, 1)]),
+            ([np.kron(f, omega) for f in factors], [(3, 2)]),
+        ]:
+            fam = StateFamily(tuple(DensityMatrix(x) for x in states), ("a", "b"))
+            assert ki_decompose(fam).block_dims == planted
+            assert ki_refinement_oracle(fam).block_dims == planted
 
     def test_size_cap(self, rng):
         big = DensityMatrix.maximally_mixed(64)
@@ -231,7 +237,7 @@ class TestKIDecompose:
         # families exercise it, since T_1 + T_2 = 2I makes the transition
         # operators alone generate a commutative algebra.
         _, wk, hatted = _support_restrict(fam)
-        basis = generate_algebra(_modular_components(wk, hatted), tol=1e-6)
+        basis = generate_algebra(_modular_components(wk, hatted))
         flat = np.array(basis).reshape(len(basis), -1)
         log_avg = np.diag(np.log(wk)).astype(complex)
         for b in basis:
@@ -260,9 +266,23 @@ class TestOrbitFamily:
             assert abs(p - e) < 1e-12
 
     def test_algebra_dimension_stable_from_four(self):
-        # stability across one doubling means the 4-sample family is returned
-        fam = orbit_family(PLUS, QUBIT, 4)
-        assert len(fam.states) == 4
+        # 4 samples keep a qubit's frequencies -1, 0, 1 apart; 2 do not
+        assert len(orbit_family(PLUS, QUBIT, 4).states) == 4
+        assert len(orbit_family(PLUS, QUBIT, 2).states) == 4
+
+    def test_aliased_frequencies_get_more_samples(self):
+        # Spectrum (0, 1, 7): with 3 or 6 samples the frequency 7 aliases
+        # onto 1 and 6 onto 0, and the sampled orbit of |+> carries a
+        # smaller algebra than the continuous one (blocks [(2, 1)]).  With
+        # 12 samples 6 and -6 still alias; 24 keep all 7 frequencies apart.
+        sys3 = SystemSpec.diagonal([0, 1, 7])
+        plus3 = DensityMatrix.pure([1, 1, 1])
+        fam = orbit_family(plus3, sys3, 3)
+        assert len(fam.states) == 24
+        assert ki_decompose(fam).block_dims == [(3, 1)]
+        # doubling from 4 first separates -32, 0 and 32 at 128 samples
+        with pytest.raises(SizeCap):
+            orbit_family(PLUS, SystemSpec.diagonal([0, 32]), 4)
 
     def test_minimum_samples(self):
         with pytest.raises(PreconditionFailed):

@@ -400,6 +400,11 @@ class TestSymmetricSubspace:
         assert max_abs(p @ p - p) < 1e-10
         assert max_abs(p - p.conj().T) < 1e-12
         assert abs(np.trace(p).real - math.comb(d + n - 1, n)) < 1e-10
+        # every factor permutation fixes the symmetric subspace: Pi P = P
+        for target in factor_permutations(d, n):
+            image = np.zeros_like(p)
+            image[target] = p  # Pi sends basis vector i to target[i]
+            assert max_abs(image - p) < 1e-12
 
     def test_commutes_with_collective_unitaries(self, rng):
         p = symmetric_subspace_projector(2, 3)

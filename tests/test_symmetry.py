@@ -192,12 +192,17 @@ class TestCovarianceSector:
         sys_in = random_integer_system(2, rng)
         sys_out = random_integer_system(3, rng)
         sec = CovarianceSector.for_channel(sys_out, sys_in)
-        total = sum(sec.sectors.values())
-        assert max_abs(total - np.eye(6)) < 1e-10
-        keys = list(sec.sectors)
+        sectors = {}
+        for lab in np.unique(sec.labels):
+            cols = sec.basis[:, sec.labels == lab]
+            sectors[lab] = cols @ cols.conj().T
+            # the columns labelled lab span the eigenspace of K for lab
+            assert max_abs(sec.generator @ sectors[lab] - lab * sectors[lab]) < 1e-10
+        assert max_abs(sum(sectors.values()) - np.eye(6)) < 1e-10
+        keys = list(sectors)
         for i, a in enumerate(keys):
             for b in keys[i + 1 :]:
-                assert max_abs(sec.sectors[a] @ sec.sectors[b]) < 1e-10
+                assert max_abs(sectors[a] @ sectors[b]) < 1e-10
 
 
 class TestRandomCovariantChannel:
