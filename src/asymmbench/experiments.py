@@ -99,6 +99,15 @@ __all__ = [
 
 DISTURBANCE_BUCKETS = (1e-2, 1e-3, 1e-4, 1e-5)
 
+# Assertion bounds and sizes.  Every claim checked here is proven, so these
+# are fixed: a looser bound or a smaller sweep could only hide a defect.
+_COHERENCE_TOL = 1e-4  # output coherence in the smallest disturbance bucket
+_CLASSICAL_REGISTER_SIZE = 2  # cyclic-shift register of the classical control
+_DEGRADATION_TOL = 1e-6  # certified irreversibility of a degraded frame
+_CLONER_N_CAP = 64  # largest n the cloner super-additivity sweep tries
+_CLONER_TOL = 1e-10  # cloner marginal against its closed form
+_COMPLEMENTARITY_TOL = 1e-9  # identity marginal; the erasure fit gets 10x
+
 
 @dataclass(frozen=True)
 class Assertion:
@@ -120,7 +129,7 @@ class NoBroadcastResult:
     ehrenfest_deviation: float
     lemma4_residual: float | None
     block_state_witness: float | None
-    classical: dict | None
+    classical: dict
     records: tuple[dict, ...]
     assertions: tuple[Assertion, ...]
 
@@ -129,10 +138,7 @@ class NoBroadcastResult:
 class NoBroadcastConfig:
     t: float = math.pi / 2
     lambda_schedule: tuple[float, ...] = DEFAULT_LAMBDA_SCHEDULE
-    coherence_tol: float = 1e-4
     orbit_samples: int = 4
-    classical_control: bool = True
-    classical_register_size: int = 2
     optimizer: OptimizerConfig = field(default_factory=lambda: OptimizerConfig(max_iter=200))
 
 
@@ -146,15 +152,16 @@ def run_no_broadcast_sweep(
 
     Optimizes covariant broadcast attempts over the penalty schedule and
     asserts that the smallest achieved disturbance bucket has output
-    coherence below cfg.coherence_tol.  The orbit-family decomposition
+    coherence at most _COHERENCE_TOL = 1e-4.  The orbit-family decomposition
     supplies the mechanism checks: block populations are constant along
     the orbit and the reduced-form block states are symmetric.
 
-    The classical control is a cyclic-shift configuration register with a
-    point state and a clone-in-the-configuration-basis map: covariant for
-    the discrete shift subgroup (witness reported), it broadcasts with
-    zero disturbance at full output coherence, which is exactly the
-    behavior the continuous group forbids.
+    The classical control, always run, is a cyclic-shift configuration
+    register of _CLASSICAL_REGISTER_SIZE = 2 levels with a point state and a
+    clone-in-the-configuration-basis map: covariant for the discrete shift
+    subgroup (witness reported), it broadcasts with zero disturbance at
+    full output coherence, which is exactly the behavior the continuous
+    group forbids.
     """
     sym = is_symmetric_state(rho_q, sys_q)
     if sym.ok:
@@ -177,7 +184,7 @@ def run_no_broadcast_sweep(
     assertions = [
         Assertion(
             "smallest_bucket_coherence",
-            smallest is not None and bucket_coherence <= cfg.coherence_tol,
+            smallest is not None and bucket_coherence <= _COHERENCE_TOL,
             bucket_coherence if bucket_coherence is not None else float("inf"),
         )
     ]
@@ -203,10 +210,8 @@ def run_no_broadcast_sweep(
             Assertion("reduced_block_states_symmetric", block_witness <= 1e-6, block_witness)
         )
 
-    classical = None
-    if cfg.classical_control:
-        classical = _classical_control(cfg.classical_register_size, cfg.t)
-        assertions.extend(classical.pop("assertions"))
+    classical = _classical_control(_CLASSICAL_REGISTER_SIZE, cfg.t)
+    assertions.extend(classical.pop("assertions"))
 
     records = tuple(
         {
@@ -427,12 +432,6 @@ class DegradationResult:
     assertions: tuple[Assertion, ...]
 
 
-@dataclass(frozen=True)
-class DegradationConfig:
-    degradation_tol: float = 1e-6
-    optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
-
-
 def twirled_partial_swap(sys_a: SystemSpec, sys_b: SystemSpec, angle: float) -> Channel:
     """Group average of the partial-swap unitary on two equal systems.
 
@@ -460,7 +459,7 @@ def run_degradation_demo(
     sys_s: SystemSpec,
     sys_qp: SystemSpec,
     sys_sp: SystemSpec,
-    cfg: DegradationConfig = DegradationConfig(),
+    cfg: OptimizerConfig = OptimizerConfig(),
     probe: DensityMatrix | None = None,
 ) -> DegradationResult:
     """Asymmetry degradation: a non-covariant induced map costs recovery fidelity.
@@ -470,8 +469,8 @@ def run_degradation_demo(
     irreversibility of the first system's state conversion with the probe
     (default maximally mixed) on the second input.  The assertion is that
     the certified lower bound on that irreversibility exceeds
-    cfg.degradation_tol with a converged optimizer; a covariant induced map
-    yields no degradation claim.
+    _DEGRADATION_TOL = 1e-6 with a converged recovery optimizer, run with
+    cfg; a covariant induced map yields no degradation claim.
     """
     cov = is_covariant_channel(lam, 1e-8)
     if not cov.ok:
@@ -492,13 +491,13 @@ def run_degradation_demo(
         sigma_qp = DensityMatrix(
             partial_trace(out.mat, [sys_qp.dim, sys_sp.dim], keep=[0])
         )
-        irr = max_recovery_fidelity(rho_q, sigma_qp, sys_qp, sys_q, cfg.optimizer)
+        irr = max_recovery_fidelity(rho_q, sigma_qp, sys_qp, sys_q, cfg)
         irrev_lower = irr.irrev_lower
         irrev_converged = irr.converged
         assertions.append(
             Assertion(
                 "degradation_positive",
-                irrev_converged and irrev_lower > cfg.degradation_tol,
+                irrev_converged and irrev_lower > _DEGRADATION_TOL,
                 irrev_lower,
             )
         )
@@ -598,13 +597,7 @@ class NonadditivityResult:
     assertions: tuple[Assertion, ...]
 
 
-@dataclass(frozen=True)
-class NonadditivityConfig:
-    t: float = math.pi / 2
-    cloner_n_cap: int = 64
-
-
-def run_nonadditivity(cfg: NonadditivityConfig = NonadditivityConfig()) -> NonadditivityResult:
+def run_nonadditivity(t: float = math.pi / 2) -> NonadditivityResult:
     """Three constructions showing a faithful asymmetry measure is neither
     sub-additive nor super-additive.
 
@@ -618,7 +611,9 @@ def run_nonadditivity(cfg: NonadditivityConfig = NonadditivityConfig()) -> Nonad
     (c) The cloner marginal sweep: if any faithful measure were
         super-additive, n times the measure of the shrunk state would be
         bounded by the measure of the input for all n; the sweep finds
-        the smallest n violating that.
+        the smallest n <= _CLONER_N_CAP = 64 violating that.
+
+    t is the shift of the fidelity-based measure in (a) and (b).
     """
     qub = SystemSpec.diagonal([0, 1])
     joint_sys = tensor_system(qub, qub)
@@ -629,7 +624,7 @@ def run_nonadditivity(cfg: NonadditivityConfig = NonadditivityConfig()) -> Nonad
     half = DensityMatrix.maximally_mixed(2)
     for measure, f_joint, f_a, f_b in (
         ("skew_information", skew_information(bell, joint_sys), skew_information(half, qub), skew_information(half, qub)),
-        (f"fidelity_shift(t={cfg.t:g})", measure_ft(bell, joint_sys, cfg.t), measure_ft(half, qub, cfg.t), measure_ft(half, qub, cfg.t)),
+        (f"fidelity_shift(t={t:g})", measure_ft(bell, joint_sys, t), measure_ft(half, qub, t), measure_ft(half, qub, t)),
     ):
         rows.append(
             NonadditivityRecord(
@@ -661,7 +656,7 @@ def run_nonadditivity(cfg: NonadditivityConfig = NonadditivityConfig()) -> Nonad
     marg_a_commutator = max_abs(commutator(marg_a.mat, reg_sys.hamiltonian))
     for measure, f_joint, f_a, f_b in (
         ("skew_information", skew_information(sigma_ab, pair_sys), skew_information(marg_a, reg_sys), skew_information(marg_b, qub)),
-        (f"fidelity_shift(t={cfg.t:g})", measure_ft(sigma_ab, pair_sys, cfg.t), measure_ft(marg_a, reg_sys, cfg.t), measure_ft(marg_b, qub, cfg.t)),
+        (f"fidelity_shift(t={t:g})", measure_ft(sigma_ab, pair_sys, t), measure_ft(marg_a, reg_sys, t), measure_ft(marg_b, qub, t)),
     ):
         rows.append(
             NonadditivityRecord(
@@ -677,23 +672,22 @@ def run_nonadditivity(cfg: NonadditivityConfig = NonadditivityConfig()) -> Nonad
     # (c) cloner super-additivity contradiction
     f_input = skew_information(plus, qub)
     smallest_n = None
-    best_row = None
-    for n in range(1, cfg.cloner_n_cap + 1):
+    for n in range(1, _CLONER_N_CAP + 1):
         marg = DensityMatrix(cloner_marginal(plus.mat, 2, n))
-        scaled = n * skew_information(marg, qub)
-        violated = scaled > f_input + 1e-9
-        if violated and smallest_n is None:
+        f_marg = skew_information(marg, qub)
+        if n * f_marg > f_input + 1e-9:
             smallest_n = n
-            best_row = NonadditivityRecord(
-                construction="ClonerSuperadditivity",
-                measure="skew_information",
-                f_joint=f_input,
-                f_margA=skew_information(marg, qub),
-                f_margB_or_n_scaled=scaled,
-                violated=True,
+            rows.append(
+                NonadditivityRecord(
+                    construction="ClonerSuperadditivity",
+                    measure="skew_information",
+                    f_joint=f_input,
+                    f_margA=f_marg,
+                    f_margB_or_n_scaled=n * f_marg,
+                    violated=True,
+                )
             )
-    if best_row is not None:
-        rows.append(best_row)
+            break
 
     assertions = [
         Assertion(
@@ -830,13 +824,13 @@ class ComplementarityVerdict:
     assertions: tuple[Assertion, ...]
 
 
-def check_broadcast_complementarity(ch: Channel, tol: float = 1e-9) -> ComplementarityVerdict:
+def check_broadcast_complementarity(ch: Channel) -> ComplementarityVerdict:
     """If a broadcast map A -> S (x) A reproduces A exactly, S gets a constant.
 
-    Tests whether the A-marginal equals the identity channel within tol;
-    when it does, fits the best constant channel to the S-marginal and
-    asserts the fit residual is <= 10 tol.  For imperfect marginals the
-    verdict only reports.
+    Tests whether the A-marginal equals the identity channel within
+    _COMPLEMENTARITY_TOL = 1e-9; when it does, fits the best constant
+    channel to the S-marginal and asserts the fit residual is at most ten
+    times that, 1e-8.  For imperfect marginals the verdict only reports.
     """
     da = ch.input.dim
     if ch.output.dim % da:
@@ -846,7 +840,7 @@ def check_broadcast_complementarity(ch: Channel, tol: float = 1e-9) -> Complemen
     marg_a = np.einsum("sabscd->abcd", j6).reshape(da * da, da * da)
     ident = choi_from_map(lambda m: m, da, da)
     identity_deviation = max_abs(marg_a - ident)
-    identity_marginal = identity_deviation <= tol
+    identity_marginal = identity_deviation <= _COMPLEMENTARITY_TOL
 
     # S-marginal Choi: trace out the A output factor only.
     j_s = np.einsum("sabtad->sbtd", j6).reshape(ds * da, ds * da)
@@ -856,9 +850,8 @@ def check_broadcast_complementarity(ch: Channel, tol: float = 1e-9) -> Complemen
 
     assertions = []
     if identity_marginal:
-        assertions.append(
-            Assertion("erasure_on_complement", erasure_residual <= 10 * tol, erasure_residual)
-        )
+        passed = erasure_residual <= 10 * _COMPLEMENTARITY_TOL
+        assertions.append(Assertion("erasure_on_complement", passed, erasure_residual))
     records = (
         {
             "identity_marginal": identity_marginal,
@@ -923,10 +916,7 @@ def _run_no_broadcast(p: dict, seed: int):
     cfg = NoBroadcastConfig(
         t=p["t"],
         lambda_schedule=tuple(p["lambda_schedule"]),
-        coherence_tol=p["coherence_tol"],
         orbit_samples=p["orbit_samples"],
-        classical_control=p["classical_control"],
-        classical_register_size=p["classical_register_size"],
         optimizer=_optimizer(p["optimizer"], seed, _NO_BROADCAST.optimizer),
     )
     state, sys_q, sys_sp = p["state"] or _PLUS, p["system_q"] or _QUBIT, p["system_s_out"] or _QUBIT
@@ -951,10 +941,7 @@ def _run_tradeoff(p: dict, seed: int):
 
 def _run_degradation(p: dict, seed: int):
     sys_q, sys_s = p["system_q"] or _QUBIT, p["system_s"] or _QUBIT
-    cfg = DegradationConfig(
-        degradation_tol=p["degradation_tol"],
-        optimizer=_optimizer(p["optimizer"], seed, _DEGRADATION.optimizer),
-    )
+    cfg = _optimizer(p["optimizer"], seed, OptimizerConfig())
     lam = twirled_partial_swap(sys_q, sys_s, p["angle"])
     state, probe = p["state"] or _PLUS, p["probe"]
     res = run_degradation_demo(lam, state, sys_q, sys_s, sys_q, sys_s, cfg, probe)
@@ -962,8 +949,7 @@ def _run_degradation(p: dict, seed: int):
 
 
 def _run_nonadditivity(p: dict, seed: int):
-    cfg = NonadditivityConfig(t=p["t"], cloner_n_cap=p["cloner_n_cap"])
-    res = run_nonadditivity(cfg)
+    res = run_nonadditivity(p["t"])
     return res.records, res.assertions
 
 
@@ -1021,7 +1007,7 @@ def _run_cloner(p: dict, seed: int):
                     "marginal_error": marginal_error,
                 }
             )
-    return tuple(records), (Assertion("cloner_marginal_formula", worst <= p["tol"], worst),)
+    return tuple(records), (Assertion("cloner_marginal_formula", worst <= _CLONER_TOL, worst),)
 
 
 def _run_lemma8(p: dict, seed: int):
@@ -1044,7 +1030,7 @@ def _run_complementarity(p: dict, seed: int):
     sys_a = SystemSpec.diagonal(list(range(d)))
     choi = choi_from_map(_BROADCAST_MAPS[p["mode"]](d), d, d * d)
     ch = Channel(sys_a, tensor_system(sys_a, sys_a), choi)
-    res = check_broadcast_complementarity(ch, p["tol"])
+    res = check_broadcast_complementarity(ch)
     return res.records, res.assertions
 
 
@@ -1054,8 +1040,6 @@ def _spec(kind: str, default=None, **extra) -> dict:
 
 _NO_BROADCAST = NoBroadcastConfig()
 _TRADEOFF = TradeoffConfig()
-_DEGRADATION = DegradationConfig()
-_NONADDITIVITY = NonadditivityConfig()
 
 EXPERIMENTS: dict[str, Experiment] = {
     e.name: e
@@ -1068,12 +1052,7 @@ EXPERIMENTS: dict[str, Experiment] = {
                 "system_s_out": _spec("system"),
                 "t": _spec("number", _NO_BROADCAST.t),
                 "lambda_schedule": _spec("number_list", list(_NO_BROADCAST.lambda_schedule)),
-                "coherence_tol": _spec("positive_number", _NO_BROADCAST.coherence_tol),
                 "orbit_samples": _spec("positive_int", _NO_BROADCAST.orbit_samples),
-                "classical_control": _spec("bool", _NO_BROADCAST.classical_control),
-                "classical_register_size": _spec(
-                    "positive_int", _NO_BROADCAST.classical_register_size
-                ),
                 "optimizer": _spec("optimizer", {}),
             },
             ("lambda", "marginal_disturbance", "output_coherence", "converged"),
@@ -1102,7 +1081,6 @@ EXPERIMENTS: dict[str, Experiment] = {
                 "system_s": _spec("system"),
                 "angle": _spec("number", math.pi / 4),
                 "probe": _spec("matrix"),
-                "degradation_tol": _spec("positive_number", _DEGRADATION.degradation_tol),
                 "optimizer": _spec("optimizer", {}),
             },
             ("induced_covariant", "induced_witness", "irrev_lower_bound", "converged"),
@@ -1113,8 +1091,7 @@ EXPERIMENTS: dict[str, Experiment] = {
         Experiment(
             "nonadditivity",
             {
-                "t": _spec("number", _NONADDITIVITY.t),
-                "cloner_n_cap": _spec("positive_int", _NONADDITIVITY.cloner_n_cap),
+                "t": _spec("number", math.pi / 2),
             },
             tuple(f.name for f in fields(NonadditivityRecord)),
             _run_nonadditivity,
@@ -1154,7 +1131,6 @@ EXPERIMENTS: dict[str, Experiment] = {
                 "d_list": _spec("int_list", [2, 3]),
                 "n_max": _spec("positive_int", 4),
                 "trials_per_case": _spec("positive_int", 3),
-                "tol": _spec("positive_number", 1e-10),
             },
             ("d", "n", "shrink", "trace_error", "marginal_error"),
             _run_cloner,
@@ -1170,7 +1146,6 @@ EXPERIMENTS: dict[str, Experiment] = {
             {
                 "mode": _spec("string", "identity_prepare", choices=list(_BROADCAST_MAPS)),
                 "dim": _spec("positive_int", 2),
-                "tol": _spec("positive_number", 1e-9),
             },
             ("identity_marginal", "identity_deviation", "erasure_residual"),
             _run_complementarity,

@@ -648,7 +648,7 @@ def _sampled_orbit(rho: DensityMatrix, sys: SystemSpec, n: int) -> StateFamily:
 def orbit_family(rho: DensityMatrix, sys: SystemSpec, n_samples: int) -> StateFamily:
     """Translates of rho at n equally spaced group times.
 
-    n is the smallest n_samples * 2^k at which the spectral differences
+    n is the smallest n >= n_samples at which the spectral differences
     s_i - s_j of sys stay distinct mod n (n > 2 D, D the spectral width,
     always qualifies); SizeCap above _ORBIT_SAMPLE_CAP.  Entry (i, j) of
     rho(t) turns at frequency s_i - s_j, so n samples alias two
@@ -665,10 +665,12 @@ def orbit_family(rho: DensityMatrix, sys: SystemSpec, n_samples: int) -> StateFa
     clashes = np.subtract.outer(freqs, freqs)
     clashes = clashes[clashes > 0]
     n = int(n_samples)
-    while np.any(clashes % n == 0):
-        n *= 2
+    while n <= _ORBIT_SAMPLE_CAP and np.any(clashes % n == 0):
+        n += 1
     if n > _ORBIT_SAMPLE_CAP:
-        raise SizeCap(f"orbit sampling needs {n} samples, above the cap {_ORBIT_SAMPLE_CAP}")
+        raise SizeCap(
+            f"orbit sampling needs at least {n} samples, above the cap {_ORBIT_SAMPLE_CAP}"
+        )
     return _sampled_orbit(rho, sys, n)
 
 

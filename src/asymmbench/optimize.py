@@ -502,7 +502,9 @@ def optimize_broadcast(
     For each penalty lam, ascends measure_ft(sigma_S', t)
     - lam * ||sigma_Q - rho_Q||_1 over covariant Choi matrices by
     (sub)gradient ascent with a smoothed trace norm, warm-starting each
-    penalty from the previous solution plus fixed feasible seeds.  Every
+    penalty from the previous solution plus fixed feasible seeds; the
+    first penalty also starts from cfg.restarts random covariant channels,
+    drawn in turn from one generator seeded with cfg.seed.  Every
     returned attempt is a feasible covariant channel (a lower-bound
     witness for the frontier).  Its converged flag is always True: the
     penalty ascent has no stopping certificate, so a point that did not
@@ -570,7 +572,9 @@ def optimize_broadcast(
         if pos == 0:
             # Exploration only pays off before the warm-start chain exists.
             starts.extend(seeds_fixed[1:])
-            starts.append(random_covariant_channel(sys_q, out_sys, rng).choi)
+            starts.extend(
+                random_covariant_channel(sys_q, out_sys, rng).choi for _ in range(cfg.restarts)
+            )
         best = None
         for start in starts:
             j, _, val, _ = _ascend(start, objective, gradient, sys_q, out_sys, cfg)

@@ -11,7 +11,6 @@ import numpy as np
 
 from asymmbench.experiments import (
     NoBroadcastConfig,
-    NonadditivityConfig,
     TradeoffConfig,
     check_fidelity_perturbation_lemma,
     cloner_shrink_factor,
@@ -262,7 +261,7 @@ def test_criterion_07_ki_decomposition():
 
 def test_criterion_08_nonadditivity():
     start = time.perf_counter()
-    res = run_nonadditivity(NonadditivityConfig())
+    res = run_nonadditivity()
     bell = next(
         r for r in res.rows
         if r.construction == "EntangledSubadditivity" and r.measure == "skew_information"

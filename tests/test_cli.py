@@ -30,7 +30,6 @@ class TestParseConfig:
             write_config(tmp_path, "c.json", {"schema_version": 1, "experiment": "no_broadcast"})
         )
         assert cfg.params["lambda_schedule"] == [0.0, 1.0, 4.0, 16.0, 64.0, 256.0]
-        assert cfg.params["coherence_tol"] == 1e-4
         assert cfg.seed == 0
 
     def test_unknown_key_named(self, tmp_path):
@@ -44,9 +43,9 @@ class TestParseConfig:
         path = write_config(
             tmp_path,
             "c.json",
-            {"schema_version": 1, "experiment": "no_broadcast", "coherence_tol": -1e-4},
+            {"schema_version": 1, "experiment": "no_broadcast", "optimizer": {"tol": -1e-4}},
         )
-        with pytest.raises(ParseError, match="coherence_tol"):
+        with pytest.raises(ParseError, match="optimizer.tol"):
             parse_config(path)
 
     def test_missing_schema_version(self, tmp_path):
@@ -253,14 +252,29 @@ class TestMainExitCodes:
         path = write_config(tmp_path, "c.json", {"schema_version": 1, "experiment": "zzz"})
         assert main(["run", "--config", str(path)]) == 4
 
-    def test_ki_tol_is_an_unknown_key(self, tmp_path, capsys):
-        # ki's tolerances are fixed, so a tol key would be silently ignored
-        payload = {"schema_version": 1, "experiment": "ki", "tol": 1e-8}
+    @pytest.mark.parametrize(
+        "experiment, key, value",
+        [
+            ("ki", "tol", 1e-8),
+            ("no_broadcast", "coherence_tol", 1e-4),
+            ("no_broadcast", "classical_control", True),
+            ("no_broadcast", "classical_register_size", 2),
+            ("degradation", "degradation_tol", 1e-6),
+            ("nonadditivity", "cloner_n_cap", 13),
+            ("cloner", "tol", 1e-10),
+            ("complementarity", "tol", 1),
+        ],
+    )
+    def test_fixed_bound_is_an_unknown_key(self, tmp_path, capsys, experiment, key, value):
+        # tolerances, assertion bounds and sweep sizes are fixed in code, so a
+        # config key for one is a config error whatever its value
+        payload = {"schema_version": 1, "experiment": experiment, key: value}
         path = write_config(tmp_path, "c.json", payload)
         assert main(["validate", "--config", str(path)]) == 4
-        assert "'tol'" in capsys.readouterr().err
+        assert repr(key) in capsys.readouterr().err
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 4
-        assert "'tol'" in capsys.readouterr().err
+        assert repr(key) in capsys.readouterr().err
+        assert key not in json.loads(print_schema())["experiments"][experiment]
 
     @pytest.mark.parametrize(
         "payload",

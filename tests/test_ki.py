@@ -266,23 +266,29 @@ class TestOrbitFamily:
             assert abs(p - e) < 1e-12
 
     def test_algebra_dimension_stable_from_four(self):
-        # 4 samples keep a qubit's frequencies -1, 0, 1 apart; 2 do not
+        # 4 samples keep a qubit's frequencies -1, 0, 1 apart; 2 alias -1
+        # onto 1, and 3 are the fewest that do not
         assert len(orbit_family(PLUS, QUBIT, 4).states) == 4
-        assert len(orbit_family(PLUS, QUBIT, 2).states) == 4
+        assert len(orbit_family(PLUS, QUBIT, 2).states) == 3
 
     def test_aliased_frequencies_get_more_samples(self):
         # Spectrum (0, 1, 7): with 3 or 6 samples the frequency 7 aliases
         # onto 1 and 6 onto 0, and the sampled orbit of |+> carries a
-        # smaller algebra than the continuous one (blocks [(2, 1)]).  With
-        # 12 samples 6 and -6 still alias; 24 keep all 7 frequencies apart.
+        # smaller algebra than the continuous one (blocks [(2, 1)]).  Two of
+        # the frequencies 0, +-1, +-6, +-7 differ by 1, 2, 5-8 or 12-14, so 9
+        # is the fewest samples (from 3) at which no two agree mod n.
         sys3 = SystemSpec.diagonal([0, 1, 7])
         plus3 = DensityMatrix.pure([1, 1, 1])
         fam = orbit_family(plus3, sys3, 3)
-        assert len(fam.states) == 24
+        assert len(fam.states) == 9
         assert ki_decompose(fam).block_dims == [(3, 1)]
-        # doubling from 4 first separates -32, 0 and 32 at 128 samples
-        with pytest.raises(SizeCap):
-            orbit_family(PLUS, SystemSpec.diagonal([0, 32]), 4)
+        # -32, 0 and 32 stay apart mod 5: a wide spectrum needs no more
+        fam = orbit_family(PLUS, SystemSpec.diagonal([0, 32]), 4)
+        assert len(fam.states) == 5
+        assert ki_decompose(fam).block_dims == [(2, 1)]
+        # spectrum 0..33 has the 67 frequencies -33..33, so it needs 67
+        with pytest.raises(SizeCap, match="65"):
+            orbit_family(DensityMatrix.pure([1] * 34), SystemSpec.diagonal(range(34)), 4)
 
     def test_minimum_samples(self):
         with pytest.raises(PreconditionFailed):

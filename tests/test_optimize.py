@@ -381,6 +381,24 @@ class TestOptimizeBroadcast:
         for att in attempts:
             assert is_covariant_channel(att.map, 1e-8).ok
 
+    def test_restarts_draw_random_starts(self, monkeypatch):
+        # optimizer.restarts random covariant starts at the first penalty,
+        # drawn in turn from one generator, so the first draw never moves
+        drawn = []
+
+        def counting(sys_in, sys_out, rng):
+            ch = random_covariant_channel(sys_in, sys_out, rng)
+            drawn.append(ch.choi)
+            return ch
+
+        monkeypatch.setattr(optimize, "random_covariant_channel", counting)
+        for restarts in (1, 2):
+            cfg = OptimizerConfig(max_iter=20, restarts=restarts, seed=3)
+            optimize_broadcast(PLUS, QUBIT, QUBIT, math.pi / 2, (0.0, 16.0), cfg)
+        assert len(drawn) == 3
+        assert np.array_equal(drawn[0], drawn[1])
+        assert not np.allclose(drawn[1], drawn[2])
+
     def test_attempts_are_covariant_channels(self):
         attempts = optimize_broadcast(
             PLUS, QUBIT, QUBIT, math.pi / 2, (0.0, 1.0), OptimizerConfig(max_iter=60)

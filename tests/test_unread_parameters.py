@@ -1,4 +1,4 @@
-"""Every function parameter in the package is read by its function.
+"""Every function parameter and every config key is read.
 
 A parameter that its body never reads is an option with no effect: a
 caller can set it and nothing changes.  This test parses the package
@@ -6,9 +6,16 @@ source and fails on any such parameter.  The only exceptions are the
 experiment registry's calling conventions, listed below: every runner
 is called as run(values, seed) and every same_dim as same_dim(values),
 whether or not that runner or check needs the argument.
+
+The same holds one level up: each config key an EXPERIMENTS entry lists
+must be read by that entry's runner, as values["key"].
 """
 import ast
+import inspect
+import textwrap
 from pathlib import Path
+
+from asymmbench.experiments import EXPERIMENTS
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "asymmbench"
 
@@ -66,3 +73,30 @@ def test_every_parameter_is_read():
     assert [f for f in found if f not in REGISTRY_INTERFACE] == []
     # every listed exception still applies, so the list stays exact
     assert REGISTRY_INTERFACE <= set(found)
+
+
+def read_keys(func) -> set[str]:
+    """The constant keys func reads from its first parameter, as p["key"]."""
+    node = ast.parse(textwrap.dedent(inspect.getsource(func))).body[0]
+    values = node.args.args[0].arg
+    return {
+        n.slice.value
+        for n in ast.walk(node)
+        if isinstance(n, ast.Subscript)
+        and isinstance(n.value, ast.Name)
+        and n.value.id == values
+        and isinstance(n.slice, ast.Constant)
+    }
+
+
+def test_key_reader_sees_subscripts_only():
+    def run(p, seed):
+        q = {"c": 1}
+        return p["a"], p[seed], q["c"]
+
+    assert read_keys(run) == {"a"}
+
+
+def test_every_config_key_is_read_by_its_runner():
+    for name, exp in EXPERIMENTS.items():
+        assert read_keys(exp.run) == set(exp.fields), name
