@@ -34,13 +34,6 @@ GOLDEN_CASES = {
         "target": HALF,
         "optimizer": {"max_iter": 40, "restarts": 1},
     },
-}
-
-# One small config per registered experiment, for the column check.
-SMALL_CASES = {
-    **{name: GOLDEN_CASES[name] for name in ("nonadditivity", "cloner", "ki", "irrev")},
-    "lemma8": {"experiment": "lemma8", "trials": 20},
-    "complementarity": GOLDEN_CASES["complementarity_identity_prepare"],
     "no_broadcast": {
         "experiment": "no_broadcast",
         "lambda_schedule": [0.0, 16.0],
@@ -53,6 +46,18 @@ SMALL_CASES = {
         "optimizer": {"max_iter": 20, "restarts": 1},
     },
     "degradation": {"experiment": "degradation", "optimizer": {"max_iter": 20, "restarts": 1}},
+}
+
+# One small config per registered experiment, for the column check.
+SMALL_CASES = {
+    **{
+        name: GOLDEN_CASES[name]
+        for name in (
+            "nonadditivity", "cloner", "ki", "irrev", "no_broadcast", "tradeoff", "degradation"
+        )
+    },
+    "lemma8": {"experiment": "lemma8", "trials": 20},
+    "complementarity": GOLDEN_CASES["complementarity_identity_prepare"],
 }
 
 
