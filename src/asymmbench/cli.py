@@ -140,10 +140,6 @@ def _check_scalar(name: str, value, kind: str):
         if isinstance(value, bool) or not isinstance(value, (int, float)) or value <= 0:
             raise ParseError(f"field {name!r} must be a positive number")
         return float(value)
-    if kind == "bool":
-        if not isinstance(value, bool):
-            raise ParseError(f"field {name!r} must be a boolean")
-        return value
     if kind == "string":
         if not isinstance(value, str):
             raise ParseError(f"field {name!r} must be a string")

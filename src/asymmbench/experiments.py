@@ -1,8 +1,8 @@
 """Theorem-verification experiments assembled from the lower modules.
 
-Each runner returns a result object carrying flat records (for CSV), a
-list of named assertions with witnesses, and the typed artifacts tests
-poke at.  A failed assertion means an implementation defect, never a
+Each runner returns one Outcome, (records, assertions): flat records
+(one CSV row each) and the named assertions with their witnesses.  A
+failed assertion means an implementation defect, never a
 counterexample: every claim checked here is proven.  The runners return
 failed assertions like passed ones and never raise them; the caller (the
 CLI's exit code, a test) decides what a failure means.
@@ -14,7 +14,7 @@ runner, and the CLI and the report writer read everything from it.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from functools import partial
 from typing import Callable, Sequence
 
@@ -40,7 +40,6 @@ from .linalg import (
 )
 from .optimize import (
     DEFAULT_LAMBDA_SCHEDULE,
-    BroadcastAttempt,
     OptimizerConfig,
     max_recovery_fidelity,
     optimize_broadcast,
@@ -74,15 +73,10 @@ __all__ = [
     "Experiment",
     "EXPERIMENTS",
     "Assertion",
+    "Outcome",
     "TradeoffRecord",
     "NonadditivityRecord",
-    "NoBroadcastResult",
-    "TradeoffResult",
-    "DegradationResult",
-    "NonadditivityResult",
     "ClonerResult",
-    "Lemma8Result",
-    "ComplementarityVerdict",
     "run_no_broadcast_sweep",
     "run_tradeoff_sweep",
     "run_degradation_demo",
@@ -108,6 +102,12 @@ _CLONER_N_CAP = 64  # largest n the cloner super-additivity sweep tries
 _CLONER_TOL = 1e-10  # cloner marginal against its closed form
 _COMPLEMENTARITY_TOL = 1e-9  # identity marginal; the erasure fit gets 10x
 
+# Defaults shared by the runners' signatures and the registry's field specs.
+_DEFAULT_T = math.pi / 2  # shift of the fidelity-based measure
+_DEFAULT_T_GRID = (math.pi / 4, math.pi / 2, 3 * math.pi / 4)
+_DEFAULT_ORBIT_SAMPLES = 4
+_SWEEP_OPTIMIZER = OptimizerConfig(max_iter=200)
+
 
 @dataclass(frozen=True)
 class Assertion:
@@ -116,45 +116,33 @@ class Assertion:
     witness: float
 
 
+# What every runner returns: flat records and named assertions.
+Outcome = tuple[tuple[dict, ...], tuple[Assertion, ...]]
+
+
 # ---------------------------------------------------------------------------
 # No-broadcasting sweep
-
-
-@dataclass(frozen=True, eq=False)
-class NoBroadcastResult:
-    attempts: tuple[BroadcastAttempt, ...]
-    smallest_bucket: float | None
-    bucket_coherence: float | None
-    ki_block_dims: tuple[tuple[int, int], ...]
-    ehrenfest_deviation: float
-    lemma4_residual: float | None
-    block_state_witness: float | None
-    classical: dict
-    records: tuple[dict, ...]
-    assertions: tuple[Assertion, ...]
-
-
-@dataclass(frozen=True)
-class NoBroadcastConfig:
-    t: float = math.pi / 2
-    lambda_schedule: tuple[float, ...] = DEFAULT_LAMBDA_SCHEDULE
-    orbit_samples: int = 4
-    optimizer: OptimizerConfig = field(default_factory=lambda: OptimizerConfig(max_iter=200))
 
 
 def run_no_broadcast_sweep(
     rho_q: DensityMatrix,
     sys_q: SystemSpec,
     sys_sp: SystemSpec,
-    cfg: NoBroadcastConfig = NoBroadcastConfig(),
-) -> NoBroadcastResult:
+    *,
+    t: float = _DEFAULT_T,
+    lambda_schedule: Sequence[float] = DEFAULT_LAMBDA_SCHEDULE,
+    orbit_samples: int = _DEFAULT_ORBIT_SAMPLES,
+    optimizer: OptimizerConfig = _SWEEP_OPTIMIZER,
+) -> Outcome:
     """Broadcast-frontier sweep plus the decomposition cross-checks.
 
-    Optimizes covariant broadcast attempts over the penalty schedule and
-    asserts that the smallest achieved disturbance bucket has output
-    coherence at most _COHERENCE_TOL = 1e-4.  The orbit-family decomposition
-    supplies the mechanism checks: block populations are constant along
-    the orbit and the reduced-form block states are symmetric.
+    Optimizes covariant broadcast attempts at shift t over the penalty
+    schedule, one record per attempt, and asserts that the smallest
+    achieved disturbance bucket has output coherence at most
+    _COHERENCE_TOL = 1e-4.  The decomposition of the orbit sampled at
+    orbit_samples points (or more, see orbit_family) supplies the
+    mechanism checks: block populations are constant along the orbit and
+    the reduced-form block states are symmetric.
 
     The classical control, always run, is a cyclic-shift configuration
     register of _CLASSICAL_REGISTER_SIZE = 2 levels with a point state and a
@@ -169,38 +157,29 @@ def run_no_broadcast_sweep(
             "input state is symmetric; the sweep needs an asymmetric state",
             witness=sym.witness,
         )
-    attempts = tuple(
-        optimize_broadcast(rho_q, sys_q, sys_sp, cfg.t, cfg.lambda_schedule, cfg.optimizer)
-    )
+    attempts = optimize_broadcast(rho_q, sys_q, sys_sp, t, lambda_schedule, optimizer)
 
-    smallest = None
-    bucket_coherence = None
+    bucket_coherence = math.inf  # stays when no attempt reaches any bucket
     for bucket in sorted(DISTURBANCE_BUCKETS):  # ascending: tightest first
         members = [a for a in attempts if a.marginal_disturbance <= bucket]
         if members:
-            smallest = bucket
             bucket_coherence = max(a.output_coherence for a in members)
             break
     assertions = [
         Assertion(
-            "smallest_bucket_coherence",
-            smallest is not None and bucket_coherence <= _COHERENCE_TOL,
-            bucket_coherence if bucket_coherence is not None else float("inf"),
+            "smallest_bucket_coherence", bucket_coherence <= _COHERENCE_TOL, bucket_coherence
         )
     ]
 
-    fam = orbit_family(rho_q, sys_q, cfg.orbit_samples)
+    fam = orbit_family(rho_q, sys_q, orbit_samples)
     dec = ki_decompose(fam)
     t_grid = [2 * math.pi * j / 16 for j in range(16)]
     ehrenfest = ehrenfest_constancy_check(dec, rho_q, sys_q, t_grid)
     assertions.append(Assertion("ehrenfest_constancy", ehrenfest <= 1e-7, ehrenfest))
 
-    lemma4_residual = None
-    block_witness = None
     best = min(attempts, key=lambda a: a.marginal_disturbance)
     if best.marginal_disturbance <= 1e-6:
         reduced = lemma4_reduced_form_check(best.map, fam, dec, tol=1e-5)
-        lemma4_residual = reduced.residual
         block_witness = 0.0
         for state in reduced.block_states:
             block_witness = max(
@@ -210,8 +189,7 @@ def run_no_broadcast_sweep(
             Assertion("reduced_block_states_symmetric", block_witness <= 1e-6, block_witness)
         )
 
-    classical = _classical_control(_CLASSICAL_REGISTER_SIZE, cfg.t)
-    assertions.extend(classical.pop("assertions"))
+    assertions += _classical_control(_CLASSICAL_REGISTER_SIZE, t)
 
     records = tuple(
         {
@@ -222,18 +200,7 @@ def run_no_broadcast_sweep(
         }
         for a in attempts
     )
-    return NoBroadcastResult(
-        attempts=attempts,
-        smallest_bucket=smallest,
-        bucket_coherence=bucket_coherence,
-        ki_block_dims=tuple(dec.block_dims),
-        ehrenfest_deviation=ehrenfest,
-        lemma4_residual=lemma4_residual,
-        block_state_witness=block_witness,
-        classical=classical,
-        records=records,
-        assertions=tuple(assertions),
-    )
+    return records, tuple(assertions)
 
 
 def clone_in_basis_channel(register: SystemSpec) -> Channel:
@@ -257,7 +224,7 @@ def clone_in_basis_channel(register: SystemSpec) -> Channel:
     return Channel(register, out_sys, choi_from_map(clone, n, n * n))
 
 
-def _classical_control(n: int, t: float) -> dict:
+def _classical_control(n: int, t: float) -> list[Assertion]:
     register = cyclic_shift_system(n)
     point = DensityMatrix.pure([1.0] + [0.0] * (n - 1))
     sym = is_symmetric_state(point, register)
@@ -291,7 +258,7 @@ def _classical_control(n: int, t: float) -> dict:
         max_abs(commutator(a.mat, b.mat)) for a in orbit for b in orbit
     )
 
-    assertions = [
+    return [
         Assertion("classical_point_state_asymmetric", not sym.ok, sym.witness),
         Assertion("classical_disturbance", disturbance <= 1e-8, disturbance),
         Assertion(
@@ -300,15 +267,6 @@ def _classical_control(n: int, t: float) -> dict:
         Assertion("classical_discrete_covariance", witness_disc <= 1e-10, witness_disc),
         Assertion("classical_commuting_orbit", commuting_witness <= 1e-12, commuting_witness),
     ]
-    return {
-        "register_size": n,
-        "disturbance": disturbance,
-        "output_coherence": coherence,
-        "unconstrained_max": ceiling,
-        "discrete_covariance_witness": witness_disc,
-        "commuting_orbit_witness": commuting_witness,
-        "assertions": assertions,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -328,31 +286,19 @@ class TradeoffRecord:
     converged: bool
 
 
-@dataclass(frozen=True, eq=False)
-class TradeoffResult:
-    rows: tuple[TradeoffRecord, ...]
-    skipped_t: tuple[float, ...]
-    records: tuple[dict, ...]
-    assertions: tuple[Assertion, ...]
-
-
-@dataclass(frozen=True)
-class TradeoffConfig:
-    t_grid: tuple[float, ...] = (math.pi / 4, math.pi / 2, 3 * math.pi / 4)
-    lambda_schedule: tuple[float, ...] = DEFAULT_LAMBDA_SCHEDULE
-    optimizer: OptimizerConfig = field(default_factory=lambda: OptimizerConfig(max_iter=200))
-
-
 def run_tradeoff_sweep(
     psi_q: PureState,
     sys_q: SystemSpec,
     sys_sp: SystemSpec,
-    cfg: TradeoffConfig = TradeoffConfig(),
-) -> TradeoffResult:
+    *,
+    t_grid: Sequence[float] = _DEFAULT_T_GRID,
+    lambda_schedule: Sequence[float] = DEFAULT_LAMBDA_SCHEDULE,
+    optimizer: OptimizerConfig = _SWEEP_OPTIMIZER,
+) -> Outcome:
     """Tradeoff between broadcast coherence and recovery irreversibility.
 
-    For each shift t (rows with f_t(psi) = 1 are skipped, as the bound's
-    denominator vanishes) and each penalty, records
+    For each shift t in t_grid (rows with f_t(psi) = 1 are skipped, as the
+    bound's denominator vanishes) and each penalty, records
     lhs = f_t(sigma_S') against rhs = 4 sqrt(irrev_lower) / (1 - f_t(psi)),
     with irrev_lower the certified lower bound on the irreversibility
     (irrev, the achieved upper bound, is recorded beside it), and
@@ -360,24 +306,23 @@ def run_tradeoff_sweep(
     fails when no row converged, which includes a sweep whose every shift
     was skipped.  Rows that come out essentially reversible must also carry
     essentially no output coherence (the reversible limit of the bound).
+    The last assertion always passes; its witness counts the skipped shifts.
     """
     psi = psi_q.density()
     rows: list[TradeoffRecord] = []
-    skipped: list[float] = []
-    for t in cfg.t_grid:
+    skipped = 0
+    for t in t_grid:
         ft_in = measure_ft(psi, sys_q, t)
         if ft_in >= 1.0 - 1e-12:
-            skipped.append(float(t))
+            skipped += 1
             continue
-        attempts = optimize_broadcast(
-            psi, sys_q, sys_sp, t, cfg.lambda_schedule, cfg.optimizer
-        )
+        attempts = optimize_broadcast(psi, sys_q, sys_sp, t, lambda_schedule, optimizer)
         for att in attempts:
             joint = apply_channel(att.map, psi)
             sig_q = DensityMatrix(
                 partial_trace(joint.mat, [sys_q.dim, sys_sp.dim], keep=[0])
             )
-            irr = max_recovery_fidelity(psi, sig_q, sys_q, sys_q, cfg.optimizer)
+            irr = max_recovery_fidelity(psi, sig_q, sys_q, sys_q, optimizer)
             lhs = att.output_coherence
             rhs = 4.0 * math.sqrt(irr.irrev_lower) / (1.0 - ft_in)
             rows.append(
@@ -407,29 +352,15 @@ def run_tradeoff_sweep(
         if r.irrev <= 1e-8:
             bound = 4.0 * math.sqrt(1e-8) / (1.0 - r.ft_input) + 1e-9
             reversible_violation = max(reversible_violation, r.ft_output - bound)
-    assertions.append(
-        Assertion("reversible_rows_symmetric", reversible_violation <= 0.0, reversible_violation)
-    )
-    return TradeoffResult(
-        rows=tuple(rows),
-        skipped_t=tuple(skipped),
-        records=tuple(asdict(r) for r in rows),
-        assertions=tuple(assertions),
-    )
+    assertions += [
+        Assertion("reversible_rows_symmetric", reversible_violation <= 0.0, reversible_violation),
+        Assertion("rows_skipped_at_full_shift", True, float(skipped)),
+    ]
+    return tuple(asdict(r) for r in rows), tuple(assertions)
 
 
 # ---------------------------------------------------------------------------
 # Degradation demo
-
-
-@dataclass(frozen=True, eq=False)
-class DegradationResult:
-    induced_covariant: bool
-    induced_witness: float
-    irrev_lower_bound: float
-    irrev_converged: bool
-    records: tuple[dict, ...]
-    assertions: tuple[Assertion, ...]
 
 
 def twirled_partial_swap(sys_a: SystemSpec, sys_b: SystemSpec, angle: float) -> Channel:
@@ -461,7 +392,7 @@ def run_degradation_demo(
     sys_sp: SystemSpec,
     cfg: OptimizerConfig = OptimizerConfig(),
     probe: DensityMatrix | None = None,
-) -> DegradationResult:
+) -> Outcome:
     """Asymmetry degradation: a non-covariant induced map costs recovery fidelity.
 
     Checks the joint channel is covariant, forms the induced map on the
@@ -501,22 +432,13 @@ def run_degradation_demo(
                 irrev_lower,
             )
         )
-    records = (
-        {
-            "induced_covariant": verdict.ok,
-            "induced_witness": verdict.witness,
-            "irrev_lower_bound": irrev_lower,
-            "converged": irrev_converged,
-        },
-    )
-    return DegradationResult(
-        induced_covariant=verdict.ok,
-        induced_witness=verdict.witness,
-        irrev_lower_bound=irrev_lower,
-        irrev_converged=irrev_converged,
-        records=records,
-        assertions=tuple(assertions),
-    )
+    record = {
+        "induced_covariant": verdict.ok,
+        "induced_witness": verdict.witness,
+        "irrev_lower_bound": irrev_lower,
+        "converged": irrev_converged,
+    }
+    return (record,), tuple(assertions)
 
 
 # ---------------------------------------------------------------------------
@@ -589,15 +511,7 @@ class NonadditivityRecord:
     violated: bool
 
 
-@dataclass(frozen=True, eq=False)
-class NonadditivityResult:
-    rows: tuple[NonadditivityRecord, ...]
-    smallest_cloner_n: int | None
-    records: tuple[dict, ...]
-    assertions: tuple[Assertion, ...]
-
-
-def run_nonadditivity(t: float = math.pi / 2) -> NonadditivityResult:
+def run_nonadditivity(t: float = _DEFAULT_T) -> Outcome:
     """Three constructions showing a faithful asymmetry measure is neither
     sub-additive nor super-additive.
 
@@ -716,31 +630,18 @@ def run_nonadditivity(t: float = math.pi / 2) -> NonadditivityResult:
             float(smallest_n or -1),
         ),
     ]
-    return NonadditivityResult(
-        rows=tuple(rows),
-        smallest_cloner_n=smallest_n,
-        records=tuple(asdict(r) for r in rows),
-        assertions=tuple(assertions),
-    )
+    return tuple(asdict(r) for r in rows), tuple(assertions)
 
 
 # ---------------------------------------------------------------------------
 # Fidelity perturbation bound (Monte Carlo)
 
 
-@dataclass(frozen=True, eq=False)
-class Lemma8Result:
-    trials: int
-    max_violation: float
-    records: tuple[dict, ...]
-    assertions: tuple[Assertion, ...]
-
-
 def check_fidelity_perturbation_lemma(
     rng: np.random.Generator,
     trials: int = 10_000,
     dims: Sequence[int] = (2, 3, 4),
-) -> Lemma8Result:
+) -> Outcome:
     """Monte Carlo check of the fidelity perturbation bound.
 
     For random state pairs and translation unitaries U = e^{-iHs}:
@@ -776,15 +677,9 @@ def check_fidelity_perturbation_lemma(
         if batch:
             per_dim[d] = float(np.max(_perturbation_violations(d, batch)))
     worst = max(per_dim.values())
-    assertions = [
-        Assertion("perturbation_bound", worst <= 1e-9 and len(per_dim) == len(draws), worst)
-    ]
     records = tuple({"dim": d, "max_violation": v} for d, v in per_dim.items())
-    return Lemma8Result(
-        trials=trials,
-        max_violation=worst,
-        records=records,
-        assertions=tuple(assertions),
+    return records, (
+        Assertion("perturbation_bound", worst <= 1e-9 and len(per_dim) == len(draws), worst),
     )
 
 
@@ -815,16 +710,7 @@ def _perturbation_violations(d: int, batch: list[tuple]) -> np.ndarray:
 # Universal broadcast complementarity
 
 
-@dataclass(frozen=True, eq=False)
-class ComplementarityVerdict:
-    identity_marginal: bool
-    identity_deviation: float
-    erasure_residual: float
-    records: tuple[dict, ...]
-    assertions: tuple[Assertion, ...]
-
-
-def check_broadcast_complementarity(ch: Channel) -> ComplementarityVerdict:
+def check_broadcast_complementarity(ch: Channel) -> Outcome:
     """If a broadcast map A -> S (x) A reproduces A exactly, S gets a constant.
 
     Tests whether the A-marginal equals the identity channel within
@@ -852,20 +738,12 @@ def check_broadcast_complementarity(ch: Channel) -> ComplementarityVerdict:
     if identity_marginal:
         passed = erasure_residual <= 10 * _COMPLEMENTARITY_TOL
         assertions.append(Assertion("erasure_on_complement", passed, erasure_residual))
-    records = (
-        {
-            "identity_marginal": identity_marginal,
-            "identity_deviation": identity_deviation,
-            "erasure_residual": erasure_residual,
-        },
-    )
-    return ComplementarityVerdict(
-        identity_marginal=identity_marginal,
-        identity_deviation=identity_deviation,
-        erasure_residual=erasure_residual,
-        records=records,
-        assertions=tuple(assertions),
-    )
+    record = {
+        "identity_marginal": identity_marginal,
+        "identity_deviation": identity_deviation,
+        "erasure_residual": erasure_residual,
+    }
+    return (record,), tuple(assertions)
 
 
 # ---------------------------------------------------------------------------
@@ -891,7 +769,7 @@ class Experiment:
     name: str
     fields: dict[str, dict]
     columns: tuple[str, ...]
-    run: Callable[[dict, int], tuple[tuple[dict, ...], tuple[Assertion, ...]]]
+    run: Callable[[dict, int], Outcome]
     same_dim: Callable[[dict], list[dict[str, int]]] = lambda values: []
 
 
@@ -912,48 +790,44 @@ def _optimizer(overrides: dict, seed: int, base: OptimizerConfig) -> OptimizerCo
     return replace(base, **{"seed": seed, **overrides})
 
 
-def _run_no_broadcast(p: dict, seed: int):
-    cfg = NoBroadcastConfig(
-        t=p["t"],
-        lambda_schedule=tuple(p["lambda_schedule"]),
-        orbit_samples=p["orbit_samples"],
-        optimizer=_optimizer(p["optimizer"], seed, _NO_BROADCAST.optimizer),
-    )
+def _run_no_broadcast(p: dict, seed: int) -> Outcome:
     state, sys_q, sys_sp = p["state"] or _PLUS, p["system_q"] or _QUBIT, p["system_s_out"] or _QUBIT
-    res = run_no_broadcast_sweep(state, sys_q, sys_sp, cfg)
-    return res.records, res.assertions
-
-
-def _run_tradeoff(p: dict, seed: int):
-    _, evecs = np.linalg.eigh((p["state"] or _PLUS).mat)  # pure: checked at parse time
-    cfg = TradeoffConfig(
-        t_grid=tuple(p["t_grid"]),
-        lambda_schedule=tuple(p["lambda_schedule"]),
-        optimizer=_optimizer(p["optimizer"], seed, _TRADEOFF.optimizer),
+    return run_no_broadcast_sweep(
+        state,
+        sys_q,
+        sys_sp,
+        t=p["t"],
+        lambda_schedule=p["lambda_schedule"],
+        orbit_samples=p["orbit_samples"],
+        optimizer=_optimizer(p["optimizer"], seed, _SWEEP_OPTIMIZER),
     )
-    psi = PureState(evecs[:, -1])
-    sys_q, sys_sp = p["system_q"] or _QUBIT, p["system_s_out"] or _QUBIT
-    res = run_tradeoff_sweep(psi, sys_q, sys_sp, cfg)
-    # Always passes; the witness counts the t rows skipped at f_t = 1.
-    skipped = Assertion("rows_skipped_at_full_shift", True, float(len(res.skipped_t)))
-    return res.records, res.assertions + (skipped,)
 
 
-def _run_degradation(p: dict, seed: int):
+def _run_tradeoff(p: dict, seed: int) -> Outcome:
+    _, evecs = np.linalg.eigh((p["state"] or _PLUS).mat)  # pure: checked at parse time
+    return run_tradeoff_sweep(
+        PureState(evecs[:, -1]),
+        p["system_q"] or _QUBIT,
+        p["system_s_out"] or _QUBIT,
+        t_grid=p["t_grid"],
+        lambda_schedule=p["lambda_schedule"],
+        optimizer=_optimizer(p["optimizer"], seed, _SWEEP_OPTIMIZER),
+    )
+
+
+def _run_degradation(p: dict, seed: int) -> Outcome:
     sys_q, sys_s = p["system_q"] or _QUBIT, p["system_s"] or _QUBIT
     cfg = _optimizer(p["optimizer"], seed, OptimizerConfig())
     lam = twirled_partial_swap(sys_q, sys_s, p["angle"])
     state, probe = p["state"] or _PLUS, p["probe"]
-    res = run_degradation_demo(lam, state, sys_q, sys_s, sys_q, sys_s, cfg, probe)
-    return res.records, res.assertions
+    return run_degradation_demo(lam, state, sys_q, sys_s, sys_q, sys_s, cfg, probe)
 
 
-def _run_nonadditivity(p: dict, seed: int):
-    res = run_nonadditivity(p["t"])
-    return res.records, res.assertions
+def _run_nonadditivity(p: dict, seed: int) -> Outcome:
+    return run_nonadditivity(p["t"])
 
 
-def _run_irrev(p: dict, seed: int):
+def _run_irrev(p: dict, seed: int) -> Outcome:
     res = max_recovery_fidelity(
         p["state"] or _PLUS,
         p["target"],
@@ -965,7 +839,7 @@ def _run_irrev(p: dict, seed: int):
     return records, (Assertion("irrev_converged", res.converged, res.value),)
 
 
-def _run_ki(p: dict, seed: int):
+def _run_ki(p: dict, seed: int) -> Outcome:
     if p["states"] is not None:
         states = tuple(p["states"])
         fam = StateFamily(states, tuple(f"s{i}" for i in range(len(states))))
@@ -983,7 +857,7 @@ def _run_ki(p: dict, seed: int):
     return records, (Assertion("ki_reconstruction", worst <= 1e-7, worst),)
 
 
-def _run_cloner(p: dict, seed: int):
+def _run_cloner(p: dict, seed: int) -> Outcome:
     rng = np.random.default_rng(seed)
     records = []
     worst = 0.0
@@ -1010,10 +884,9 @@ def _run_cloner(p: dict, seed: int):
     return tuple(records), (Assertion("cloner_marginal_formula", worst <= _CLONER_TOL, worst),)
 
 
-def _run_lemma8(p: dict, seed: int):
+def _run_lemma8(p: dict, seed: int) -> Outcome:
     rng = np.random.default_rng(seed)
-    res = check_fidelity_perturbation_lemma(rng, p["trials"], tuple(p["dims"]))
-    return res.records, res.assertions
+    return check_fidelity_perturbation_lemma(rng, p["trials"], tuple(p["dims"]))
 
 
 # The complementarity experiment's broadcast maps A -> S (x) A, by mode,
@@ -1025,21 +898,16 @@ _BROADCAST_MAPS = {
 }
 
 
-def _run_complementarity(p: dict, seed: int):
+def _run_complementarity(p: dict, seed: int) -> Outcome:
     d = p["dim"]
     sys_a = SystemSpec.diagonal(list(range(d)))
     choi = choi_from_map(_BROADCAST_MAPS[p["mode"]](d), d, d * d)
-    ch = Channel(sys_a, tensor_system(sys_a, sys_a), choi)
-    res = check_broadcast_complementarity(ch)
-    return res.records, res.assertions
+    return check_broadcast_complementarity(Channel(sys_a, tensor_system(sys_a, sys_a), choi))
 
 
 def _spec(kind: str, default=None, **extra) -> dict:
     return {"type": kind, "default": default, **extra}
 
-
-_NO_BROADCAST = NoBroadcastConfig()
-_TRADEOFF = TradeoffConfig()
 
 EXPERIMENTS: dict[str, Experiment] = {
     e.name: e
@@ -1050,9 +918,9 @@ EXPERIMENTS: dict[str, Experiment] = {
                 "state": _spec("matrix"),
                 "system_q": _spec("system"),
                 "system_s_out": _spec("system"),
-                "t": _spec("number", _NO_BROADCAST.t),
-                "lambda_schedule": _spec("number_list", list(_NO_BROADCAST.lambda_schedule)),
-                "orbit_samples": _spec("positive_int", _NO_BROADCAST.orbit_samples),
+                "t": _spec("number", _DEFAULT_T),
+                "lambda_schedule": _spec("number_list", list(DEFAULT_LAMBDA_SCHEDULE)),
+                "orbit_samples": _spec("positive_int", _DEFAULT_ORBIT_SAMPLES),
                 "optimizer": _spec("optimizer", {}),
             },
             ("lambda", "marginal_disturbance", "output_coherence", "converged"),
@@ -1065,8 +933,8 @@ EXPERIMENTS: dict[str, Experiment] = {
                 "state": _spec("pure_state"),
                 "system_q": _spec("system"),
                 "system_s_out": _spec("system"),
-                "t_grid": _spec("number_list", list(_TRADEOFF.t_grid)),
-                "lambda_schedule": _spec("number_list", list(_TRADEOFF.lambda_schedule)),
+                "t_grid": _spec("number_list", list(_DEFAULT_T_GRID)),
+                "lambda_schedule": _spec("number_list", list(DEFAULT_LAMBDA_SCHEDULE)),
                 "optimizer": _spec("optimizer", {}),
             },
             tuple(f.name for f in fields(TradeoffRecord)),
@@ -1091,7 +959,7 @@ EXPERIMENTS: dict[str, Experiment] = {
         Experiment(
             "nonadditivity",
             {
-                "t": _spec("number", math.pi / 2),
+                "t": _spec("number", _DEFAULT_T),
             },
             tuple(f.name for f in fields(NonadditivityRecord)),
             _run_nonadditivity,
@@ -1115,7 +983,7 @@ EXPERIMENTS: dict[str, Experiment] = {
                 "state": _spec("matrix"),
                 "states": _spec("matrix_list"),
                 "system_q": _spec("system"),
-                "orbit_samples": _spec("positive_int", 4),
+                "orbit_samples": _spec("positive_int", _DEFAULT_ORBIT_SAMPLES),
             },
             ("block", "m", "k", "reconstruction_residual"),
             _run_ki,

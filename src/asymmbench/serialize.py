@@ -1,4 +1,4 @@
-"""JSON wire formats for matrices, systems, and decompositions.
+"""JSON wire formats for matrices and systems.
 
 Matrices serialize as {"rows": int, "cols": int, "re": [...], "im": [...]}
 row-major; system files as {"dim": int, "spectrum": [int...],
@@ -12,7 +12,6 @@ from typing import Any
 import numpy as np
 
 from .errors import ParseError
-from .ki import KIDecomposition
 from .qtypes import DensityMatrix, SystemSpec
 
 __all__ = [
@@ -20,7 +19,6 @@ __all__ = [
     "matrix_from_json",
     "system_to_json",
     "system_from_json",
-    "ki_decomposition_to_json",
 ]
 
 
@@ -104,19 +102,3 @@ def density_from_json(obj: Any) -> DensityMatrix:
     except Exception as exc:
         raise ParseError(f"matrix is not a valid state: {exc}") from exc
 
-
-def ki_decomposition_to_json(dec: KIDecomposition) -> dict:
-    return {
-        "blocks": [
-            {
-                "dims": [blk.m, blk.k],
-                "projector": matrix_to_json(blk.projector),
-                "omega": matrix_to_json(blk.omega.mat),
-            }
-            for blk in dec.blocks
-        ],
-        "probs": {
-            label: [float(p) for p in dec.probs[x]]
-            for x, label in enumerate(dec.labels)
-        },
-    }

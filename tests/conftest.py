@@ -81,6 +81,12 @@ def planted_family(rng, blocks, n_states=3):
     return StateFamily(tuple(states), labels)
 
 
+def witness(assertions, name):
+    """The witness of the one assertion called name."""
+    [value] = [a.witness for a in assertions if a.name == name]
+    return value
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -9,8 +9,8 @@ import pytest
 from asymmbench import experiments
 from asymmbench.errors import DimensionMismatch, PreconditionFailed, SizeCap
 from asymmbench.experiments import (
-    NoBroadcastConfig,
-    TradeoffConfig,
+    EXPERIMENTS,
+    Assertion,
     check_broadcast_complementarity,
     check_fidelity_perturbation_lemma,
     clone_in_basis_channel,
@@ -37,6 +37,8 @@ from asymmbench.qtypes import (
     tensor_system,
 )
 from asymmbench.symmetry import is_covariant_channel, skew_information
+
+from conftest import witness
 
 QUBIT = SystemSpec.diagonal([0, 1])
 PLUS = DensityMatrix.pure([1, 1])
@@ -83,18 +85,18 @@ class TestUniversalCloner:
 
 class TestNonadditivity:
     def test_all_constructions_violate(self):
-        res = run_nonadditivity()
-        assert all(a.passed for a in res.assertions)
+        _, assertions = run_nonadditivity()
+        assert all(a.passed for a in assertions)
 
     def test_bell_joint_value(self):
-        res = run_nonadditivity()
-        assert all(a.passed for a in res.assertions)
+        records, assertions = run_nonadditivity()
+        assert all(a.passed for a in assertions)
         bell_row = next(
-            r for r in res.rows
-            if r.construction == "EntangledSubadditivity" and r.measure == "skew_information"
+            r for r in records
+            if r["construction"] == "EntangledSubadditivity" and r["measure"] == "skew_information"
         )
-        assert abs(bell_row.f_joint - 1.0) < 1e-10
-        assert bell_row.f_margA == 0.0 and bell_row.f_margB_or_n_scaled == 0.0
+        assert abs(bell_row["f_joint"] - 1.0) < 1e-10
+        assert bell_row["f_margA"] == 0.0 and bell_row["f_margB_or_n_scaled"] == 0.0
 
     def test_smallest_cloner_n_brute_force(self):
         # independent analytic oracle: n (1 - sqrt(1 - c_n^2)) / 4 vs 1/4
@@ -105,9 +107,9 @@ class TestNonadditivity:
                 first = n
                 break
         assert first == 14
-        res = run_nonadditivity()
-        assert all(a.passed for a in res.assertions)
-        assert res.smallest_cloner_n == 14
+        _, assertions = run_nonadditivity()
+        assert all(a.passed for a in assertions)
+        assert witness(assertions, "cloner_superadditivity_violated") == 14.0
 
     def test_numeric_skew_matches_closed_form_on_marginals(self):
         for n in (2, 7, 14, 30):
@@ -147,18 +149,22 @@ class TestPerturbationLemma:
         "seed, dims", [(0, (2, 3, 4)), (7, (2, 3, 4)), (1, (1,)), (2, (3,)), (3, (1, 2, 5))]
     )
     def test_batched_equals_scalar_loop(self, seed, dims):
-        res = check_fidelity_perturbation_lemma(np.random.default_rng(seed), 300, dims)
-        assert all(a.passed for a in res.assertions)
+        records, assertions = check_fidelity_perturbation_lemma(
+            np.random.default_rng(seed), 300, dims
+        )
+        assert all(a.passed for a in assertions)
         expected = scalar_lemma8(np.random.default_rng(seed), 300, dims)
-        assert {r["dim"]: r["max_violation"] for r in res.records} == expected
-        assert res.max_violation == max(expected.values())
+        assert {r["dim"]: r["max_violation"] for r in records} == expected
+        assert witness(assertions, "perturbation_bound") == max(expected.values())
 
     def test_unsampled_dim_fails_with_finite_records(self):
-        res = check_fidelity_perturbation_lemma(np.random.default_rng(0), 1, (2, 3, 4))
-        assert len(res.records) == 1
-        [bound] = res.assertions
+        records, assertions = check_fidelity_perturbation_lemma(
+            np.random.default_rng(0), 1, (2, 3, 4)
+        )
+        assert len(records) == 1
+        [bound] = assertions
         assert bound.name == "perturbation_bound" and not bound.passed
-        json.dumps([res.records, [bound.witness]], allow_nan=False)
+        json.dumps([records, [bound.witness]], allow_nan=False)
 
     def test_drawn_states_are_validated(self, monkeypatch):
         monkeypatch.setattr(experiments, "normalized_gram", lambda g: 2 * normalized_gram(g))
@@ -181,9 +187,9 @@ class TestPerturbationLemma:
         assert lhs == 0.0
 
     def test_monte_carlo_small(self, rng):
-        res = check_fidelity_perturbation_lemma(rng, trials=800)
-        assert all(a.passed for a in res.assertions)
-        assert res.max_violation <= 1e-9
+        _, assertions = check_fidelity_perturbation_lemma(rng, trials=800)
+        assert all(a.passed for a in assertions)
+        assert witness(assertions, "perturbation_bound") <= 1e-9
 
     def test_translation_invariant_second_state(self, rng):
         # tau2 = I/d makes the second fidelity term exactly 1
@@ -210,28 +216,28 @@ class TestPerturbationLemma:
 class TestDegradation:
     def test_twirled_partial_swap_instance(self):
         lam = twirled_partial_swap(QUBIT, QUBIT, math.pi / 4)
-        res = run_degradation_demo(lam, PLUS, QUBIT, QUBIT, QUBIT, QUBIT)
-        assert all(a.passed for a in res.assertions)
-        assert not res.induced_covariant
-        assert res.induced_witness > 0.01
-        assert res.irrev_converged
-        assert res.irrev_lower_bound > 1e-3
+        [record], assertions = run_degradation_demo(lam, PLUS, QUBIT, QUBIT, QUBIT, QUBIT)
+        assert all(a.passed for a in assertions)
+        assert not record["induced_covariant"]
+        assert record["induced_witness"] > 0.01
+        assert record["converged"]
+        assert record["irrev_lower_bound"] > 1e-3
 
     def test_symmetric_input_no_claim(self):
         lam = twirled_partial_swap(QUBIT, QUBIT, math.pi / 4)
         rho = DensityMatrix(np.diag([0.3, 0.7]).astype(complex))
-        res = run_degradation_demo(lam, rho, QUBIT, QUBIT, QUBIT, QUBIT)
-        assert res.induced_covariant
-        assert res.induced_witness <= 1e-8
-        assert res.assertions == ()
+        [record], assertions = run_degradation_demo(lam, rho, QUBIT, QUBIT, QUBIT, QUBIT)
+        assert record["induced_covariant"]
+        assert record["induced_witness"] <= 1e-8
+        assert assertions == ()
 
     def test_identity_joint_channel(self):
         joint = tensor_system(QUBIT, QUBIT)
         ident = Channel(joint, joint, choi_from_map(lambda m: m, 4, 4))
-        res = run_degradation_demo(ident, PLUS, QUBIT, QUBIT, QUBIT, QUBIT)
-        assert all(a.passed for a in res.assertions)
-        assert res.induced_covariant
-        assert res.irrev_lower_bound == 0.0
+        [record], assertions = run_degradation_demo(ident, PLUS, QUBIT, QUBIT, QUBIT, QUBIT)
+        assert all(a.passed for a in assertions)
+        assert record["induced_covariant"]
+        assert record["irrev_lower_bound"] == 0.0
 
     def test_non_covariant_joint_rejected(self):
         joint = tensor_system(QUBIT, QUBIT)
@@ -252,10 +258,10 @@ class TestComplementarity:
         ch = Channel(
             QUBIT, self._out_sys(), choi_from_map(lambda m: tensor_product(tau.mat, m), 2, 4)
         )
-        res = check_broadcast_complementarity(ch)
-        assert all(a.passed for a in res.assertions)
-        assert res.identity_marginal
-        assert res.erasure_residual <= 1e-10
+        [record], assertions = check_broadcast_complementarity(ch)
+        assert all(a.passed for a in assertions)
+        assert record["identity_marginal"]
+        assert record["erasure_residual"] <= 1e-10
 
     def test_cloner_not_identity_marginal(self):
         from asymmbench.linalg import symmetric_subspace_projector
@@ -268,20 +274,20 @@ class TestComplementarity:
                 lambda m: (2 / 3) * proj @ tensor_product(m, np.eye(2)) @ proj, 2, 4
             ),
         )
-        res = check_broadcast_complementarity(ch)
-        assert all(a.passed for a in res.assertions)
-        assert not res.identity_marginal
+        [record], assertions = check_broadcast_complementarity(ch)
+        assert all(a.passed for a in assertions)
+        assert not record["identity_marginal"]
         # deviation reflects the shrink factor 2/3
-        assert abs(res.identity_deviation - 1 / 3) < 1e-9
+        assert abs(record["identity_deviation"] - 1 / 3) < 1e-9
 
     def test_move_to_s(self, rng):
         tau = random_density_matrix(2, 2, rng)
         ch = Channel(
             QUBIT, self._out_sys(), choi_from_map(lambda m: tensor_product(m, tau.mat), 2, 4)
         )
-        res = check_broadcast_complementarity(ch)
-        assert all(a.passed for a in res.assertions)
-        assert not res.identity_marginal
+        [record], assertions = check_broadcast_complementarity(ch)
+        assert all(a.passed for a in assertions)
+        assert not record["identity_marginal"]
 
 
 class TestNoBroadcastSweep:
@@ -291,14 +297,14 @@ class TestNoBroadcastSweep:
             run_no_broadcast_sweep(rho, QUBIT, QUBIT)
 
     def test_classical_control_only(self):
-        cfg = NoBroadcastConfig(lambda_schedule=(0.0, 16.0), optimizer=FAST)
-        res = run_no_broadcast_sweep(PLUS, QUBIT, QUBIT, cfg)
-        assert all(a.passed for a in res.assertions)
-        cl = res.classical
-        assert cl["disturbance"] <= 1e-8
-        assert abs(cl["output_coherence"] - cl["unconstrained_max"]) <= 1e-9
-        assert cl["discrete_covariance_witness"] <= 1e-10
-        assert cl["commuting_orbit_witness"] <= 1e-12
+        _, assertions = run_no_broadcast_sweep(
+            PLUS, QUBIT, QUBIT, lambda_schedule=(0.0, 16.0), optimizer=FAST
+        )
+        assert all(a.passed for a in assertions)
+        assert witness(assertions, "classical_disturbance") <= 1e-8
+        assert witness(assertions, "classical_full_coherence") <= 1e-9
+        assert witness(assertions, "classical_discrete_covariance") <= 1e-10
+        assert witness(assertions, "classical_commuting_orbit") <= 1e-12
 
     def test_clone_map_not_continuously_covariant(self):
         # the discrete-group cloner must fail the continuous covariance test
@@ -307,34 +313,34 @@ class TestNoBroadcastSweep:
         assert not is_covariant_channel(ch, 1e-6).ok
 
     def test_frontier_and_cross_checks(self):
-        cfg = NoBroadcastConfig(lambda_schedule=(0.0, 4.0, 256.0), optimizer=FAST)
-        res = run_no_broadcast_sweep(PLUS, QUBIT, QUBIT, cfg)
-        assert res.smallest_bucket == 1e-5
-        assert res.bucket_coherence <= 1e-4
-        assert res.ki_block_dims == ((2, 1),)
-        assert res.ehrenfest_deviation <= 1e-7
-        assert res.block_state_witness <= 1e-6
-        assert all(a.passed for a in res.assertions)
+        records, assertions = run_no_broadcast_sweep(
+            PLUS, QUBIT, QUBIT, lambda_schedule=(0.0, 4.0, 256.0), optimizer=FAST
+        )
+        assert any(r["marginal_disturbance"] <= 1e-5 for r in records)
+        assert witness(assertions, "smallest_bucket_coherence") <= 1e-4
+        assert witness(assertions, "ehrenfest_constancy") <= 1e-7
+        assert witness(assertions, "reduced_block_states_symmetric") <= 1e-6
+        assert all(a.passed for a in assertions)
 
 
 class TestTradeoffSweep:
     def test_small_sweep(self):
-        cfg = TradeoffConfig(
-            t_grid=(math.pi / 2,), lambda_schedule=(0.0, 16.0), optimizer=FAST
+        records, assertions = run_tradeoff_sweep(
+            PLUS_VEC, QUBIT, QUBIT, t_grid=(math.pi / 2,), lambda_schedule=(0.0, 16.0), optimizer=FAST
         )
-        res = run_tradeoff_sweep(PLUS_VEC, QUBIT, QUBIT, cfg)
-        assert all(a.passed for a in res.assertions)
-        assert len(res.rows) == 2
-        assert all(r.slack >= -1e-6 for r in res.rows if r.converged)
-        assert res.skipped_t == ()
+        assert all(a.passed for a in assertions)
+        assert len(records) == 2
+        assert all(r["slack"] >= -1e-6 for r in records if r["converged"])
+        assert witness(assertions, "rows_skipped_at_full_shift") == 0.0
 
     def test_pi_row_skipped(self):
         # the only shift is skipped, so no row checks the bound: that fails
-        cfg = TradeoffConfig(t_grid=(math.pi,), lambda_schedule=(0.0,), optimizer=FAST)
-        res = run_tradeoff_sweep(PLUS_VEC, QUBIT, QUBIT, cfg)
-        assert res.rows == ()
-        assert res.skipped_t == (math.pi,)
-        slack = next(a for a in res.assertions if a.name == "tradeoff_slack")
+        records, assertions = run_tradeoff_sweep(
+            PLUS_VEC, QUBIT, QUBIT, t_grid=(math.pi,), lambda_schedule=(0.0,), optimizer=FAST
+        )
+        assert records == ()
+        assert witness(assertions, "rows_skipped_at_full_shift") == 1.0
+        slack = next(a for a in assertions if a.name == "tradeoff_slack")
         assert not slack.passed
 
     def test_no_converged_row_fails(self, monkeypatch):
@@ -344,21 +350,54 @@ class TestTradeoffSweep:
             "max_recovery_fidelity",
             lambda *args, **kwargs: replace(real(*args, **kwargs), converged=False),
         )
-        cfg = TradeoffConfig(t_grid=(math.pi / 2,), lambda_schedule=(64.0,), optimizer=FAST)
-        res = run_tradeoff_sweep(PLUS_VEC, QUBIT, QUBIT, cfg)
-        slack = next(a for a in res.assertions if a.name == "tradeoff_slack")
+        records, assertions = run_tradeoff_sweep(
+            PLUS_VEC, QUBIT, QUBIT, t_grid=(math.pi / 2,), lambda_schedule=(64.0,), optimizer=FAST
+        )
+        slack = next(a for a in assertions if a.name == "tradeoff_slack")
         assert not slack.passed
-        assert slack.witness == res.rows[0].slack and math.isfinite(slack.witness)
+        assert slack.witness == records[0]["slack"] and math.isfinite(slack.witness)
 
     def test_keep_and_prepare_attempt_trivial_row(self):
         # a marginal-preserving attempt has zero output coherence and
         # essentially zero irreversibility: slack equals the full bound
-        cfg = TradeoffConfig(
-            t_grid=(math.pi / 2,), lambda_schedule=(64.0,), optimizer=FAST
+        [row], assertions = run_tradeoff_sweep(
+            PLUS_VEC, QUBIT, QUBIT, t_grid=(math.pi / 2,), lambda_schedule=(64.0,), optimizer=FAST
         )
-        res = run_tradeoff_sweep(PLUS_VEC, QUBIT, QUBIT, cfg)
-        assert all(a.passed for a in res.assertions)
-        row = res.rows[0]
-        assert row.ft_output <= 1e-8
-        assert row.irrev <= 1e-6
-        assert row.slack >= 0
+        assert all(a.passed for a in assertions)
+        assert row["ft_output"] <= 1e-8
+        assert row["irrev"] <= 1e-6
+        assert row["slack"] >= 0
+
+
+# Each public runner on a tiny input, under its registry entry's name.
+TINY = OptimizerConfig(max_iter=5)
+TINY_RUNS = {
+    "no_broadcast": lambda: run_no_broadcast_sweep(
+        PLUS, QUBIT, QUBIT, lambda_schedule=(0.0,), optimizer=TINY
+    ),
+    "tradeoff": lambda: run_tradeoff_sweep(
+        PLUS_VEC, QUBIT, QUBIT, t_grid=(1.0,), lambda_schedule=(0.0,), optimizer=TINY
+    ),
+    "degradation": lambda: run_degradation_demo(
+        twirled_partial_swap(QUBIT, QUBIT, math.pi / 4), PLUS, QUBIT, QUBIT, QUBIT, QUBIT, TINY
+    ),
+    "nonadditivity": run_nonadditivity,
+    "lemma8": lambda: check_fidelity_perturbation_lemma(np.random.default_rng(0), 5),
+    "complementarity": lambda: check_broadcast_complementarity(
+        Channel(
+            QUBIT,
+            tensor_system(QUBIT, QUBIT),
+            choi_from_map(lambda m: tensor_product(np.eye(2) / 2, m), 2, 4),
+        )
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TINY_RUNS))
+def test_public_runner_returns_records_and_assertions(name):
+    records, assertions = TINY_RUNS[name]()
+    assert isinstance(records, tuple) and isinstance(assertions, tuple)
+    assert records and assertions
+    for rec in records:
+        assert list(rec) == list(EXPERIMENTS[name].columns)
+    assert all(isinstance(a, Assertion) for a in assertions)

@@ -7,10 +7,7 @@ import pytest
 
 from asymmbench import RNG_ALGORITHM
 from asymmbench.errors import IoError
-from asymmbench.ki import ki_decompose
-from asymmbench.qtypes import DensityMatrix, StateFamily
 from asymmbench.report import ExperimentReport, emit_csv, report_from_json, report_to_json
-from asymmbench.serialize import ki_decomposition_to_json, matrix_from_json
 
 
 def make_report(experiment, records):
@@ -74,21 +71,6 @@ class TestReportJson:
         assert back.records == rep.records
         assert back.assertions == rep.assertions
         assert back.rng_algorithm == RNG_ALGORITHM
-
-
-class TestKiSerialization:
-    def test_blocks_and_probs(self):
-        r1 = DensityMatrix(np.diag([0.7, 0.3]).astype(complex))
-        r2 = DensityMatrix(np.diag([0.2, 0.8]).astype(complex))
-        dec = ki_decompose(StateFamily((r1, r2), ("a", "b")))
-        payload = ki_decomposition_to_json(dec)
-        assert sorted(tuple(b["dims"]) for b in payload["blocks"]) == [(1, 1), (1, 1)]
-        assert set(payload["probs"]) == {"a", "b"}
-        for blk in payload["blocks"]:
-            proj = matrix_from_json(blk["projector"])
-            assert proj.shape == (2, 2)
-        for label in ("a", "b"):
-            assert abs(sum(payload["probs"][label]) - 1.0) < 1e-9
 
 
 class TestRngPin:
