@@ -700,7 +700,6 @@ def ehrenfest_constancy_check(
 class ReducedFormResult:
     residual: float
     block_states: tuple[np.ndarray, ...]
-    marginal_disturbance: float
 
 
 def lemma4_reduced_form_check(
@@ -724,14 +723,12 @@ def lemma4_reduced_form_check(
     if fam.dim != dq:
         raise DimensionMismatch("family dimension != broadcast input dimension")
 
-    marginals_q = []
     marginals_sp = []
     worst_dist = 0.0
     for state in fam.states:
         joint = apply_choi(broadcast.choi, broadcast.output.dim, dq, state.mat)
         sig_q = partial_trace(joint, [dq, dsp], keep=[0])
         worst_dist = max(worst_dist, 0.5 * trace_norm(sig_q - state.mat))
-        marginals_q.append(sig_q)
         marginals_sp.append(partial_trace(joint, [dq, dsp], keep=[1]))
     if worst_dist > tol:
         raise PreconditionFailed(
@@ -747,8 +744,4 @@ def lemma4_reduced_form_check(
     for x in range(len(fam.states)):
         fit = sum(p_mat[x, mu] * block_states[mu] for mu in range(p_mat.shape[1]))
         residual = max(residual, 0.5 * trace_norm(marginals_sp[x] - fit))
-    return ReducedFormResult(
-        residual=residual,
-        block_states=block_states,
-        marginal_disturbance=worst_dist,
-    )
+    return ReducedFormResult(residual=residual, block_states=block_states)

@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from asymmbench import experiments
 from asymmbench.errors import DimensionMismatch, PreconditionFailed, SizeCap
@@ -23,6 +25,7 @@ from asymmbench.experiments import (
     twirled_partial_swap,
     universal_cloner,
 )
+from asymmbench.ki import lemma4_reduced_form_check
 from asymmbench.linalg import dagger, fidelity_arrays, max_abs, tensor_product
 from asymmbench.optimize import OptimizerConfig
 from asymmbench.qtypes import (
@@ -111,6 +114,21 @@ class TestNonadditivity:
         assert all(a.passed for a in assertions)
         assert witness(assertions, "cloner_superadditivity_violated") == 14.0
 
+    def test_unviolated_fidelity_row_fails(self, monkeypatch):
+        # a planted f_t that vanishes: the skew-information rows alone
+        # must not carry the sub-additivity assertions
+        monkeypatch.setattr(experiments, "measure_ft", lambda rho, sys, t: 0.0)
+        records, assertions = run_nonadditivity()
+        assert any(
+            not r["violated"] for r in records if r["measure"].startswith("fidelity_shift")
+        )
+        failed = {a.name: a.witness for a in assertions if not a.passed}
+        assert set(failed) == {
+            "entangled_subadditivity_violated",
+            "classical_register_subadditivity_violated",
+        }
+        assert abs(failed["entangled_subadditivity_violated"] - 1.0) < 1e-10
+
     def test_numeric_skew_matches_closed_form_on_marginals(self):
         for n in (2, 7, 14, 30):
             c = cloner_shrink_factor(2, n)
@@ -156,6 +174,29 @@ class TestPerturbationLemma:
         expected = scalar_lemma8(np.random.default_rng(seed), 300, dims)
         assert {r["dim"]: r["max_violation"] for r in records} == expected
         assert witness(assertions, "perturbation_bound") == max(expected.values())
+
+    # No shrink phase: every example reruns the scalar oracle, and shrinking
+    # a planted stream fault took minutes.  The failing seed is still shown.
+    @settings(
+        max_examples=20,
+        deadline=None,
+        database=None,
+        phases=(Phase.explicit, Phase.generate),
+    )
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dims=st.lists(st.integers(1, 5), min_size=1, max_size=5, unique=True),
+        trials=st.integers(1, 150),
+    )
+    def test_same_stream_as_scalar_loop(self, seed, dims, trials):
+        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        records, [bound] = check_fidelity_perturbation_lemma(rng, trials, dims)
+        expected = scalar_lemma8(oracle_rng, trials, dims)
+        assert {r["dim"]: r["max_violation"] for r in records} == expected
+        assert bound.witness == max(expected.values())
+        assert bound.passed == (len(expected) == len(dims) and bound.witness <= 1e-9)
+        # both consumed exactly the same draws
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
     def test_unsampled_dim_fails_with_finite_records(self):
         records, assertions = check_fidelity_perturbation_lemma(
@@ -321,6 +362,32 @@ class TestNoBroadcastSweep:
         assert witness(assertions, "ehrenfest_constancy") <= 1e-7
         assert witness(assertions, "reduced_block_states_symmetric") <= 1e-6
         assert all(a.passed for a in assertions)
+
+    def test_lemma4_residual_above_bound_fails(self, monkeypatch):
+        planted = 2 * experiments._LEMMA4_RESIDUAL_TOL
+
+        def loose_fit(*args, **kwargs):
+            return replace(lemma4_reduced_form_check(*args, **kwargs), residual=planted)
+
+        monkeypatch.setattr(experiments, "lemma4_reduced_form_check", loose_fit)
+        _, assertions = run_no_broadcast_sweep(
+            PLUS, QUBIT, QUBIT, lambda_schedule=(0.0, 16.0), optimizer=FAST
+        )
+        [lemma4] = [a for a in assertions if a.name == "lemma4_reduced_form"]
+        assert not lemma4.passed and lemma4.witness == planted
+        assert all(a.passed for a in assertions if a.name != "lemma4_reduced_form")
+
+    def test_no_small_disturbance_fails_both_lemma4_checks(self):
+        # the move map alone disturbs the marginal by 1/2: nothing to check
+        # Lemma 4 on, which must fail rather than drop the checks
+        records, assertions = run_no_broadcast_sweep(
+            PLUS, QUBIT, QUBIT, lambda_schedule=(0.0,), optimizer=FAST
+        )
+        smallest = min(r["marginal_disturbance"] for r in records)
+        assert smallest > 1e-6
+        for name in ("lemma4_reduced_form", "reduced_block_states_symmetric"):
+            [check] = [a for a in assertions if a.name == name]
+            assert not check.passed and check.witness == smallest
 
 
 class TestTradeoffSweep:
