@@ -213,10 +213,7 @@ def parse_config(path: str | Path) -> RunConfig:
             raise ParseError(f"missing required field {key!r}")
         else:
             params[key] = values[key] = spec.get("default")
-    for group in EXPERIMENTS[experiment].same_dim(values):
-        if len(set(group.values())) > 1:
-            dims = ", ".join(f"{key} {dim}" for key, dim in group.items())
-            raise ParseError(f"fields must share one dimension (defaults included): {dims}")
+    EXPERIMENTS[experiment].check(values)
     return RunConfig(experiment, seed, params, values, base_dir)
 
 

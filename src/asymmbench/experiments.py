@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, PreconditionFailed, SizeCap
+from .errors import DimensionMismatch, ParseError, PreconditionFailed, SizeCap
 from .ki import (
     ehrenfest_constancy_check,
     ki_decompose,
@@ -103,6 +103,7 @@ _LEMMA4_RESIDUAL_TOL = math.sqrt(_LEMMA4_DISTURBANCE)
 _CLASSICAL_REGISTER_SIZE = 2  # cyclic-shift register of the classical control
 _DEGRADATION_TOL = 1e-6  # certified irreversibility of a degraded frame
 _CLONER_N_CAP = 64  # largest n the cloner super-additivity sweep tries
+_VIOLATION_MARGIN = 1e-9  # how far a measure must beat additivity to count
 _CLONER_TOL = 1e-10  # cloner marginal against its closed form
 _COMPLEMENTARITY_TOL = 1e-9  # identity marginal; the erasure fit gets 10x
 
@@ -570,7 +571,7 @@ def run_nonadditivity(t: float = _DEFAULT_T) -> Outcome:
                 f_joint=f_joint,
                 f_margA=f_a,
                 f_margB_or_n_scaled=f_b,
-                violated=f_joint > f_a + f_b + 1e-9,
+                violated=f_joint > f_a + f_b + _VIOLATION_MARGIN,
             )
         )
 
@@ -602,7 +603,7 @@ def run_nonadditivity(t: float = _DEFAULT_T) -> Outcome:
                 f_joint=f_joint,
                 f_margA=f_a,
                 f_margB_or_n_scaled=f_b,
-                violated=f_joint > f_a + f_b + 1e-9,
+                violated=f_joint > f_a + f_b + _VIOLATION_MARGIN,
             )
         )
 
@@ -612,7 +613,7 @@ def run_nonadditivity(t: float = _DEFAULT_T) -> Outcome:
     for n in range(1, _CLONER_N_CAP + 1):
         marg = DensityMatrix(cloner_marginal(plus.mat, 2, n))
         f_marg = skew_information(marg, qub)
-        if n * f_marg > f_input + 1e-9:
+        if n * f_marg > f_input + _VIOLATION_MARGIN:
             smallest_n = n
             rows.append(
                 NonadditivityRecord(
@@ -684,6 +685,9 @@ def check_fidelity_perturbation_lemma(
     Gaussian calls (real then imaginary part of the tau1 factor, of the
     tau2 factor and of the matrix for H) are one call of
     2 d (r1 + r2 + d) variates, cut into those six pieces afterwards.
+    The two rank draws stay scalar calls: one rng.integers(1, d + 1,
+    size=2) would consume the same stream, but an array draw costs more
+    than two scalar ones.
     Only the arithmetic is batched, per dimension and ranks, so a seed
     gives the same records as that loop, bit for bit.
     """
@@ -801,15 +805,16 @@ class Experiment:
     assertions), every record keyed by exactly the columns.  A failed
     assertion is returned, never raised.  The runners call the public
     functions above through module globals, so anything that rebinds
-    those names (a tracer) sees every call.  same_dim(values) lists the
-    {field: dimension} groups that the runner needs to share one dimension.
+    those names (a tracer) sees every call.  check(values) is the
+    cross-field check: it raises ParseError for values the runner cannot
+    use together, such as fields that must share one dimension.
     """
 
     name: str
     fields: dict[str, dict]
     columns: tuple[str, ...]
     run: Callable[[dict, int], Outcome]
-    same_dim: Callable[[dict], list[dict[str, int]]] = lambda values: []
+    check: Callable[[dict], None] = lambda values: None
 
 
 # What the runners use for an unset state and an unset system.
@@ -822,6 +827,31 @@ def _dims(p: dict, *keys: str) -> dict[str, int]:
     defaults = {key: _QUBIT for key in keys if key.startswith("system")} | {"state": _PLUS}
     objs = {key: p[key] or defaults.get(key) for key in keys}
     return {key: obj.dim for key, obj in objs.items() if obj is not None}
+
+
+def _same_dim(*groups: dict[str, int]) -> None:
+    """Raise ParseError unless the fields of each {field: dimension} group agree."""
+    for group in groups:
+        if len(set(group.values())) > 1:
+            dims = ", ".join(f"{key} {dim}" for key, dim in group.items())
+            raise ParseError(f"fields must share one dimension (defaults included): {dims}")
+
+
+def _faithful_t(p: dict) -> None:
+    """Refuse a nonadditivity shift t at which f_t cannot show the Bell violation.
+
+    The Bell state's energies differ by 2, so f_t(Bell) = 1 - |cos t|: it
+    vanishes at every multiple of pi, where f_t is not faithful on that
+    asymmetric state.  Within 1 - |cos t| <= _VIOLATION_MARGIN (|t - k pi|
+    below about 4.5e-5) the fidelity row cannot beat the margin, and the
+    entangled assertion would fail by construction.
+    """
+    t = p["t"]
+    if 1.0 - abs(math.cos(t)) <= _VIOLATION_MARGIN:
+        raise ParseError(
+            f"field 't' = {t:g} has 1 - |cos t| <= {_VIOLATION_MARGIN:g}: near a multiple "
+            "of pi f_t is not faithful on the Bell state"
+        )
 
 
 def _optimizer(overrides: dict, seed: int, base: OptimizerConfig) -> OptimizerConfig:
@@ -964,7 +994,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             },
             ("lambda", "marginal_disturbance", "output_coherence", "converged"),
             _run_no_broadcast,
-            lambda p: [_dims(p, "state", "system_q")],
+            lambda p: _same_dim(_dims(p, "state", "system_q")),
         ),
         Experiment(
             "tradeoff",
@@ -978,7 +1008,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             },
             tuple(f.name for f in fields(TradeoffRecord)),
             _run_tradeoff,
-            lambda p: [_dims(p, "state", "system_q")],
+            lambda p: _same_dim(_dims(p, "state", "system_q")),
         ),
         Experiment(
             "degradation",
@@ -993,7 +1023,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             ("induced_covariant", "induced_witness", "irrev_lower_bound", "converged"),
             _run_degradation,
             # The partial swap needs system_q and system_s of one dimension.
-            lambda p: [_dims(p, "state", "system_q", "system_s", "probe")],
+            lambda p: _same_dim(_dims(p, "state", "system_q", "system_s", "probe")),
         ),
         Experiment(
             "nonadditivity",
@@ -1002,6 +1032,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             },
             tuple(f.name for f in fields(NonadditivityRecord)),
             _run_nonadditivity,
+            _faithful_t,
         ),
         Experiment(
             "irrev",
@@ -1014,7 +1045,9 @@ EXPERIMENTS: dict[str, Experiment] = {
             },
             ("iteration", "fidelity"),
             _run_irrev,
-            lambda p: [_dims(p, "target", "system_from"), _dims(p, "state", "system_to")],
+            lambda p: _same_dim(
+                _dims(p, "target", "system_from"), _dims(p, "state", "system_to")
+            ),
         ),
         Experiment(
             "ki",
@@ -1027,10 +1060,10 @@ EXPERIMENTS: dict[str, Experiment] = {
             ("block", "m", "k", "reconstruction_residual"),
             _run_ki,
             # A given states list replaces the orbit of state under system_q.
-            lambda p: [
+            lambda p: _same_dim(
                 _dims(p, "state", "system_q") if p["states"] is None
                 else {f"states[{i}]": s.dim for i, s in enumerate(p["states"])}
-            ],
+            ),
         ),
         Experiment(
             "cloner",

@@ -7,6 +7,7 @@ row-major, with the first tensor factor slow-varying, matching np.kron.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from itertools import permutations
 from typing import Iterable, Iterator, Sequence
 
@@ -167,16 +168,27 @@ def partial_trace(m: np.ndarray, dims: Sequence[int], keep: Iterable[int]) -> np
     result acts on the kept factors in their original order.
     """
     m = _require_square(m)
-    dims = [int(d) for d in dims]
-    if any(d <= 0 for d in dims):
-        raise DimensionMismatch(f"factor dimensions must be positive, got {dims}")
-    total = int(np.prod(dims))
+    dims = tuple(int(d) for d in dims)
+    sub, total, kept_dim = _trace_subscripts(dims, tuple(int(k) for k in keep))
     if m.shape[0] != total:
         raise DimensionMismatch(
             f"matrix dimension {m.shape[0]} != product of factors {total}"
         )
+    reduced = np.einsum(sub, m.reshape(dims + dims))
+    return reduced.reshape(kept_dim, kept_dim)
+
+
+@lru_cache(maxsize=64)
+def _trace_subscripts(dims: tuple[int, ...], keep: tuple[int, ...]) -> tuple[str, int, int]:
+    """(einsum subscripts, total dimension, kept dimension) of a partial trace.
+
+    Raises for bad dims or keep; a raising call is not cached.
+    """
+    if any(d <= 0 for d in dims):
+        raise DimensionMismatch(f"factor dimensions must be positive, got {list(dims)}")
+    total = int(np.prod(dims))
     n = len(dims)
-    keep = sorted(set(int(k) for k in keep))
+    keep = sorted(set(keep))
     if not keep:
         raise BadIndex("keep set is empty")
     if keep[0] < 0 or keep[-1] >= n:
@@ -196,17 +208,22 @@ def partial_trace(m: np.ndarray, dims: Sequence[int], keep: Iterable[int]) -> np
             row.append(s)
             col.append(s)
     sub = "".join(row) + "".join(col) + "->" + "".join(out_row) + "".join(out_col)
-    reduced = np.einsum(sub, m.reshape(dims + dims))
     kept_dim = int(np.prod([dims[f] for f in keep]))
-    return reduced.reshape(kept_dim, kept_dim)
+    return sub, total, kept_dim
 
 
 def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with the first factor slow-varying."""
+    """Kronecker product of two matrices with the first factor slow-varying.
+
+    Entry (i k, j l) is a[i, j] * b[k, l], the same products as np.kron.
+    """
     a, b = as_complex(a), as_complex(b)
+    if a.ndim != 2 or b.ndim != 2:
+        raise DimensionMismatch(f"tensor product of shapes {a.shape} and {b.shape}")
     _require_finite(a)
     _require_finite(b)
-    return np.kron(a, b)
+    (ra, ca), (rb, cb) = a.shape, b.shape
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(ra * rb, ca * cb)
 
 
 def factor_permutations(d: int, n: int) -> Iterator[np.ndarray]:

@@ -23,6 +23,10 @@ F + gap a lower bound 1 - (F + gap)^2.  Checks that irreversibility is
 small read the first; the degradation demo and the tradeoff relation,
 which need irreversibility to be large, read the second.
 
+Every ascent, for recovery or broadcast, also stops when no step rises,
+or when no step can move J: once a projected step P(J + s G) returns J
+to roundoff, so do all shorter ones.
+
 Matrix inverses are regularized at eps = 1e-10; each regularized call is
 logged through the standard logging module.
 """
@@ -78,6 +82,12 @@ _GAP_ROUNDOFF = 1e-12
 # a ridge of min(_RIDGE, residual).
 NEWTON_TOL = 1e-13
 NEWTON_MAX_ITER = 50
+# An ascent candidate P(J + s G) within _FIXED_POINT of J, per unit of the
+# largest entry of J, has not moved beyond the projection's roundoff.
+# ||P(J + s G) - J|| is nondecreasing in s, so no shorter step moves J
+# either, and the ascent stops.  The threshold stays at roundoff: at 1e-13
+# it already stops ascents that still rise.
+_FIXED_POINT = 1e-15
 _ARMIJO = 1e-4
 _MAX_HALVINGS = 60
 _ROUNDOFF = 1e-13
@@ -171,49 +181,52 @@ def project_covariant_tp_psd(
     tr_e, layout = _dual_layout(in_sys.spectrum, out_sys.spectrum)
     n = tr_e.size
     # Reading off the sector blocks is the dephasing.  Blocks of equal size
-    # are stacked, so each size costs one batched eigh.
+    # are stacked, so each size above 1 costs one batched eigh.
     blocks = []
     for flat, e in layout:
         jb = jt[flat].reshape(len(flat), e.shape[-1], e.shape[-1])
-        blocks.append(((jb + dagger(jb)) / 2, e))
+        blocks.append(((jb + dagger(jb)) / 2, e, e.conj()))
     # Eigenvalues of the blocks, and so X and the dual value, carry
     # roundoff in proportion to the largest entry.
-    scale = max(1.0, max(max_abs(jb) for jb, _ in blocks))
+    scale = max(1.0, max(max_abs(jb) for jb, _, _ in blocks))
     tol = NEWTON_TOL * scale
 
-    def components(e, xb):
+    def components(e_conj, xb):
         """<I (x) E_k, X> summed over a stack of blocks."""
-        return np.real(np.einsum("gkij,gij->k", e.conj(), xb))
+        return np.real(np.einsum("gkij,gij->k", e_conj, xb))
 
     def evaluate(y):
         """Dual value, gradient and the block eigendecompositions at y."""
         theta = -float(y @ tr_e)
         grad = -tr_e
         eigs = []
-        for jb, e in blocks:
-            w, q = np.linalg.eigh(jb + np.einsum("k,gkij->gij", y, e))
+        for jb, e, e_conj in blocks:
+            w, q, xb = _clip_blocks(jb + np.einsum("k,gkij->gij", y, e))
             wp = np.maximum(w, 0.0)
-            xb = (q * wp[:, None, :]) @ dagger(q)
             theta += 0.5 * float(np.sum(wp * wp))
-            grad = grad + components(e, xb)
+            grad = grad + components(e_conj, xb)
             eigs.append((w, q, xb))
         return theta, grad, eigs
 
     def jacobian(eigs):
         """Generalized Jacobian of the gradient, in the commutant basis."""
         v = np.zeros((n, n))
-        for (_, e), (w, q, _) in zip(blocks, eigs):
+        for (_, e, e_conj), (w, q, _) in zip(blocks, eigs):
             pos = w >= 0
             wp = np.maximum(w, 0.0)
             mixed = pos[:, :, None] != pos[:, None, :]
             den = np.where(mixed, w[:, :, None] - w[:, None, :], 1.0)
             both = pos[:, :, None] & pos[:, None, :]
             omega = np.where(mixed, (wp[:, :, None] - wp[:, None, :]) / den, both)
-            amat = dagger(q)[:, None] @ e @ q[:, None]
-            v += np.real(np.einsum("gkij,gij,glij->kl", amat.conj(), omega, amat))
+            if q is None:
+                amat, amat_conj = e, e_conj
+            else:
+                amat = dagger(q)[:, None] @ e @ q[:, None]
+                amat_conj = amat.conj()
+            v += np.real(np.einsum("gkij,gij,glij->kl", amat_conj, omega, amat))
         return v
 
-    marg = sum(components(e, jb) for jb, e in blocks)
+    marg = sum(components(e_conj, jb) for jb, _, e_conj in blocks)
     y = (tr_e - marg) / out_sys.dim
     theta, grad, eigs = evaluate(y)
     res = float(np.linalg.norm(grad))
@@ -247,6 +260,19 @@ def project_covariant_tp_psd(
         xt[flat] = xb.reshape(flat.shape)
     x = basis @ xt.reshape(basis.shape) @ dagger(basis)
     return (x + dagger(x)) / 2
+
+
+def _clip_blocks(mb: np.ndarray) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+    """(w, q, X) for a stack of Hermitian blocks mb = q diag(w) q†, X = [mb]_+.
+
+    1x1 blocks are read off: eigh would return the real diagonal entry
+    with eigenvector 1, which q = None stands for.
+    """
+    if mb.shape[-1] == 1:
+        w = mb.real[..., 0]
+        return w, None, np.maximum(w, 0.0)[..., None].astype(np.complex128)
+    w, q = np.linalg.eigh(mb)
+    return w, q, (q * np.maximum(w, 0.0)[:, None, :]) @ dagger(q)
 
 
 @lru_cache(maxsize=32)
@@ -337,7 +363,11 @@ def _ascend(
     and returns the bound at the final J.  Without one it stops when the
     relative rise falls below cfg.tol, and the returned gap is inf, as it
     is when the gradient raises SingularTarget.  Either way it also stops
-    when no step rises or after cfg.max_iter steps.
+    after cfg.max_iter steps, and when no step rises: the step halves up to
+    40 times, and the ladder ends early, without evaluating the objective,
+    once a candidate P(J + s G) lies within _FIXED_POINT of J.  For a
+    convex set ||P(J + s G) - J|| is nondecreasing in s (Bertsekas,
+    Nonlinear Programming, sec. 2.3), so then no shorter step can move J.
     """
     j = project_covariant_tp_psd(j0, in_sys, out_sys)
     val = objective(j)
@@ -357,8 +387,12 @@ def _ascend(
             if width <= cfg.tol or it > cfg.max_iter:
                 break
         improved = False
+        roundoff = _FIXED_POINT * max(1.0, max_abs(j))
         for _ in range(40):
             cand = project_covariant_tp_psd(j + step * grad, in_sys, out_sys)
+            if max_abs(cand - j) <= roundoff:
+                # J is a fixed point of the projected step: no step can move it.
+                break
             cand_val = objective(cand)
             if cand_val > val:
                 improved = True
@@ -514,12 +548,18 @@ def optimize_broadcast(
     out_sys = tensor_system(sys_q, sys_sp)
     u_t = sys_sp.translation(t)
 
+    # The last J whose marginals were taken, and those marginals: the
+    # ascent takes the gradient at the candidate it just evaluated.
+    last = [None, None]
+
     def marginals(j):
-        joint = apply_choi(j, out_sys.dim, dq, rho_q.mat)
-        joint = (joint + dagger(joint)) / 2
-        sig_q = partial_trace(joint, [dq, dsp], keep=[0])
-        sig_sp = partial_trace(joint, [dq, dsp], keep=[1])
-        return sig_q, sig_sp
+        if last[0] is not j:
+            joint = apply_choi(j, out_sys.dim, dq, rho_q.mat)
+            joint = (joint + dagger(joint)) / 2
+            sig_q = partial_trace(joint, [dq, dsp], keep=[0])
+            sig_sp = partial_trace(joint, [dq, dsp], keep=[1])
+            last[:] = j, (sig_q, sig_sp)
+        return last[1]
 
     def smooth_tn(y):
         w = np.linalg.eigvalsh((y + dagger(y)) / 2)
@@ -599,8 +639,9 @@ def _broadcast_gradient(rho_q, sig_q, sig_sp, shifted, u_t, lam, dq, dsp):
     """Gradient of the broadcast objective with respect to the Choi matrix."""
     # d f_t / d sigma_S' : both fidelity slots depend on sigma_S'.
     try:
-        ga = fidelity_gradient(DensityMatrix(_renorm(shifted)), _renorm(sig_sp))
-        gb = fidelity_gradient(DensityMatrix(_renorm(sig_sp)), _renorm(shifted))
+        shifted, sig_sp = _renorm(shifted), _renorm(sig_sp)
+        ga = fidelity_gradient(DensityMatrix(shifted), sig_sp)
+        gb = fidelity_gradient(DensityMatrix(sig_sp), shifted)
         grad_sp = -(ga + dagger(u_t) @ gb @ u_t)
     except SingularTarget:
         grad_sp = np.zeros((dsp, dsp), dtype=np.complex128)

@@ -26,7 +26,7 @@ distinction; tests are stated on the compact group.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -65,7 +65,9 @@ class CovarianceSector:
 
     basis = V_out (x) conj(V_in) diagonalizes the generator
     K = H_out (x) I - I (x) H_in^T, and labels[i] is the integer eigenvalue
-    of its column i.  generator is built on first use.
+    of its column i.  generator is built on first use.  for_channel
+    returns one shared instance per pair of systems, so its arrays are
+    read-only.
     """
 
     out_sys: SystemSpec
@@ -74,18 +76,25 @@ class CovarianceSector:
     labels: np.ndarray
 
     @classmethod
+    @lru_cache(maxsize=32)
     def for_channel(cls, out_sys: SystemSpec, in_sys: SystemSpec) -> "CovarianceSector":
+        # SystemSpec hashes by identity; the cache keeps each pair alive, so
+        # a recycled id cannot hit a stale entry.
         # H_in^T = conj(H_in) has eigenbasis conj(V_in) with the same spectrum.
         basis = tensor_product(out_sys.eigenbasis, np.conj(in_sys.eigenbasis))
         labels = np.subtract.outer(out_sys.spectrum, in_sys.spectrum).ravel().astype(np.int64)
+        for arr in (basis, labels):
+            arr.setflags(write=False)
         return cls(out_sys, in_sys, basis, labels)
 
     @cached_property
     def generator(self) -> np.ndarray:
         do, di = self.out_sys.dim, self.in_sys.dim
-        return tensor_product(self.out_sys.hamiltonian, np.eye(di)) - tensor_product(
+        k = tensor_product(self.out_sys.hamiltonian, np.eye(di)) - tensor_product(
             np.eye(do), self.in_sys.hamiltonian.T
         )
+        k.setflags(write=False)
+        return k
 
     def dephase(self, j: np.ndarray) -> np.ndarray:
         """Zero all matrix elements between distinct eigenvalue sectors of K."""

@@ -314,6 +314,24 @@ class TestMainExitCodes:
         assert fields in capsys.readouterr().err
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 4
 
+    @pytest.mark.parametrize("t", [0.0, np.pi, -np.pi, 2 * np.pi, 3 * np.pi + 4e-5])
+    def test_nonadditivity_unfaithful_t_is_a_config_error(self, tmp_path, capsys, t):
+        # f_t(Bell) = 1 - |cos t| vanishes at multiples of pi; within 1e-9
+        # of that the entangled row cannot be violated
+        path = write_config(
+            tmp_path, "c.json", {"schema_version": 1, "experiment": "nonadditivity", "t": t}
+        )
+        assert main(["validate", "--config", str(path)]) == 4
+        assert "not faithful on the Bell state" in capsys.readouterr().err
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 4
+
+    @pytest.mark.parametrize("t", [np.pi + 1e-4, 1.0, 3 * np.pi / 2])
+    def test_nonadditivity_faithful_t_runs(self, tmp_path, t):
+        path = write_config(
+            tmp_path, "c.json", {"schema_version": 1, "experiment": "nonadditivity", "t": t}
+        )
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+
     @pytest.mark.parametrize(
         "payload",
         [

@@ -359,6 +359,23 @@ class TestPartialTrace:
         with pytest.raises(DimensionMismatch):
             partial_trace(np.eye(5), [2, 2], [0])
 
+    def test_cached_subscripts_keep_every_check(self):
+        # the subscripts of each (dims, keep) are computed once; a later
+        # call with the same dims is still checked in full
+        partial_trace(np.eye(4), [2, 2], [0])
+        partial_trace(np.eye(6), [2, 3], [1])
+        with pytest.raises(BadIndex):
+            partial_trace(np.eye(4), [2, 2], [])
+        with pytest.raises(BadIndex):
+            partial_trace(np.eye(4), [2, 2], [2])
+        with pytest.raises(DimensionMismatch):
+            partial_trace(np.eye(5), [2, 2], [0])
+        with pytest.raises(DimensionMismatch):
+            partial_trace(np.eye(3), [2, 3], [1])
+        with pytest.raises(DimensionMismatch):
+            partial_trace(np.eye(4), [2, 2, 0], [0])
+        assert max_abs(partial_trace(np.eye(4), [2, 2], [0]) - 2 * np.eye(2)) == 0.0
+
 
 class TestTensorProduct:
     def test_identities(self):
@@ -380,6 +397,28 @@ class TestTensorProduct:
         lhs = tensor_product(a, b) @ tensor_product(c, d)
         rhs = tensor_product(a @ c, b @ d)
         assert max_abs(lhs - rhs) < 1e-12
+
+    def test_same_products_as_kron(self, rng):
+        # every square and non-square pair of shapes from 1x1 to 4x4
+        shapes = [(r, c) for r in range(1, 5) for c in range(1, 5)]
+        for sa in shapes:
+            for sb in shapes:
+                a = rng.standard_normal(sa) + 1j * rng.standard_normal(sa)
+                b = rng.standard_normal(sb) + 1j * rng.standard_normal(sb)
+                assert np.array_equal(tensor_product(a, b), np.kron(a, b))
+
+    def test_real_input_matches_complex_kron(self, rng):
+        a = rng.standard_normal((2, 3))
+        b = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+        out = tensor_product(a, b)
+        assert out.dtype == np.complex128
+        assert np.array_equal(out, np.kron(a.astype(np.complex128), b))
+
+    def test_refuses_non_matrices_and_non_finite(self):
+        with pytest.raises(DimensionMismatch):
+            tensor_product(np.ones(2), np.eye(2))
+        with pytest.raises(NonFinite):
+            tensor_product(np.eye(2), np.full((2, 2), np.nan))
 
 
 class TestSymmetricSubspace:

@@ -157,6 +157,16 @@ class TestDualNewtonProjection:
             _check_projection(_random_hermitian(6, rng), sys_in, sys_out, rng)
             checked += 1
 
+    def test_one_by_one_blocks_read_off_as_eigh_returns_them(self, rng):
+        # the projection reads 1x1 sector blocks off instead of calling eigh
+        mb = rng.standard_normal((5, 1, 1)) * 10.0 ** rng.integers(-8, 3, size=(5, 1, 1)) + 0j
+        w, q, xb = optimize._clip_blocks(mb)
+        w_ref, q_ref = np.linalg.eigh(mb)
+        assert q is None and np.array_equal(q_ref, np.ones_like(mb))
+        assert np.array_equal(w, w_ref)
+        wp = np.maximum(w_ref, 0.0)
+        assert np.array_equal(xb, (q_ref * wp[:, None, :]) @ q_ref.conj().swapaxes(-1, -2))
+
     @settings(max_examples=60, deadline=None, database=None)
     @given(
         spec_in=st.lists(st.integers(-2, 2), min_size=1, max_size=3),
@@ -173,6 +183,56 @@ class TestDualNewtonProjection:
         j = c + scale * _random_hermitian(d, rng)
         out = _check_projection(j, sys_in, sys_out, rng, n_witnesses=3)
         assert max_abs(project_covariant_tp_psd(out, sys_in, sys_out) - out) <= 1e-10
+
+
+class TestAscentStop:
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(
+        dims=st.sampled_from([(2, 2), (2, 4), (3, 2)]),
+        log_s1=st.floats(-8.0, 1.0),
+        ratio=st.floats(0.0, 1.0, exclude_max=True),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_projected_step_distance_nondecreasing(self, dims, log_s1, ratio, seed):
+        # ||P(J + s G) - J|| is nondecreasing in s for covariant J, so the
+        # ascent may stop its ladder at the first candidate that stays at J
+        rng = np.random.default_rng(seed)
+        sys_in = random_integer_system(dims[0], rng)
+        sys_out = random_integer_system(dims[1], rng)
+        j = random_covariant_channel(sys_in, sys_out, rng).choi
+        g = _random_hermitian(j.shape[0], rng)
+        s1 = 10.0**log_s1
+        s2 = ratio * s1
+
+        def moved(step):
+            return np.linalg.norm(project_covariant_tp_psd(j + step * g, sys_in, sys_out) - j)
+
+        assert moved(s2) <= moved(s1) + 1e-12
+
+    def test_fixed_point_ladder_projects_one_candidate(self, monkeypatch):
+        # at lambda = 0 the keep-and-prepare start is a fixed point of the
+        # projected step (its gradient is normal to the TP constraint), so
+        # its first candidate stays at J and ends the ascent
+        projections = []
+        per_ascent = []
+        project, ascend = optimize.project_covariant_tp_psd, optimize._ascend
+
+        def counting_project(*args):
+            projections.append(args[0])
+            return project(*args)
+
+        def counting_ascend(*args):
+            before = len(projections)
+            result = ascend(*args)
+            per_ascent.append((len(projections) - before, len(result[1])))
+            return result
+
+        monkeypatch.setattr(optimize, "project_covariant_tp_psd", counting_project)
+        monkeypatch.setattr(optimize, "_ascend", counting_ascend)
+        optimize_broadcast(PLUS, QUBIT, QUBIT, math.pi / 2, (0.0,), OptimizerConfig(max_iter=60))
+        # the first ascent starts at keep-and-prepare: the start's own
+        # projection, one candidate, and no accepted step
+        assert per_ascent[0] == (2, 1)
 
 
 class TestFidelityGradient:

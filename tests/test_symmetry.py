@@ -188,6 +188,19 @@ class TestTwirl:
 
 
 class TestCovarianceSector:
+    def test_memoised_per_pair_and_read_only(self, rng):
+        sys_in = random_integer_system(2, rng)
+        sys_out = random_integer_system(3, rng)
+        sec = CovarianceSector.for_channel(sys_out, sys_in)
+        assert CovarianceSector.for_channel(sys_out, sys_in) is sec
+        # a different pair of systems gets its own sector
+        assert CovarianceSector.for_channel(sys_in, sys_out) is not sec
+        for arr in (sec.basis, sec.labels, sec.generator):
+            with pytest.raises(ValueError):
+                arr[0] = arr[1]
+        with pytest.raises(ValueError):
+            sec.basis *= 2
+
     def test_projectors_complete_and_orthogonal(self, rng):
         sys_in = random_integer_system(2, rng)
         sys_out = random_integer_system(3, rng)

@@ -4,7 +4,7 @@ A parameter that its body never reads is an option with no effect: a
 caller can set it and nothing changes.  This test parses the package
 source and fails on any such parameter.  The only exceptions are the
 experiment registry's calling conventions, listed below: every runner
-is called as run(values, seed) and every same_dim as same_dim(values),
+is called as run(values, seed) and every check as check(values),
 whether or not that runner or check needs the argument.
 
 The same holds one level up: each config key an EXPERIMENTS entry lists
@@ -24,7 +24,7 @@ REGISTRY_INTERFACE = {
     ("experiments", "_run_nonadditivity", "seed"),
     ("experiments", "_run_ki", "seed"),
     ("experiments", "_run_complementarity", "seed"),
-    ("experiments", "<lambda>", "values"),  # Experiment.same_dim's default
+    ("experiments", "<lambda>", "values"),  # Experiment.check's default
 }
 
 
