@@ -12,12 +12,10 @@ from .qtypes import (  # noqa: E402,F401
     SystemSpec,
     apply_channel,
     induce_channel,
-    maximally_entangled_state,
     random_density_matrix,
     tensor_system,
 )
 from .symmetry import (  # noqa: E402,F401
-    dual_system,
     is_covariant_channel,
     is_symmetric_state,
     measure_ft,

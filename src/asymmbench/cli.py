@@ -18,8 +18,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -41,10 +43,10 @@ _OPTIMIZER_FIELDS = {
     "max_iter": {"type": "positive_int", "default": None},
     "tol": {"type": "positive_number", "default": None},
     "restarts": {"type": "positive_int", "default": None},
-    "seed": {"type": "nonnegative_int", "default": None},
 }
 
 
+@dataclass(frozen=True)
 class RunConfig:
     """Validated experiment configuration with defaults filled in.
 
@@ -53,12 +55,10 @@ class RunConfig:
     DensityMatrix, systems as SystemSpec).
     """
 
-    def __init__(self, experiment: str, seed: int, params: dict, values: dict, base_dir: Path):
-        self.experiment = experiment
-        self.seed = seed
-        self.params = params
-        self.values = values
-        self.base_dir = base_dir
+    experiment: str
+    seed: int
+    params: dict
+    values: dict
 
     def echo(self) -> dict:
         """Config as echoed into reports (defaults made explicit)."""
@@ -155,6 +155,28 @@ def _parsed(name: str, parse, obj):
         raise ParseError(f"field {name!r}: {exc}") from exc
 
 
+def _finite_float(text: str) -> float:
+    """json's float and NaN/Infinity hook: a non-finite number is a config error."""
+    value = float(text)
+    if not math.isfinite(value):
+        shown = text if len(text) <= 24 else f"{text[:20]}... ({len(text)} characters)"
+        raise ParseError(f"non-finite number {shown}")
+    return value
+
+
+def _finite_int(text: str) -> int:
+    """json's int hook: an integer beyond the float range is a config error."""
+    _finite_float(text)
+    return int(text)
+
+
+def _load_json(text: str):
+    """json.loads with the hooks above: a non-finite number is a config error."""
+    return json.loads(
+        text, parse_float=_finite_float, parse_int=_finite_int, parse_constant=_finite_float
+    )
+
+
 def _load_inline_or_path(name: str, value, base_dir: Path):
     """Matrix/system fields accept inline JSON objects or a path string."""
     if isinstance(value, str):
@@ -164,9 +186,11 @@ def _load_inline_or_path(name: str, value, base_dir: Path):
         if not path.exists():
             raise ParseError(f"field {name!r}: file {path} does not exist")
         try:
-            return json.loads(path.read_text())
+            return _load_json(path.read_text())
         except json.JSONDecodeError as exc:
             raise ParseError(f"field {name!r}: file {path} is not valid JSON: {exc}")
+        except ParseError as exc:
+            raise ParseError(f"field {name!r}: file {path}: {exc}") from exc
     if isinstance(value, dict):
         return value
     raise ParseError(f"field {name!r} must be a path string or an inline JSON object")
@@ -176,7 +200,7 @@ def parse_config(path: str | Path) -> RunConfig:
     """Load and strictly validate a config file; fill and echo defaults."""
     path = Path(path)
     try:
-        raw = json.loads(path.read_text())
+        raw = _load_json(path.read_text())
     except FileNotFoundError as exc:
         raise ParseError(f"config file {path} does not exist") from exc
     except json.JSONDecodeError as exc:
@@ -214,7 +238,7 @@ def parse_config(path: str | Path) -> RunConfig:
         else:
             params[key] = values[key] = spec.get("default")
     EXPERIMENTS[experiment].check(values)
-    return RunConfig(experiment, seed, params, values, base_dir)
+    return RunConfig(experiment, seed, params, values)
 
 
 def print_schema() -> str:
@@ -302,7 +326,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.seed < 0:
             print("config error: seed must be nonnegative", file=sys.stderr)
             return 4
-        cfg = RunConfig(cfg.experiment, args.seed, cfg.params, cfg.values, cfg.base_dir)
+        cfg = replace(cfg, seed=args.seed)
 
     try:
         report = run(cfg)

@@ -110,7 +110,6 @@ _COMPLEMENTARITY_TOL = 1e-9  # identity marginal; the erasure fit gets 10x
 # Defaults shared by the runners' signatures and the registry's field specs.
 _DEFAULT_T = math.pi / 2  # shift of the fidelity-based measure
 _DEFAULT_T_GRID = (math.pi / 4, math.pi / 2, 3 * math.pi / 4)
-_DEFAULT_ORBIT_SAMPLES = 4
 _SWEEP_OPTIMIZER = OptimizerConfig(max_iter=200)
 
 
@@ -136,7 +135,6 @@ def run_no_broadcast_sweep(
     *,
     t: float = _DEFAULT_T,
     lambda_schedule: Sequence[float] = DEFAULT_LAMBDA_SCHEDULE,
-    orbit_samples: int = _DEFAULT_ORBIT_SAMPLES,
     optimizer: OptimizerConfig = _SWEEP_OPTIMIZER,
 ) -> Outcome:
     """Broadcast-frontier sweep plus the decomposition cross-checks.
@@ -144,14 +142,13 @@ def run_no_broadcast_sweep(
     Optimizes covariant broadcast attempts at shift t over the penalty
     schedule, one record per attempt, and asserts that the smallest
     achieved disturbance bucket has output coherence at most
-    _COHERENCE_TOL = 1e-4.  The decomposition of the orbit sampled at
-    orbit_samples points (or more, see orbit_family) supplies the
-    mechanism checks: block populations are constant along the orbit
-    and, on the least disturbing attempt, Lemma 4's reduced form fits the
-    S' marginals within _LEMMA4_RESIDUAL_TOL = 1e-3 and its block states
-    are symmetric.  Both Lemma 4 checks fail, with the smallest
-    disturbance as witness, when no attempt reaches _LEMMA4_DISTURBANCE =
-    1e-6.
+    _COHERENCE_TOL = 1e-4.  The decomposition of the sampled orbit (see
+    orbit_family) supplies the mechanism checks: block populations are
+    constant along the orbit and, on the least disturbing attempt, Lemma
+    4's reduced form fits the S' marginals within _LEMMA4_RESIDUAL_TOL =
+    1e-3 and its block states are symmetric.  Both Lemma 4 checks fail,
+    with the smallest disturbance as witness, when no attempt reaches
+    _LEMMA4_DISTURBANCE = 1e-6.
 
     The classical control, always run, is a cyclic-shift configuration
     register of _CLASSICAL_REGISTER_SIZE = 2 levels with a point state and a
@@ -180,7 +177,7 @@ def run_no_broadcast_sweep(
         )
     ]
 
-    fam = orbit_family(rho_q, sys_q, orbit_samples)
+    fam = orbit_family(rho_q, sys_q)
     dec = ki_decompose(fam)
     t_grid = [2 * math.pi * j / 16 for j in range(16)]
     ehrenfest = ehrenfest_constancy_check(dec, rho_q, sys_q, t_grid)
@@ -740,7 +737,15 @@ def _perturbation_violations(d: int, groups: dict[tuple[int, int], list[tuple]])
     taus = taus.reshape(2, -1, d, d)  # tau1, tau2
     q, _ = np.linalg.qr(np.concatenate(gs))
     phases = np.exp(-1j * np.concatenate(specs) * np.concatenate(shifts)[:, None])
-    u = (q * phases[:, None, :]) @ dagger(q)
+    if d == 1:
+        # The loop's (1, 1) * (1,) product takes numpy's scalar complex
+        # multiply; a stacked (n, 1, 1) product takes its SIMD one, which
+        # can fuse a multiply-add and round differently.  So at d = 1 the
+        # products are taken one trial at a time, as the loop takes them.
+        scaled = np.stack([qx * px for qx, px in zip(q, phases)])
+    else:
+        scaled = q * phases[:, None, :]
+    u = scaled @ dagger(q)
     moved = u @ taus @ dagger(u)
     root_tau, root_moved = psd_sqrt(np.stack([taus, moved]))
     # fidelity_arrays, on square roots taken once per state
@@ -854,11 +859,6 @@ def _faithful_t(p: dict) -> None:
         )
 
 
-def _optimizer(overrides: dict, seed: int, base: OptimizerConfig) -> OptimizerConfig:
-    """The run seed seeds the optimizer unless the config sets optimizer.seed."""
-    return replace(base, **{"seed": seed, **overrides})
-
-
 def _run_no_broadcast(p: dict, seed: int) -> Outcome:
     state, sys_q, sys_sp = p["state"] or _PLUS, p["system_q"] or _QUBIT, p["system_s_out"] or _QUBIT
     return run_no_broadcast_sweep(
@@ -867,8 +867,7 @@ def _run_no_broadcast(p: dict, seed: int) -> Outcome:
         sys_sp,
         t=p["t"],
         lambda_schedule=p["lambda_schedule"],
-        orbit_samples=p["orbit_samples"],
-        optimizer=_optimizer(p["optimizer"], seed, _SWEEP_OPTIMIZER),
+        optimizer=replace(_SWEEP_OPTIMIZER, seed=seed, **p["optimizer"]),
     )
 
 
@@ -880,13 +879,13 @@ def _run_tradeoff(p: dict, seed: int) -> Outcome:
         p["system_s_out"] or _QUBIT,
         t_grid=p["t_grid"],
         lambda_schedule=p["lambda_schedule"],
-        optimizer=_optimizer(p["optimizer"], seed, _SWEEP_OPTIMIZER),
+        optimizer=replace(_SWEEP_OPTIMIZER, seed=seed, **p["optimizer"]),
     )
 
 
 def _run_degradation(p: dict, seed: int) -> Outcome:
     sys_q, sys_s = p["system_q"] or _QUBIT, p["system_s"] or _QUBIT
-    cfg = _optimizer(p["optimizer"], seed, OptimizerConfig())
+    cfg = OptimizerConfig(seed=seed, **p["optimizer"])
     lam = twirled_partial_swap(sys_q, sys_s, p["angle"])
     state, probe = p["state"] or _PLUS, p["probe"]
     return run_degradation_demo(lam, state, sys_q, sys_s, sys_q, sys_s, cfg, probe)
@@ -902,7 +901,7 @@ def _run_irrev(p: dict, seed: int) -> Outcome:
         p["target"],
         p["system_from"] or _QUBIT,
         p["system_to"] or _QUBIT,
-        _optimizer(p["optimizer"], seed, OptimizerConfig()),
+        OptimizerConfig(seed=seed, **p["optimizer"]),
     )
     records = tuple({"iteration": it, "fidelity": val} for it, val in res.fidelity_trace)
     return records, (Assertion("irrev_converged", res.converged, res.value),)
@@ -913,7 +912,7 @@ def _run_ki(p: dict, seed: int) -> Outcome:
         states = tuple(p["states"])
         fam = StateFamily(states, tuple(f"s{i}" for i in range(len(states))))
     else:
-        fam = orbit_family(p["state"] or _PLUS, p["system_q"] or _QUBIT, p["orbit_samples"])
+        fam = orbit_family(p["state"] or _PLUS, p["system_q"] or _QUBIT)
     dec = ki_decompose(fam)
     worst = max(
         0.5 * trace_norm(state.mat - reconstruct_state(dec, x))
@@ -989,7 +988,6 @@ EXPERIMENTS: dict[str, Experiment] = {
                 "system_s_out": _spec("system"),
                 "t": _spec("number", _DEFAULT_T),
                 "lambda_schedule": _spec("number_list", list(DEFAULT_LAMBDA_SCHEDULE)),
-                "orbit_samples": _spec("positive_int", _DEFAULT_ORBIT_SAMPLES),
                 "optimizer": _spec("optimizer", {}),
             },
             ("lambda", "marginal_disturbance", "output_coherence", "converged"),
@@ -1055,7 +1053,6 @@ EXPERIMENTS: dict[str, Experiment] = {
                 "state": _spec("matrix"),
                 "states": _spec("matrix_list"),
                 "system_q": _spec("system"),
-                "orbit_samples": _spec("positive_int", _DEFAULT_ORBIT_SAMPLES),
             },
             ("block", "m", "k", "reconstruction_residual"),
             _run_ki,

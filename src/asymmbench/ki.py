@@ -71,6 +71,9 @@ _ALGEBRA_DIM_CAP = 64
 _KI_DIM_CAP = 32
 _ORACLE_DIM_CAP = 6
 _ORBIT_SAMPLE_CAP = 64
+# First sample count orbit_family tries.  Every count that does not alias
+# gives the same algebra; this one fixes which count the seeded records use.
+_ORBIT_SAMPLES = 4
 # log-spectrum differences closer than this count as one modular frequency
 _FREQ_TOL = 1e-6
 # generate_algebra keeps Gram eigenvalues above _ALGEBRA_TOL^2 times the largest
@@ -318,7 +321,6 @@ class KIBlock:
 class KIDecomposition:
     blocks: tuple[KIBlock, ...]
     probs: np.ndarray  # (n_states, n_blocks), rows sum to 1
-    labels: tuple[str, ...]
     l_states: tuple[tuple[np.ndarray, ...], ...]  # per state, per block
 
     @property
@@ -412,10 +414,9 @@ def ki_decompose(fam: StateFamily) -> KIDecomposition:
     dec = KIDecomposition(
         blocks=tuple(blocks),
         probs=probs,
-        labels=fam.labels,
         l_states=tuple(tuple(row) for row in l_states),
     )
-    _validate_decomposition(dec, fam)
+    _validate_decomposition(dec, fam, w_iso)
     return dec
 
 
@@ -432,8 +433,10 @@ def reconstruct_state(dec: KIDecomposition, x: int) -> np.ndarray:
     return out
 
 
-def _validate_decomposition(dec: KIDecomposition, fam: StateFamily) -> None:
-    w_iso, _, _ = _support_restrict(fam)
+def _validate_decomposition(
+    dec: KIDecomposition, fam: StateFamily, w_iso: np.ndarray
+) -> None:
+    """Check dec against fam; w_iso is the isometry onto the support of fam's average."""
     support = w_iso @ dagger(w_iso)
     total = sum(b.projector for b in dec.blocks)
     if max_abs(total - support) > 1e-8:
@@ -624,10 +627,9 @@ def ki_refinement_oracle(fam: StateFamily) -> KIDecomposition:
     dec = KIDecomposition(
         blocks=tuple(blocks),
         probs=probs,
-        labels=fam.labels,
         l_states=tuple(tuple(row) for row in l_states),
     )
-    _validate_decomposition(dec, fam)
+    _validate_decomposition(dec, fam, w_iso)
     return dec
 
 
@@ -645,7 +647,9 @@ def _sampled_orbit(rho: DensityMatrix, sys: SystemSpec, n: int) -> StateFamily:
     return StateFamily(tuple(states), tuple(labels))
 
 
-def orbit_family(rho: DensityMatrix, sys: SystemSpec, n_samples: int) -> StateFamily:
+def orbit_family(
+    rho: DensityMatrix, sys: SystemSpec, n_samples: int = _ORBIT_SAMPLES
+) -> StateFamily:
     """Translates of rho at n equally spaced group times.
 
     n is the smallest n >= n_samples at which the spectral differences

@@ -38,7 +38,6 @@ __all__ = [
     "tensor_product",
     "factor_permutations",
     "symmetric_subspace_projector",
-    "maximally_entangled_vec",
 ]
 
 
@@ -254,13 +253,3 @@ def symmetric_subspace_projector(d: int, n: int) -> np.ndarray:
     for target in factor_permutations(d, n):
         proj[target, src] += 1.0
     return proj / math.factorial(n)
-
-
-def maximally_entangled_vec(d: int) -> np.ndarray:
-    """(1/sqrt(d)) sum_i |ii> on C^d x C^d."""
-    d = int(d)
-    if d < 1:
-        raise DimensionMismatch("d must be positive")
-    vec = np.zeros(d * d, dtype=np.complex128)
-    vec[np.arange(d) * d + np.arange(d)] = 1.0 / math.sqrt(d)
-    return vec

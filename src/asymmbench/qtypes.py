@@ -22,9 +22,7 @@ from .linalg import (
     as_complex,
     dagger,
     fidelity_arrays,
-    hermitian_eig,
     max_abs,
-    maximally_entangled_vec,
     partial_trace,
     tensor_product,
 )
@@ -43,7 +41,6 @@ __all__ = [
     "induce_channel",
     "choi_from_map",
     "random_density_matrix",
-    "maximally_entangled_state",
     "tensor_system",
     "cyclic_shift_system",
 ]
@@ -174,16 +171,6 @@ class SystemSpec:
         spec = tuple(int(s) for s in spectrum)
         d = len(spec)
         return cls(d, np.diag(np.array(spec, dtype=np.complex128)), spec, np.eye(d))
-
-    @classmethod
-    def from_hamiltonian(cls, h: np.ndarray) -> "SystemSpec":
-        """Diagonalize a Hermitian generator whose spectrum is near-integer."""
-        h = as_complex(h)
-        w, v = hermitian_eig(h)
-        spec = [int(round(float(x))) for x in w]
-        if any(abs(float(x) - s) > 1e-9 for x, s in zip(w, spec)):
-            raise DimensionMismatch(f"generator spectrum is not integer: {w}")
-        return cls(h.shape[0], h, tuple(spec), v)
 
     def translation(self, t: float) -> np.ndarray:
         """The unitary e^{-iHt}, exact in the stored eigenbasis."""
@@ -316,10 +303,6 @@ def random_density_matrix(d: int, rank: int, rng: np.random.Generator) -> Densit
         raise DimensionMismatch(f"rank must be in [1, {d}], got {rank}")
     g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
     return DensityMatrix(normalized_gram(g))
-
-
-def maximally_entangled_state(d: int) -> PureState:
-    return PureState(maximally_entangled_vec(d))
 
 
 def tensor_system(a: SystemSpec, b: SystemSpec) -> SystemSpec:

@@ -12,10 +12,10 @@ import json
 from dataclasses import dataclass
 
 from . import RNG_ALGORITHM, __version__
-from .errors import IoError, ParseError
+from .errors import IoError
 from .experiments import EXPERIMENTS
 
-__all__ = ["ExperimentReport", "emit_csv", "report_to_json", "report_from_json"]
+__all__ = ["ExperimentReport", "emit_csv", "report_to_json"]
 
 
 @dataclass(frozen=True)
@@ -46,23 +46,6 @@ def report_to_json(report: ExperimentReport) -> str:
         "assertions": list(report.assertions),
     }
     return json.dumps(payload, sort_keys=True, indent=2)
-
-
-def report_from_json(text: str) -> ExperimentReport:
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"report JSON is malformed: {exc}") from exc
-    return ExperimentReport(
-        experiment=payload["experiment"],
-        config=payload["config"],
-        seed=payload["seed"],
-        records=tuple(payload["records"]),
-        assertions=tuple(payload["assertions"]),
-        wall_time_s=payload["wall_time_s"],
-        rng_algorithm=payload["rng_algorithm"],
-        tool_version=payload["tool_version"],
-    )
 
 
 def _format_cell(value) -> str:

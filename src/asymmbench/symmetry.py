@@ -40,7 +40,6 @@ __all__ = [
     "CovarianceSector",
     "time_translate",
     "is_symmetric_state",
-    "dual_system",
     "is_covariant_channel",
     "twirl_channel",
     "twirl_state",
@@ -117,18 +116,6 @@ def is_symmetric_state(rho: DensityMatrix, sys: SystemSpec, tol: float = 1e-9) -
         raise DimensionMismatch(f"state dim {rho.dim} != system dim {sys.dim}")
     witness = max_abs(commutator(rho.mat, sys.hamiltonian))
     return SymmetryVerdict(witness <= tol, witness)
-
-
-def dual_system(sys: SystemSpec) -> SystemSpec:
-    """Same dimension with generator -H^T (negated transpose, computational basis).
-
-    With this choice the maximally entangled state on system (x) dual is
-    invariant under simultaneous translations.
-    """
-    h = -sys.hamiltonian.T
-    spec = tuple(-s for s in sys.spectrum)
-    basis = np.conj(sys.eigenbasis)
-    return SystemSpec(sys.dim, h, spec, basis)
 
 
 def is_covariant_channel(ch: Channel, tol: float = 1e-9) -> SymmetryVerdict:

@@ -8,8 +8,10 @@ import pytest
 
 from asymmbench.cli import main, parse_config, print_schema, run
 from asymmbench.errors import ParseError, SchemaVersionMismatch
-from asymmbench.report import emit_csv, report_from_json, report_to_json
-from asymmbench.serialize import matrix_to_json
+from asymmbench.optimize import OptimizerConfig, max_recovery_fidelity
+from asymmbench.qtypes import DensityMatrix, SystemSpec
+from asymmbench.report import emit_csv, report_to_json
+from asymmbench.serialize import density_from_json, matrix_to_json
 
 
 HALF = matrix_to_json(np.eye(2) / 2)
@@ -106,20 +108,6 @@ class TestParseConfig:
         )
         assert cfg.params["optimizer"]["max_iter"] == 50
 
-    def test_negative_optimizer_seed(self, tmp_path):
-        path = write_config(
-            tmp_path,
-            "c.json",
-            {
-                "schema_version": 1,
-                "experiment": "irrev",
-                "target": matrix_to_json(np.eye(2) / 2),
-                "optimizer": {"seed": -1},
-            },
-        )
-        with pytest.raises(ParseError, match="optimizer.seed"):
-            parse_config(path)
-
     def test_non_string_experiment(self, tmp_path):
         path = write_config(tmp_path, "c.json", {"schema_version": 1, "experiment": ["ki"]})
         with pytest.raises(ParseError, match="unknown experiment"):
@@ -164,10 +152,9 @@ class TestRunAndReports:
         report = run(cfg)
         assert report.all_passed
         assert len(report.assertions) == 5
-        text = report_to_json(report)
-        back = report_from_json(text)
-        assert back.records == report.records
-        assert back.assertions == report.assertions
+        back = json.loads(report_to_json(report))
+        assert back["records"] == list(report.records)
+        assert back["assertions"] == list(report.assertions)
 
     def test_irrev_run(self, tmp_path):
         cfg = parse_config(
@@ -284,8 +271,8 @@ class TestMainExitCodes:
             {"experiment": "ki", "state": matrix_to_json(np.diag([1.5, -0.5]))},
             {"experiment": "ki", "system_q": {"dim": 2, "spectrum": [0, 0.5]}},
             {"experiment": "ki", "state": {"rows": "two", "cols": 2, "re": [], "im": []}},
-            {"experiment": "no_broadcast", "optimizer": {"seed": -1}},
-            {"experiment": "degradation", "optimizer": {"seed": -1}},
+            {"experiment": "no_broadcast", "optimizer": {"max_iter": 0}},
+            {"experiment": "degradation", "optimizer": {"tol": -1.0}},
         ],
     )
     def test_validate_rejects_what_run_rejects(self, tmp_path, payload):
@@ -352,25 +339,86 @@ class TestMainExitCodes:
         path = write_config(tmp_path, "c.json", {"schema_version": 1, **payload})
         assert main(["validate", "--config", str(path)]) == 0
 
-    def test_optimizer_seed_overrides_run_seed(self, tmp_path):
+    def test_run_seed_seeds_the_optimizer(self, tmp_path):
         # Recovering a qubit from a qutrit starts at a random channel (the
         # identity start needs equal spaces), so the records follow the seed.
-        def config(name, seed, optimizer):
+        def records(seed):
             payload = {
                 "schema_version": 1,
                 "experiment": "irrev",
                 "seed": seed,
                 "target": PLUS3,
                 "system_from": QUTRIT,
-                "optimizer": {"max_iter": 20, "restarts": 2, **optimizer},
+                "optimizer": {"max_iter": 20, "restarts": 2},
             }
-            return write_config(tmp_path, name, payload)
+            return run(parse_config(write_config(tmp_path, f"s{seed}.json", payload))).records
 
-        pinned = config("pinned.json", 0, {"seed": 3})
-        assert main(["run", "--config", str(pinned), "--out", str(tmp_path / "o")]) == 0
-        records = run(parse_config(pinned)).records
-        assert records == run(parse_config(config("run_seed.json", 3, {}))).records
-        assert records != run(parse_config(config("default.json", 0, {}))).records
+        res = max_recovery_fidelity(
+            DensityMatrix.pure([1.0, 1.0]),
+            density_from_json(PLUS3),
+            SystemSpec.diagonal([0, 1, 2]),
+            SystemSpec.diagonal([0, 1]),
+            OptimizerConfig(max_iter=20, restarts=2, seed=3),
+        )
+        expected = tuple({"iteration": it, "fidelity": val} for it, val in res.fidelity_trace)
+        assert records(3) == expected
+        assert records(3) != records(0)
+
+    @pytest.mark.parametrize(
+        "payload, error",
+        [
+            ({"experiment": "no_broadcast", "orbit_samples": 4}, "config key 'orbit_samples'"),
+            ({"experiment": "ki", "orbit_samples": 4}, "config key 'orbit_samples'"),
+            ({"experiment": "no_broadcast", "optimizer": {"seed": 3}}, "optimizer key 'seed'"),
+            ({"experiment": "tradeoff", "optimizer": {"seed": 3}}, "optimizer key 'seed'"),
+            ({"experiment": "degradation", "optimizer": {"seed": 3}}, "optimizer key 'seed'"),
+            (
+                {"experiment": "irrev", "target": HALF, "optimizer": {"seed": 3}},
+                "optimizer key 'seed'",
+            ),
+        ],
+        ids=[
+            "no_broadcast-orbit_samples",
+            "ki-orbit_samples",
+            "no_broadcast-optimizer.seed",
+            "tradeoff-optimizer.seed",
+            "degradation-optimizer.seed",
+            "irrev-optimizer.seed",
+        ],
+    )
+    def test_deleted_key_is_an_unknown_key(self, tmp_path, capsys, payload, error):
+        # the orbit sample count is derived, and the run seed seeds the optimizer
+        path = write_config(tmp_path, "c.json", {"schema_version": 1, **payload})
+        assert main(["validate", "--config", str(path)]) == 4
+        assert f"unknown {error}" in capsys.readouterr().err
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 4
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '"experiment": "nonadditivity", "t": NaN',
+            '"experiment": "no_broadcast", "t": -Infinity',
+            '"experiment": "nonadditivity", "t": 1e400',
+            '"experiment": "degradation", "angle": Infinity',
+            '"experiment": "irrev", "target": %s, "optimizer": {"tol": NaN}' % json.dumps(HALF),
+            '"experiment": "ki", "system_q": {"dim": 2, "spectrum": [0, Infinity]}',
+            '"experiment": "ki", "state": {"rows": Infinity, "cols": 2, "re": [], "im": []}',
+            '"experiment": "ki", "state": "state.json"',
+            '"experiment": "nonadditivity", "t": 1%s' % ("0" * 400),
+            '"experiment": "ki", "system_q": {"dim": 2, "spectrum": [0, -1%s]}' % ("0" * 5000),
+        ],
+        ids=["t-nan", "t-neg-inf", "t-overflow", "angle-inf", "tol-nan", "spectrum-inf",
+             "rows-inf", "file-nan", "t-int-overflow", "spectrum-int-overflow"],
+    )
+    def test_non_finite_number_is_a_config_error(self, tmp_path, capsys, text):
+        (tmp_path / "state.json").write_text(
+            '{"rows": 2, "cols": 2, "re": [0.5, 0, 0, NaN], "im": [0, 0, 0, 0]}'
+        )
+        path = tmp_path / "c.json"
+        path.write_text('{"schema_version": 1, %s}' % text)
+        assert main(["validate", "--config", str(path)]) == 4
+        assert "non-finite number" in capsys.readouterr().err
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 4
 
     def test_run_writes_outputs(self, tmp_path):
         path = write_config(

@@ -29,9 +29,14 @@ from asymmbench.qtypes import (
     random_density_matrix,
     tensor_system,
 )
-from asymmbench.symmetry import is_symmetric_state
+from asymmbench.symmetry import is_symmetric_state, twirl_state
 
-from conftest import planted_family, random_structured_family, random_unitary
+from conftest import (
+    planted_family,
+    random_integer_system,
+    random_structured_family,
+    random_unitary,
+)
 
 QUBIT = SystemSpec.diagonal([0, 1])
 PLUS = DensityMatrix.pure([1, 1])
@@ -270,6 +275,7 @@ class TestOrbitFamily:
         # onto 1, and 3 are the fewest that do not
         assert len(orbit_family(PLUS, QUBIT, 4).states) == 4
         assert len(orbit_family(PLUS, QUBIT, 2).states) == 3
+        assert len(orbit_family(PLUS, QUBIT).states) == 4  # the count the experiments use
 
     def test_aliased_frequencies_get_more_samples(self):
         # Spectrum (0, 1, 7): with 3 or 6 samples the frequency 7 aliases
@@ -293,6 +299,20 @@ class TestOrbitFamily:
     def test_minimum_samples(self):
         with pytest.raises(PreconditionFailed):
             orbit_family(PLUS, QUBIT, 1)
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(
+        d=st.integers(2, 4),
+        n=st.integers(2, 8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_sampled_orbit_averages_to_the_twirl(self, d, n, seed):
+        # without aliasing, every frequency but 0 cancels over the samples
+        rng = np.random.default_rng(seed)
+        sys = random_integer_system(d, rng, span=3)
+        rho = random_density_matrix(d, int(rng.integers(1, d + 1)), rng)
+        average = orbit_family(rho, sys, n).average()
+        assert max_abs(average - twirl_state(rho, sys).mat) <= 1e-12
 
 
 class TestEhrenfest:

@@ -21,7 +21,6 @@ from asymmbench.linalg import (
     hermitian_eig,
     hermitian_function,
     max_abs,
-    maximally_entangled_vec,
     partial_trace,
     psd_sqrt,
     symmetric_subspace_projector,
@@ -330,7 +329,7 @@ class TestStacks:
 
 class TestPartialTrace:
     def test_bell_marginal(self):
-        bell = np.outer(maximally_entangled_vec(2), maximally_entangled_vec(2).conj())
+        bell = np.outer([1, 0, 0, 1], [1, 0, 0, 1]) / 2
         assert max_abs(partial_trace(bell, [2, 2], [0]) - np.eye(2) / 2) < 1e-12
 
     def test_product_state(self, rng):
@@ -478,21 +477,6 @@ class TestFactorPermutations:
         # Distinct random factors make the six products distinct, so each map
         # must match exactly one of them and together they cover all six.
         assert sorted(matched) == sorted(expected)
-
-
-class TestMaximallyEntangled:
-    def test_qubit_components(self):
-        v = maximally_entangled_vec(2)
-        assert np.allclose(v, np.array([1, 0, 0, 1]) / math.sqrt(2))
-
-    def test_trivial_dimension(self):
-        assert np.allclose(maximally_entangled_vec(1), [1.0])
-
-    def test_marginals_maximally_mixed(self):
-        v = maximally_entangled_vec(3)
-        rho = np.outer(v, v.conj())
-        for keep in ([0], [1]):
-            assert max_abs(partial_trace(rho, [3, 3], keep) - np.eye(3) / 3) < 1e-12
 
 
 class TestRandomDensityMatrix:

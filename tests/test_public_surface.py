@@ -1,0 +1,94 @@
+"""Every public library name has a reader.
+
+A name in a module's __all__ that nothing in the library or the
+benchmark reads is surface with no caller: only its own tests keep it
+alive.  This test parses src/asymmbench and perfbench and requires each
+such name to be read (as a Name or an attribute) somewhere outside its
+own definition.  An import alone does not count, so neither the
+__init__ re-export nor an import that nothing uses keeps a name alive.
+The few names kept for tests and references are listed below with the
+reason each stays.
+"""
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "asymmbench"
+BENCH = ROOT / "perfbench"
+
+# Public names read by no library or benchmark code, each with its reason.
+ALLOWED = {
+    "petz_recovery": "reference baseline the recovery tests compare the optimizer against",
+    "product_ft_identity_check": "test oracle for the product identity of f_t",
+    "twirl_state": "reference twirl the orbit tests compare against; ROADMAP item 5 needs it",
+}
+
+
+def exported(tree: ast.Module) -> list[str]:
+    """The names a module lists in __all__."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return [elt.value for elt in node.value.elts]
+    return []
+
+
+def _definitions(tree: ast.Module) -> dict[str, ast.AST]:
+    return {
+        node.name: node
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    }
+
+
+def read_names(tree: ast.Module, skip: ast.AST | None = None) -> set[str]:
+    """Names tree reads as a Name or an attribute, outside the subtree skip."""
+    inside = set() if skip is None else {id(n) for n in ast.walk(skip)}
+    found = set()
+    for node in ast.walk(tree):
+        if id(node) in inside:
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            found.add(node.attr)
+    return found
+
+
+def unread_exports() -> list[tuple[str, str]]:
+    trees = {
+        path: ast.parse(path.read_text())
+        for path in sorted(PACKAGE.glob("*.py")) + sorted(BENCH.glob("*.py"))
+    }
+    found = []
+    for path, tree in trees.items():
+        if path.parent != PACKAGE:
+            continue
+        definitions = _definitions(tree)
+        for name in exported(tree):
+            readers = read_names(tree, definitions.get(name))
+            for other, other_tree in trees.items():
+                if other != path:
+                    readers |= read_names(other_tree)
+            if name not in readers:
+                found.append((path.stem, name))
+    return found
+
+
+def test_reader_ignores_imports_and_the_own_definition():
+    tree = ast.parse(
+        "from m import a\n__all__ = ['f', 'g']\n"
+        "def f(n):\n    return f(n - 1)\n"
+        "def g():\n    return h.g\n"
+    )
+    reads = read_names(tree, _definitions(tree)["f"])
+    assert "a" not in reads and "f" not in reads and "g" in reads
+    assert exported(tree) == ["f", "g"]
+
+
+def test_every_public_name_has_a_reader():
+    unread = unread_exports()
+    assert sorted(name for _, name in unread if name not in ALLOWED) == []
+    # every allowed name is still public and still unread, so the list stays exact
+    assert set(ALLOWED) == {name for _, name in unread}

@@ -17,7 +17,6 @@ from asymmbench.qtypes import (
     choi_from_map,
     cyclic_shift_system,
     induce_channel,
-    maximally_entangled_state,
     normalized_gram,
     random_density_matrix,
     tensor_system,
@@ -92,10 +91,6 @@ class TestSystemSpec:
         sys = SystemSpec.diagonal([0, 1, 3])
         assert sys.spectrum == (0, 1, 3)
         assert max_abs(sys.hamiltonian - np.diag([0.0, 1.0, 3.0])) < 1e-14
-
-    def test_from_hamiltonian_rejects_non_integer(self):
-        with pytest.raises(DimensionMismatch):
-            SystemSpec.from_hamiltonian(np.diag([0.0, 0.5]))
 
     def test_reconstruction_enforced(self):
         with pytest.raises(DimensionMismatch):
@@ -214,15 +209,6 @@ class TestInduceChannel:
         lam, qub = self._swap_channel()
         with pytest.raises(DimensionMismatch):
             induce_channel(lam, DensityMatrix.maximally_mixed(3), qub, qub)
-
-
-class TestMaximallyEntangledState:
-    def test_marginals(self):
-        psi = maximally_entangled_state(3)
-        rho = psi.density()
-        from asymmbench.linalg import partial_trace
-
-        assert max_abs(partial_trace(rho.mat, [3, 3], [0]) - np.eye(3) / 3) < 1e-12
 
 
 class TestSerialization:

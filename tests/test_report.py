@@ -1,13 +1,14 @@
 """Report emission details and reproducibility pins."""
 import csv
 import io
+import json
 
 import numpy as np
 import pytest
 
 from asymmbench import RNG_ALGORITHM
 from asymmbench.errors import IoError
-from asymmbench.report import ExperimentReport, emit_csv, report_from_json, report_to_json
+from asymmbench.report import ExperimentReport, emit_csv, report_to_json
 
 
 def make_report(experiment, records):
@@ -67,10 +68,10 @@ class TestCsv:
 class TestReportJson:
     def test_lossless_round_trip(self):
         rep = make_report("lemma8", [{"dim": 2, "max_violation": -0.5}])
-        back = report_from_json(report_to_json(rep))
-        assert back.records == rep.records
-        assert back.assertions == rep.assertions
-        assert back.rng_algorithm == RNG_ALGORITHM
+        back = json.loads(report_to_json(rep))
+        assert back["records"] == list(rep.records)
+        assert back["assertions"] == list(rep.assertions)
+        assert back["rng_algorithm"] == RNG_ALGORITHM
 
 
 class TestRngPin:

@@ -11,13 +11,10 @@ from asymmbench.qtypes import (
     SystemSpec,
     apply_channel,
     choi_from_map,
-    maximally_entangled_state,
     random_density_matrix,
-    tensor_system,
 )
 from asymmbench.symmetry import (
     CovarianceSector,
-    dual_system,
     is_covariant_channel,
     is_symmetric_state,
     measure_ft,
@@ -69,28 +66,6 @@ class TestSymmetricState:
     def test_eigenstate_symmetric(self):
         verdict = is_symmetric_state(DensityMatrix.pure([0, 1]), QUBIT)
         assert verdict.ok
-
-
-class TestDualSystem:
-    def test_negated_transpose(self):
-        dual = dual_system(QUBIT)
-        assert max_abs(dual.hamiltonian - np.diag([0.0, -1.0])) < 1e-14
-        assert dual.spectrum == (0, -1)
-
-    def test_maximally_entangled_invariant(self, rng):
-        for d in (2, 3):
-            sys = random_integer_system(d, rng)
-            joint = tensor_system(sys, dual_system(sys))
-            psi = maximally_entangled_state(d).vec
-            for _ in range(20):
-                t = rng.uniform(-6, 6)
-                u = joint.translation(t)
-                assert max_abs(u @ psi - psi) <= 1e-10
-
-    def test_involution(self, rng):
-        sys = random_integer_system(3, rng)
-        back = dual_system(dual_system(sys))
-        assert max_abs(back.hamiltonian - sys.hamiltonian) < 1e-12
 
 
 class TestCovariantChannel:
