@@ -14,7 +14,7 @@ runner, and the CLI and the report writer read everything from it.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Sequence
 
@@ -74,8 +74,6 @@ __all__ = [
     "EXPERIMENTS",
     "Assertion",
     "Outcome",
-    "TradeoffRecord",
-    "NonadditivityRecord",
     "ClonerResult",
     "run_no_broadcast_sweep",
     "run_tradeoff_sweep",
@@ -289,19 +287,6 @@ def _classical_control(n: int, t: float) -> list[Assertion]:
 # Tradeoff sweep
 
 
-@dataclass(frozen=True)
-class TradeoffRecord:
-    t: float
-    ft_input: float
-    ft_output: float
-    irrev: float
-    irrev_lower: float
-    lhs: float
-    rhs: float
-    slack: float
-    converged: bool
-
-
 def run_tradeoff_sweep(
     psi_q: PureState,
     sys_q: SystemSpec,
@@ -325,7 +310,7 @@ def run_tradeoff_sweep(
     The last assertion always passes; its witness counts the skipped shifts.
     """
     psi = psi_q.density()
-    rows: list[TradeoffRecord] = []
+    rows: list[dict] = []
     skipped = 0
     for t in t_grid:
         ft_in = measure_ft(psi, sys_q, t)
@@ -342,37 +327,37 @@ def run_tradeoff_sweep(
             lhs = att.output_coherence
             rhs = 4.0 * math.sqrt(irr.irrev_lower) / (1.0 - ft_in)
             rows.append(
-                TradeoffRecord(
-                    t=float(t),
-                    ft_input=ft_in,
-                    ft_output=att.output_coherence,
-                    irrev=irr.value,
-                    irrev_lower=irr.irrev_lower,
-                    lhs=lhs,
-                    rhs=rhs,
-                    slack=rhs - lhs,
-                    converged=irr.converged and att.converged,
-                )
+                {
+                    "t": float(t),
+                    "ft_input": ft_in,
+                    "ft_output": att.output_coherence,
+                    "irrev": irr.value,
+                    "irrev_lower": irr.irrev_lower,
+                    "lhs": lhs,
+                    "rhs": rhs,
+                    "slack": rhs - lhs,
+                    "converged": irr.converged and att.converged,
+                }
             )
 
     # An unconverged row checks nothing: when no row converged the assertion
     # fails, with the worst unconverged slack (0.0 if there is no row at all)
     # as its witness.
-    converged = [r.slack for r in rows if r.converged]
-    worst_slack = min(converged or [r.slack for r in rows], default=0.0)
+    converged = [r["slack"] for r in rows if r["converged"]]
+    worst_slack = min(converged or [r["slack"] for r in rows], default=0.0)
     assertions = [
         Assertion("tradeoff_slack", worst_slack >= -1e-6 and bool(converged), worst_slack),
     ]
     reversible_violation = 0.0
     for r in rows:
-        if r.irrev <= 1e-8:
-            bound = 4.0 * math.sqrt(1e-8) / (1.0 - r.ft_input) + 1e-9
-            reversible_violation = max(reversible_violation, r.ft_output - bound)
+        if r["irrev"] <= 1e-8:
+            bound = 4.0 * math.sqrt(1e-8) / (1.0 - r["ft_input"]) + 1e-9
+            reversible_violation = max(reversible_violation, r["ft_output"] - bound)
     assertions += [
         Assertion("reversible_rows_symmetric", reversible_violation <= 0.0, reversible_violation),
         Assertion("rows_skipped_at_full_shift", True, float(skipped)),
     ]
-    return tuple(asdict(r) for r in rows), tuple(assertions)
+    return tuple(rows), tuple(assertions)
 
 
 # ---------------------------------------------------------------------------
@@ -517,16 +502,6 @@ def universal_cloner(rho: DensityMatrix, d: int, n: int) -> ClonerResult:
     )
 
 
-@dataclass(frozen=True)
-class NonadditivityRecord:
-    construction: str
-    measure: str
-    f_joint: float
-    f_margA: float
-    f_margB_or_n_scaled: float
-    violated: bool
-
-
 def run_nonadditivity(t: float = _DEFAULT_T) -> Outcome:
     """Three constructions showing a faithful asymmetry measure is neither
     sub-additive nor super-additive.
@@ -551,33 +526,16 @@ def run_nonadditivity(t: float = _DEFAULT_T) -> Outcome:
     skew information alone.
     """
     qub = SystemSpec.diagonal([0, 1])
-    joint_sys = tensor_system(qub, qub)
-    rows: list[NonadditivityRecord] = []
 
     # (a) entangled sub-additivity violation
     bell = DensityMatrix.pure([1, 0, 0, 1])
     half = DensityMatrix.maximally_mixed(2)
-    for measure, f_joint, f_a, f_b in (
-        ("skew_information", skew_information(bell, joint_sys), skew_information(half, qub), skew_information(half, qub)),
-        (f"fidelity_shift(t={t:g})", measure_ft(bell, joint_sys, t), measure_ft(half, qub, t), measure_ft(half, qub, t)),
-    ):
-        rows.append(
-            NonadditivityRecord(
-                construction="EntangledSubadditivity",
-                measure=measure,
-                f_joint=f_joint,
-                f_margA=f_a,
-                f_margB_or_n_scaled=f_b,
-                violated=f_joint > f_a + f_b + _VIOLATION_MARGIN,
-            )
-        )
 
     # (b) classical-register sub-additivity violation (no entanglement)
     plus = DensityMatrix.pure([1, 1])
     diameter = max(qub.spectrum) - min(qub.spectrum)
     n_reg = diameter + 1
     reg_sys = SystemSpec.diagonal([0] * n_reg)
-    pair_sys = tensor_system(reg_sys, qub)
     blocks = []
     for j in range(n_reg):
         tj = 2 * math.pi * j / n_reg
@@ -589,20 +547,35 @@ def run_nonadditivity(t: float = _DEFAULT_T) -> Outcome:
     marg_b = DensityMatrix(partial_trace(sigma_ab.mat, [n_reg, 2], keep=[1]))
     marg_b_commutator = max_abs(commutator(marg_b.mat, qub.hamiltonian))
     marg_a_commutator = max_abs(commutator(marg_a.mat, reg_sys.hamiltonian))
-    for measure, f_joint, f_a, f_b in (
-        ("skew_information", skew_information(sigma_ab, pair_sys), skew_information(marg_a, reg_sys), skew_information(marg_b, qub)),
-        (f"fidelity_shift(t={t:g})", measure_ft(sigma_ab, pair_sys, t), measure_ft(marg_a, reg_sys, t), measure_ft(marg_b, qub, t)),
+
+    # (a) and (b) under every measure of the panel.  The measures are looked
+    # up at call time, so a rebound measure_ft or skew_information is seen.
+    panel = (
+        ("skew_information", skew_information),
+        (f"fidelity_shift(t={t:g})", lambda rho, sys: measure_ft(rho, sys, t)),
+    )
+    rows = []
+    for construction, *parts in (
+        ("EntangledSubadditivity", (bell, tensor_system(qub, qub)), (half, qub), (half, qub)),
+        (
+            "ClassicalRegisterSubadditivity",
+            (sigma_ab, tensor_system(reg_sys, qub)),
+            (marg_a, reg_sys),
+            (marg_b, qub),
+        ),
     ):
-        rows.append(
-            NonadditivityRecord(
-                construction="ClassicalRegisterSubadditivity",
-                measure=measure,
-                f_joint=f_joint,
-                f_margA=f_a,
-                f_margB_or_n_scaled=f_b,
-                violated=f_joint > f_a + f_b + _VIOLATION_MARGIN,
+        for measure, f in panel:
+            f_joint, f_a, f_b = (f(*part) for part in parts)
+            rows.append(
+                {
+                    "construction": construction,
+                    "measure": measure,
+                    "f_joint": f_joint,
+                    "f_margA": f_a,
+                    "f_margB_or_n_scaled": f_b,
+                    "violated": f_joint > f_a + f_b + _VIOLATION_MARGIN,
+                }
             )
-        )
 
     # (c) cloner super-additivity contradiction
     f_input = skew_information(plus, qub)
@@ -613,21 +586,21 @@ def run_nonadditivity(t: float = _DEFAULT_T) -> Outcome:
         if n * f_marg > f_input + _VIOLATION_MARGIN:
             smallest_n = n
             rows.append(
-                NonadditivityRecord(
-                    construction="ClonerSuperadditivity",
-                    measure="skew_information",
-                    f_joint=f_input,
-                    f_margA=f_marg,
-                    f_margB_or_n_scaled=n * f_marg,
-                    violated=True,
-                )
+                {
+                    "construction": "ClonerSuperadditivity",
+                    "measure": "skew_information",
+                    "f_joint": f_input,
+                    "f_margA": f_marg,
+                    "f_margB_or_n_scaled": n * f_marg,
+                    "violated": True,
+                }
             )
             break
 
     def violated_for_every_measure(name: str, construction: str) -> Assertion:
         # witness: the joint skew information, the construction's first row
-        built = [r for r in rows if r.construction == construction]
-        return Assertion(name, all(r.violated for r in built), built[0].f_joint)
+        built = [r for r in rows if r["construction"] == construction]
+        return Assertion(name, all(r["violated"] for r in built), built[0]["f_joint"])
 
     assertions = [
         violated_for_every_measure("entangled_subadditivity_violated", "EntangledSubadditivity"),
@@ -650,7 +623,7 @@ def run_nonadditivity(t: float = _DEFAULT_T) -> Outcome:
             float(smallest_n or -1),
         ),
     ]
-    return tuple(asdict(r) for r in rows), tuple(assertions)
+    return tuple(rows), tuple(assertions)
 
 
 # ---------------------------------------------------------------------------
@@ -934,7 +907,7 @@ def _run_cloner(p: dict, seed: int) -> Outcome:
             try:
                 results = [universal_cloner(DensityMatrix.maximally_mixed(d), d, n)]
             except SizeCap:
-                continue
+                break  # both caps grow with n, so every larger n is refused too
             for _ in range(p["trials_per_case"]):
                 rho = random_density_matrix(d, int(rng.integers(1, d + 1)), rng)
                 results.append(universal_cloner(rho, d, n))
@@ -1004,7 +977,10 @@ EXPERIMENTS: dict[str, Experiment] = {
                 "lambda_schedule": _spec("number_list", list(DEFAULT_LAMBDA_SCHEDULE)),
                 "optimizer": _spec("optimizer", {}),
             },
-            tuple(f.name for f in fields(TradeoffRecord)),
+            (
+                "t", "ft_input", "ft_output", "irrev", "irrev_lower",
+                "lhs", "rhs", "slack", "converged",
+            ),
             _run_tradeoff,
             lambda p: _same_dim(_dims(p, "state", "system_q")),
         ),
@@ -1028,7 +1004,9 @@ EXPERIMENTS: dict[str, Experiment] = {
             {
                 "t": _spec("number", _DEFAULT_T),
             },
-            tuple(f.name for f in fields(NonadditivityRecord)),
+            (
+                "construction", "measure", "f_joint", "f_margA", "f_margB_or_n_scaled", "violated"
+            ),
             _run_nonadditivity,
             _faithful_t,
         ),

@@ -16,13 +16,15 @@ multiplies entry (i, j) by the frequency log w_i - log w_j, so the
 closure is the algebra generated by the parts of each T_x at each
 distinct frequency: one dephasing, no iteration.  The blocks are read
 off the commutant of that algebra (Murota, Kanno, Kojima & Kojima,
-Japan J. Indust. Appl. Math. 27, 2010).  Correctness is never assumed:
-every decomposition is checked against the reconstruction, isometry,
-completeness, and maximality invariants before it is returned.
+Japan J. Indust. Appl. Math. 27, 2010).
 
 An independent refinement oracle (eigenspace splitting of the family
-itself plus intertwiner merging, d <= 6) cross-checks block dimensions
-in the test suite.
+itself plus intertwiner merging, d <= 6) finds the blocks another way,
+and the test suite compares block dimensions.  Both back-ends end in one
+assembly, which reads omega, the probabilities and the L-states off their
+frames.  Correctness is never assumed: it checks every decomposition
+against the reconstruction, isometry, completeness, and maximality
+invariants before it is returned.
 """
 from __future__ import annotations
 
@@ -208,16 +210,18 @@ def _connected_components(adj: np.ndarray) -> list[list[int]]:
 
 @dataclass(frozen=True, eq=False)
 class WedderburnBlock:
-    """One ideal of the algebra: projector, factorizing isometry, and (m, k)."""
+    """One ideal of the algebra: factorizing isometry and (m, k).
 
-    projector: np.ndarray
+    Column a*k + alpha of the isometry carries L index a and R index alpha.
+    """
+
     isometry: np.ndarray
     m: int
     k: int
 
 
 def wedderburn_decompose(algebra_basis: list[np.ndarray]) -> list[WedderburnBlock]:
-    """Block structure {Pi_mu, V_mu, (m_mu, k_mu)} of a unital *-algebra.
+    """Block structure {V_mu, (m_mu, k_mu)} of a unital *-algebra.
 
     Read off the commutant, which for A ~ (+)_mu M_m (x) I_k is
     (+)_mu I_m (x) M_k: the eigenspaces of a generic Hermitian commutant
@@ -270,7 +274,7 @@ def wedderburn_decompose(algebra_basis: list[np.ndarray]) -> list[WedderburnBloc
                     if ss[-1] < 1e-9 * max(1.0, ss[0]):
                         raise CenterDegenerate("commutant coupling is rank deficient")
                     iso[:, alpha::k] = spaces[a] @ (uu @ vvh)
-                blocks.append(WedderburnBlock(iso @ dagger(iso), iso, m, k))
+                blocks.append(WedderburnBlock(iso, m, k))
             _check_factorization(stack, blocks)
             return blocks
         except CenterDegenerate as exc:
@@ -378,15 +382,23 @@ def ki_decompose(fam: StateFamily) -> KIDecomposition:
     if fam.dim > _KI_DIM_CAP:
         raise SizeCap(f"ki_decompose capped at dimension {_KI_DIM_CAP}")
     w_iso, wk, hatted = _support_restrict(fam)
-    raw_blocks = wedderburn_decompose(generate_algebra(_modular_components(wk, hatted)))
+    frames = wedderburn_decompose(generate_algebra(_modular_components(wk, hatted)))
+    return _assemble(fam, w_iso, wk, hatted, frames)
 
+
+def _assemble(
+    fam: StateFamily, w_iso, wk, hatted, frames: list[WedderburnBlock]
+) -> KIDecomposition:
+    """Decomposition of fam from one frame per block, validated (DecompositionInvalid).
+
+    w_iso, wk, hatted = _support_restrict(fam); the frames act on that support.
+    """
     avg_hat = np.diag(wk).astype(np.complex128)
     blocks: list[KIBlock] = []
-    probs = np.zeros((len(fam.states), len(raw_blocks)))
+    probs = np.zeros((len(fam.states), len(frames)))
     l_states: list[list[np.ndarray]] = [[] for _ in fam.states]
-    for mu, rb in enumerate(raw_blocks):
-        v = rb.isometry
-        m, k = rb.m, rb.k
+    for mu, frame in enumerate(frames):
+        v, m, k = frame.isometry, frame.m, frame.k
         avg_block = (dagger(v) @ avg_hat @ v).reshape(m, k, m, k)
         omega_raw = np.einsum("akal->kl", avg_block)
         omega = omega_raw / np.trace(omega_raw).real
@@ -403,7 +415,7 @@ def ki_decompose(fam: StateFamily) -> KIDecomposition:
                 l_states[x].append(np.eye(m, dtype=np.complex128) / m)
         blocks.append(
             KIBlock(
-                projector=w_iso @ rb.projector @ dagger(w_iso),
+                projector=w_iso @ (v @ dagger(v)) @ dagger(w_iso),
                 isometry=w_iso @ v,
                 m=m,
                 k=k,
@@ -519,8 +531,8 @@ def _split_irreducible(iso: np.ndarray, hatted: list[np.ndarray], rng) -> list[n
     return [iso]
 
 
-def _intertwiner(a_fam: list[np.ndarray], b_fam: list[np.ndarray]):
-    """Unitary u and scale lam with lam * u A_x u† = B_x, or None if inequivalent."""
+def _intertwiner(a_fam: list[np.ndarray], b_fam: list[np.ndarray]) -> np.ndarray | None:
+    """Unitary u with lam * u A_x u† = B_x for a scale lam > 0, or None if inequivalent."""
     p = a_fam[0].shape[0]
     tr_a = sum(float(np.trace(a).real) for a in a_fam)
     tr_b = sum(float(np.trace(b).real) for b in b_fam)
@@ -548,7 +560,7 @@ def _intertwiner(a_fam: list[np.ndarray], b_fam: list[np.ndarray]):
     )
     if worst > 1e-7 * (1.0 + max(max_abs(b) for b in b_fam)):
         return None
-    return u, lam
+    return u
 
 
 def ki_refinement_oracle(fam: StateFamily) -> KIDecomposition:
@@ -557,8 +569,9 @@ def ki_refinement_oracle(fam: StateFamily) -> KIDecomposition:
     Independent of the transition-algebra path: splits the support into
     subspaces left invariant by every family member (recursive commutant
     eigenspace splitting), then merges subspaces that carry the same
-    family up to a positive scale and a unitary change of basis.  Only
-    intended for d <= 6.
+    family up to a positive scale and a unitary change of basis.  The
+    merged frames go through the same assembly and validation as
+    ki_decompose's.  Only intended for d <= 6.
     """
     if fam.dim > _ORACLE_DIM_CAP:
         raise SizeCap(f"refinement oracle capped at dimension {_ORACLE_DIM_CAP}")
@@ -567,70 +580,26 @@ def ki_refinement_oracle(fam: StateFamily) -> KIDecomposition:
     r = wk.shape[0]
     pieces = _split_irreducible(np.eye(r, dtype=np.complex128), hatted, rng)
 
-    groups: list[dict] = []
+    # per block: the first piece's compressed family and the aligned pieces
+    groups: list[tuple[list[np.ndarray], list[np.ndarray]]] = []
     for piece in pieces:
         a_fam = [dagger(piece) @ h @ piece for h in hatted]
-        placed = False
-        for grp in groups:
-            if piece.shape[1] != grp["dim"]:
-                continue
-            res = _intertwiner(grp["ref_fam"], a_fam)
-            if res is not None:
-                u, lam = res
-                grp["members"].append((piece, u, lam))
-                placed = True
+        for ref_fam, members in groups:
+            u = _intertwiner(ref_fam, a_fam) if piece.shape == members[0].shape else None
+            if u is not None:
+                # lam * u A_ref u† = A_piece, so conjugating the piece family by
+                # u† lands every member on lam * A_ref: align with piece @ u.
+                members.append(piece @ u)
                 break
-        if not placed:
-            groups.append(
-                {
-                    "dim": piece.shape[1],
-                    "ref_fam": a_fam,
-                    "members": [(piece, np.eye(piece.shape[1], dtype=np.complex128), 1.0)],
-                }
-            )
+        else:
+            groups.append((a_fam, [piece]))
 
-    blocks: list[KIBlock] = []
-    probs = np.zeros((len(fam.states), len(groups)))
-    l_states: list[list[np.ndarray]] = [[] for _ in fam.states]
-    for mu, grp in enumerate(groups):
-        m = grp["dim"]
-        k = len(grp["members"])
-        iso = np.zeros((r, m * k), dtype=np.complex128)
-        lams = []
-        for alpha, (piece, u, lam) in enumerate(grp["members"]):
-            # lam * u A_ref u† = A_piece, so conjugating the piece family by
-            # u† lands every member on lam * A_ref: align with piece @ u.
-            aligned = piece @ u
-            iso[:, [a * k + alpha for a in range(m)]] = aligned
-            lams.append(lam)
-        lam_vec = np.array(lams)
-        omega = np.diag(lam_vec / lam_vec.sum()).astype(np.complex128)
-        for x in range(len(fam.states)):
-            ref = grp["ref_fam"][x]
-            p = float(np.trace(ref).real) * float(lam_vec.sum())
-            p = max(0.0, p)
-            probs[x, mu] = p
-            if p > 1e-12:
-                norm_ref = (ref + dagger(ref)) / (2 * float(np.trace(ref).real))
-                l_states[x].append(norm_ref)
-            else:
-                l_states[x].append(np.eye(m, dtype=np.complex128) / m)
-        blocks.append(
-            KIBlock(
-                projector=w_iso @ (iso @ dagger(iso)) @ dagger(w_iso),
-                isometry=w_iso @ iso,
-                m=m,
-                k=k,
-                omega=DensityMatrix(omega),
-            )
-        )
-    dec = KIDecomposition(
-        blocks=tuple(blocks),
-        probs=probs,
-        l_states=tuple(tuple(row) for row in l_states),
-    )
-    _validate_decomposition(dec, fam, w_iso)
-    return dec
+    # column a*k + alpha of a frame is column a of aligned piece alpha
+    frames = [
+        WedderburnBlock(np.stack(aligned, axis=2).reshape(r, -1), aligned[0].shape[1], len(aligned))
+        for _, aligned in groups
+    ]
+    return _assemble(fam, w_iso, wk, hatted, frames)
 
 
 # ---------------------------------------------------------------------------

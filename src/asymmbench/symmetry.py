@@ -137,15 +137,18 @@ def twirl_channel(ch: Channel) -> Channel:
     return Channel(ch.input, ch.output, j)
 
 
+# A preparation channel's input; one instance, as for_channel caches by identity.
+_ONE_LEVEL = SystemSpec.diagonal([0])
+
+
 def twirl_state(rho: DensityMatrix, sys: SystemSpec) -> DensityMatrix:
-    """Dephase a state across distinct eigenvalue sectors of the generator."""
+    """Dephase a state across distinct eigenvalue sectors of the generator.
+
+    The state is dephased as the Choi matrix of its preparation channel.
+    """
     if rho.dim != sys.dim:
         raise DimensionMismatch(f"state dim {rho.dim} != system dim {sys.dim}")
-    v = sys.eigenbasis
-    labels = np.array(sys.spectrum, dtype=np.int64)
-    rt = dagger(v) @ rho.mat @ v
-    mask = labels[:, None] == labels[None, :]
-    out = v @ (rt * mask) @ dagger(v)
+    out = CovarianceSector.for_channel(sys, _ONE_LEVEL).dephase(rho.mat)
     return DensityMatrix((out + dagger(out)) / 2)
 
 

@@ -448,3 +448,12 @@ class TestMainExitCodes:
         code = main(["run", "--config", str(path), "--seed", "9", "--out", str(tmp_path / "o")])
         assert code == 0
         assert (tmp_path / "o" / "lemma8_seed9.report.json").exists()
+
+    def test_negative_seed_override_is_a_config_error(self, tmp_path, capsys):
+        path = write_config(
+            tmp_path, "c.json", {"schema_version": 1, "experiment": "lemma8", "trials": 100}
+        )
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(path), "--seed", "-1", "--out", str(out)]) == 4
+        assert "seed must be nonnegative" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())

@@ -85,6 +85,21 @@ class TestUniversalCloner:
         with pytest.raises(SizeCap):
             universal_cloner(DensityMatrix.maximally_mixed(2), 2, 5)
 
+    def test_cloner_run_stops_at_the_first_refused_n(self, monkeypatch):
+        # the cap grows with n, so a huge n_max costs what n_max 4 costs:
+        # two calls (maximally mixed, one trial) for n = 1..4, then n = 5 refused
+        calls = []
+
+        def counted(rho, d, n):
+            calls.append(n)
+            return universal_cloner(rho, d, n)
+
+        monkeypatch.setattr(experiments, "universal_cloner", counted)
+        values = {"n_max": 10_000, "d_list": [2], "trials_per_case": 1}
+        records, _ = EXPERIMENTS["cloner"].run(values, 0)
+        assert [r["n"] for r in records] == [1, 2, 3, 4]
+        assert len(calls) <= 9
+
 
 class TestNonadditivity:
     def test_all_constructions_violate(self):

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from asymmbench.errors import PreconditionFailed, SizeCap
+from asymmbench.errors import DecompositionInvalid, PreconditionFailed, SizeCap
 from asymmbench.ki import (
+    WedderburnBlock,
+    _assemble,
     _modular_components,
     _support_restrict,
     ehrenfest_constancy_check,
@@ -227,6 +229,21 @@ class TestKIDecompose:
             fam = StateFamily(tuple(DensityMatrix(x) for x in states), ("a", "b"))
             assert ki_decompose(fam).block_dims == planted
             assert ki_refinement_oracle(fam).block_dims == planted
+
+    def test_assembly_rejects_a_frame_with_swapped_factors(self, rng):
+        # Both back-ends hand their frames to one assembly, so a frame that
+        # mislabels L and R indices fails validation whoever built it.
+        # Swapping columns 1 and 2 of a (2, 2) frame swaps (a, alpha) =
+        # (0, 1) and (1, 0); with omega not uniform the states no longer
+        # read rho_L (x) omega in that frame.
+        fam = planted_family(rng, [(2, 2)], 3)
+        support = _support_restrict(fam)
+        [frame] = wedderburn_decompose(generate_algebra(_modular_components(*support[1:])))
+        omega = _assemble(fam, *support, [frame]).blocks[0].omega.mat
+        assert abs(omega[0, 0] - omega[1, 1]) > 1e-3 or abs(omega[0, 1]) > 1e-3
+        swapped = frame.isometry[:, [0, 2, 1, 3]]
+        with pytest.raises(DecompositionInvalid):
+            _assemble(fam, *support, [WedderburnBlock(swapped, 2, 2)])
 
     def test_size_cap(self, rng):
         big = DensityMatrix.maximally_mixed(64)
