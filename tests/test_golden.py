@@ -7,6 +7,7 @@ these files; a change that moves any digit has to update them and say
 why.
 """
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,27 @@ from asymmbench.report import emit_csv, report_to_json
 
 DATA = Path(__file__).parent / "data"
 HALF = {"rows": 2, "cols": 2, "re": [0.5, 0.0, 0.0, 0.5], "im": [0.0, 0.0, 0.0, 0.0]}
+# The pure state (|0> + e^{0.7i}|1>)/sqrt(2), whose top eigenvector the
+# tradeoff runner takes up to a phase.
+PHASED_PLUS = {
+    "rows": 2,
+    "cols": 2,
+    "re": [0.5, 0.5 * math.cos(0.7), 0.5 * math.cos(0.7), 0.5],
+    "im": [0.0, -0.5 * math.sin(0.7), 0.5 * math.sin(0.7), 0.0],
+}
+ZERO = {"rows": 2, "cols": 2, "re": [1.0, 0.0, 0.0, 0.0], "im": [0.0, 0.0, 0.0, 0.0]}
+# A qubit with spectrum (0, 1) in the Hadamard eigenbasis: its generator
+# (I - X)/2 is derived from the basis, not diagonal.
+HADAMARD_QUBIT = {
+    "dim": 2,
+    "spectrum": [0, 1],
+    "eigenbasis": {
+        "rows": 2,
+        "cols": 2,
+        "re": [math.sqrt(0.5), math.sqrt(0.5), math.sqrt(0.5), -math.sqrt(0.5)],
+        "im": [0.0, 0.0, 0.0, 0.0],
+    },
+}
 
 GOLDEN_CASES = {
     "nonadditivity": {"experiment": "nonadditivity"},
@@ -46,6 +68,20 @@ GOLDEN_CASES = {
         "optimizer": {"max_iter": 20, "restarts": 1},
     },
     "degradation": {"experiment": "degradation", "optimizer": {"max_iter": 20, "restarts": 1}},
+    "tradeoff_phased": {
+        "experiment": "tradeoff",
+        "state": PHASED_PLUS,
+        "t_grid": [1.0],
+        "lambda_schedule": [0.0],
+        "optimizer": {"max_iter": 20, "restarts": 1},
+    },
+    "degradation_hadamard": {
+        "experiment": "degradation",
+        "state": ZERO,
+        "system_q": HADAMARD_QUBIT,
+        "system_s": HADAMARD_QUBIT,
+        "optimizer": {"max_iter": 20, "restarts": 1},
+    },
 }
 
 # One small config per registered experiment, for the column check.
