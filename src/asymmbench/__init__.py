@@ -7,7 +7,6 @@ RNG_ALGORITHM = "numpy-pcg64"
 from .qtypes import (  # noqa: E402,F401
     Channel,
     DensityMatrix,
-    PureState,
     StateFamily,
     SystemSpec,
     apply_channel,

@@ -270,9 +270,7 @@ def run(cfg: RunConfig) -> ExperimentReport:
     records, assertions = EXPERIMENTS[cfg.experiment].run(cfg.values, cfg.seed)
     wall = time.perf_counter() - started
     return ExperimentReport(
-        experiment=cfg.experiment,
         config=cfg.echo(),
-        seed=cfg.seed,
         records=records,
         assertions=tuple(
             {"name": a.name, "passed": bool(a.passed), "witness": float(a.witness)}
@@ -284,7 +282,7 @@ def run(cfg: RunConfig) -> ExperimentReport:
 
 def _write_outputs(report: ExperimentReport, out_dir: Path) -> tuple[Path, Path]:
     out_dir.mkdir(parents=True, exist_ok=True)
-    stem = f"{report.experiment}_seed{report.seed}"
+    stem = "{experiment}_seed{seed}".format_map(report.config)
     json_path = out_dir / f"{stem}.report.json"
     csv_path = out_dir / f"{stem}.records.csv"
     json_path.write_text(report_to_json(report))

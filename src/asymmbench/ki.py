@@ -29,7 +29,7 @@ invariants before it is returned.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain
 
 import numpy as np
@@ -312,13 +312,16 @@ def _check_factorization(stack: np.ndarray, blocks: list[WedderburnBlock]) -> No
 
 @dataclass(frozen=True, eq=False)
 class KIBlock:
-    """One block: projector and isometry on the original space, dims, fixed state."""
+    """One block: isometry on the original space, dims, fixed state."""
 
-    projector: np.ndarray
     isometry: np.ndarray
     m: int
     k: int
     omega: DensityMatrix
+
+    @property
+    def projector(self) -> np.ndarray:
+        return self.isometry @ dagger(self.isometry)
 
 
 @dataclass(frozen=True, eq=False)
@@ -326,6 +329,7 @@ class KIDecomposition:
     blocks: tuple[KIBlock, ...]
     probs: np.ndarray  # (n_states, n_blocks), rows sum to 1
     l_states: tuple[tuple[np.ndarray, ...], ...]  # per state, per block
+    residual: float = float("nan")  # worst reconstruction distance, set by validation
 
     @property
     def block_dims(self) -> list[tuple[int, int]]:
@@ -376,8 +380,8 @@ def ki_decompose(fam: StateFamily) -> KIDecomposition:
 
     The output always satisfies the reconstruction (<= 1e-7 trace
     distance), isometry, projector-completeness, and maximality
-    invariants; they are checked on every call and DecompositionInvalid
-    is raised on any violation.
+    invariants, checked on every call (DecompositionInvalid on any
+    violation); the worst reconstruction distance is its residual.
     """
     if fam.dim > _KI_DIM_CAP:
         raise SizeCap(f"ki_decompose capped at dimension {_KI_DIM_CAP}")
@@ -415,7 +419,6 @@ def _assemble(
                 l_states[x].append(np.eye(m, dtype=np.complex128) / m)
         blocks.append(
             KIBlock(
-                projector=w_iso @ (v @ dagger(v)) @ dagger(w_iso),
                 isometry=w_iso @ v,
                 m=m,
                 k=k,
@@ -428,8 +431,7 @@ def _assemble(
         probs=probs,
         l_states=tuple(tuple(row) for row in l_states),
     )
-    _validate_decomposition(dec, fam, w_iso)
-    return dec
+    return replace(dec, residual=_validate_decomposition(dec, fam, w_iso))
 
 
 def reconstruct_state(dec: KIDecomposition, x: int) -> np.ndarray:
@@ -447,8 +449,9 @@ def reconstruct_state(dec: KIDecomposition, x: int) -> np.ndarray:
 
 def _validate_decomposition(
     dec: KIDecomposition, fam: StateFamily, w_iso: np.ndarray
-) -> None:
-    """Check dec against fam; w_iso is the isometry onto the support of fam's average."""
+) -> float:
+    """Check dec against fam, whose support w_iso spans; return the worst
+    reconstruction distance."""
     support = w_iso @ dagger(w_iso)
     total = sum(b.projector for b in dec.blocks)
     if max_abs(total - support) > 1e-8:
@@ -457,12 +460,14 @@ def _validate_decomposition(
         gram = dagger(blk.isometry) @ blk.isometry
         if max_abs(gram - np.eye(blk.m * blk.k)) > 1e-8:
             raise DecompositionInvalid("block isometry is not isometric")
+    worst = 0.0
     for x, state in enumerate(fam.states):
         dist = 0.5 * trace_norm(state.mat - reconstruct_state(dec, x))
         if dist > 1e-7:
             raise DecompositionInvalid(
                 f"state {fam.labels[x]!r} reconstructs only to {dist:.3e}"
             )
+        worst = max(worst, dist)
     for mu, blk in enumerate(dec.blocks):
         if blk.m < 2:
             continue
@@ -471,6 +476,7 @@ def _validate_decomposition(
             raise DecompositionInvalid(
                 f"block {mu} factor is not maximal (m={blk.m})"
             )
+    return worst
 
 
 # ---------------------------------------------------------------------------

@@ -127,7 +127,6 @@ class IrrevResult:
     lower bound.  converged means gap <= cfg.tol + _GAP_ROUNDOFF.
     """
 
-    value: float
     best_recovery: Channel
     fidelity_trace: tuple[tuple[int, float], ...]
     converged: bool
@@ -136,6 +135,10 @@ class IrrevResult:
     @property
     def fidelity(self) -> float:
         return self.fidelity_trace[-1][1]
+
+    @property
+    def value(self) -> float:
+        return 1.0 - self.fidelity * self.fidelity
 
     @property
     def irrev_lower(self) -> float:
@@ -475,9 +478,8 @@ def max_recovery_fidelity(
         run = _ascend(start, objective, gradient, from_sys, to_sys, cfg, gap)
         if best is None or run[2] > best[2]:
             best = run
-    j, trace, val, width = best
+    j, trace, _, width = best
     return IrrevResult(
-        value=1.0 - val * val,
         best_recovery=Channel(from_sys, to_sys, j),
         fidelity_trace=tuple(trace),
         converged=width <= cfg.tol + _GAP_ROUNDOFF,

@@ -2,8 +2,8 @@
 
 Conventions used throughout the package:
 
-* A system carries a translation generator (Hermitian "hamiltonian")
-  with integer spectrum, stored together with a diagonalizing unitary.
+* A system is an integer spectrum and a unitary eigenbasis; its
+  translation generator (Hermitian "hamiltonian") is derived from them.
 * Channels are kept in Choi form with the OUTPUT factor first:
   choi = sum_{ij} E(|i><j|) (x) |i><j|, unnormalized (trace = input dim).
   Trace preservation is then the affine condition Tr_out(choi) = I, and
@@ -13,6 +13,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -32,7 +33,6 @@ __all__ = [
     "DensityMatrix",
     "check_density",
     "normalized_gram",
-    "PureState",
     "SystemSpec",
     "Channel",
     "StateFamily",
@@ -109,68 +109,47 @@ def normalized_gram(g: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class PureState:
-    """Unit vector (norm 1 within 1e-12)."""
-
-    vec: np.ndarray
-
-    def __post_init__(self):
-        v = _readonly(as_complex(self.vec).ravel())
-        norm = float(np.linalg.norm(v))
-        if abs(norm - 1.0) > 1e-12:
-            raise DimensionMismatch(f"pure state norm {norm:.15f} != 1")
-        object.__setattr__(self, "vec", v)
-
-    @property
-    def dim(self) -> int:
-        return self.vec.shape[0]
-
-    def density(self) -> DensityMatrix:
-        return DensityMatrix(np.outer(self.vec, np.conj(self.vec)))
-
-
-@dataclass(frozen=True, eq=False)
 class SystemSpec:
-    """A labeled system: dimension plus translation generator.
+    """A labeled system: integer spectrum plus unitary eigenbasis V.
 
-    The generator has integer spectrum by design: the translation group
-    it generates is then compact with period 2*pi, which makes twirling
-    and covariance checks exact sector operations rather than numerical
-    averages over the group.
+    The generator H = V diag(spectrum) V† is derived.  An integer spectrum
+    makes the translation group compact with period 2*pi, so twirling and
+    covariance checks are exact sector operations, not numerical averages
+    over the group; V unitary within TOL_STRUCT makes e^{-iHt} unitary.
     """
 
-    dim: int
-    hamiltonian: np.ndarray
     spectrum: tuple[int, ...]
     eigenbasis: np.ndarray
 
     def __post_init__(self):
-        h = _readonly(self.hamiltonian)
-        v = _readonly(self.eigenbasis)
-        spec = tuple(int(s) for s in self.spectrum)
-        d = int(self.dim)
-        if h.shape != (d, d) or v.shape != (d, d) or len(spec) != d:
-            raise DimensionMismatch(
-                f"system pieces disagree: dim={d}, H {h.shape}, basis {v.shape}, "
-                f"{len(spec)} eigenvalues"
-            )
         if any(abs(float(s0) - round(float(s0))) > 1e-9 for s0 in self.spectrum):
             raise DimensionMismatch("spectrum entries must be integers")
-        recon = (v * np.array(spec, dtype=np.complex128)) @ dagger(v)
-        if max_abs(recon - h) > 1e-9 * (1.0 + max_abs(h)):
-            raise DimensionMismatch(
-                "eigenbasis/spectrum do not reconstruct the hamiltonian"
-            )
-        object.__setattr__(self, "dim", d)
-        object.__setattr__(self, "hamiltonian", h)
+        spec = tuple(int(round(s)) for s in self.spectrum)
+        v = _readonly(self.eigenbasis)
+        d = len(spec)
+        if v.shape != (d, d):
+            raise DimensionMismatch(f"eigenbasis {v.shape} does not fit {d} eigenvalues")
+        dev = max_abs(dagger(v) @ v - np.eye(d))
+        if dev > TOL_STRUCT:
+            raise DimensionMismatch(f"eigenbasis deviates from unitary by {dev:.3e}")
         object.__setattr__(self, "spectrum", spec)
         object.__setattr__(self, "eigenbasis", v)
 
+    @property
+    def dim(self) -> int:
+        return len(self.spectrum)
+
+    @cached_property
+    def hamiltonian(self) -> np.ndarray:
+        v = self.eigenbasis
+        h = (v * np.array(self.spectrum, dtype=np.complex128)) @ dagger(v)
+        h.setflags(write=False)
+        return h
+
     @classmethod
     def diagonal(cls, spectrum: Sequence[int]) -> "SystemSpec":
-        spec = tuple(int(s) for s in spectrum)
-        d = len(spec)
-        return cls(d, np.diag(np.array(spec, dtype=np.complex128)), spec, np.eye(d))
+        spec = tuple(spectrum)
+        return cls(spec, np.eye(len(spec)))
 
     def translation(self, t: float) -> np.ndarray:
         """The unitary e^{-iHt}, exact in the stored eigenbasis."""
@@ -307,14 +286,8 @@ def random_density_matrix(d: int, rank: int, rng: np.random.Generator) -> Densit
 
 def tensor_system(a: SystemSpec, b: SystemSpec) -> SystemSpec:
     """Composite system with generator H_a (x) I + I (x) H_b."""
-    h = tensor_product(a.hamiltonian, np.eye(b.dim)) + tensor_product(
-        np.eye(a.dim), b.hamiltonian
-    )
-    spec = tuple(
-        int(sa) + int(sb) for sa in a.spectrum for sb in b.spectrum
-    )
-    basis = tensor_product(a.eigenbasis, b.eigenbasis)
-    return SystemSpec(a.dim * b.dim, h, spec, basis)
+    spec = tuple(sa + sb for sa in a.spectrum for sb in b.spectrum)
+    return SystemSpec(spec, tensor_product(a.eigenbasis, b.eigenbasis))
 
 
 def cyclic_shift_system(n: int) -> SystemSpec:
@@ -328,5 +301,4 @@ def cyclic_shift_system(n: int) -> SystemSpec:
     n = int(n)
     k = np.arange(n)
     f = np.exp(-2j * np.pi * np.outer(k, k) / n) / np.sqrt(n)
-    h = dagger(f) @ np.diag(k.astype(np.complex128)) @ f
-    return SystemSpec(n, h, tuple(int(x) for x in k), dagger(f))
+    return SystemSpec(tuple(int(x) for x in k), dagger(f))

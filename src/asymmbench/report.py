@@ -20,14 +20,10 @@ __all__ = ["ExperimentReport", "emit_csv", "report_to_json"]
 
 @dataclass(frozen=True)
 class ExperimentReport:
-    experiment: str
-    config: dict
-    seed: int
+    config: dict  # the config echo, experiment and seed included
     records: tuple[dict, ...]
     assertions: tuple[dict, ...]
     wall_time_s: float
-    rng_algorithm: str = RNG_ALGORITHM
-    tool_version: str = __version__
 
     @property
     def all_passed(self) -> bool:
@@ -36,11 +32,11 @@ class ExperimentReport:
 
 def report_to_json(report: ExperimentReport) -> str:
     payload = {
-        "experiment": report.experiment,
+        "experiment": report.config["experiment"],
         "config": report.config,
-        "seed": report.seed,
-        "rng_algorithm": report.rng_algorithm,
-        "tool_version": report.tool_version,
+        "seed": report.config["seed"],
+        "rng_algorithm": RNG_ALGORITHM,
+        "tool_version": __version__,
         "wall_time_s": report.wall_time_s,
         "records": list(report.records),
         "assertions": list(report.assertions),
@@ -62,9 +58,10 @@ def emit_csv(report: ExperimentReport) -> str:
     Raises IoError for an unregistered experiment and for a record whose
     keys are not exactly the columns.
     """
-    experiment = EXPERIMENTS.get(report.experiment)
+    name = report.config["experiment"]
+    experiment = EXPERIMENTS.get(name)
     if experiment is None:
-        raise IoError(f"no CSV schema for experiment {report.experiment!r}")
+        raise IoError(f"no CSV schema for experiment {name!r}")
     columns = experiment.columns
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\r\n")
@@ -73,7 +70,7 @@ def emit_csv(report: ExperimentReport) -> str:
         if set(rec) != set(columns):
             raise IoError(
                 f"record {i} has keys {sorted(rec)}, "
-                f"expected the {report.experiment!r} columns {list(columns)}"
+                f"expected the {name!r} columns {list(columns)}"
             )
         writer.writerow([_format_cell(rec[col]) for col in columns])
     return buf.getvalue()

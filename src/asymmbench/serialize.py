@@ -2,8 +2,9 @@
 
 Matrices serialize as {"rows": int, "cols": int, "re": [...], "im": [...]}
 row-major; system files as {"dim": int, "spectrum": [int...],
-"eigenbasis": <matrix JSON or "computational">}.  These formats are the
-CLI's inputs for states and generators.
+"eigenbasis": <matrix JSON or "computational">}, the basis unitary within
+1e-9.  These are the CLI's inputs for states and generators; a field of
+the wrong JSON type (type() refuses bool for a number) is a ParseError.
 """
 from __future__ import annotations
 
@@ -43,10 +44,12 @@ def matrix_from_json(obj: Any) -> np.ndarray:
     unknown = set(obj) - {"rows", "cols", "re", "im"}
     if unknown:
         raise ParseError(f"matrix JSON has unknown fields: {sorted(unknown)}")
-    rows, cols = int(obj["rows"]), int(obj["cols"])
-    re, im = list(obj["re"]), list(obj["im"])
-    if rows <= 0 or cols <= 0:
-        raise ParseError("matrix dimensions must be positive")
+    rows, cols, re, im = obj["rows"], obj["cols"], obj["re"], obj["im"]
+    if type(rows) is not int or type(cols) is not int or rows <= 0 or cols <= 0:
+        raise ParseError(f"matrix dimensions {rows!r}x{cols!r} must be positive integers")
+    for part, values in (("re", re), ("im", im)):
+        if type(values) is not list or any(type(x) not in (int, float) for x in values):
+            raise ParseError(f"matrix field {part!r} must be a list of numbers")
     if len(re) != rows * cols or len(im) != rows * cols:
         raise ParseError(
             f"matrix entries ({len(re)} re, {len(im)} im) do not fill {rows}x{cols}"
@@ -73,24 +76,21 @@ def system_from_json(obj: Any) -> SystemSpec:
     unknown = set(obj) - {"dim", "spectrum", "eigenbasis"}
     if unknown:
         raise ParseError(f"system JSON has unknown fields: {sorted(unknown)}")
-    dim = int(obj["dim"])
-    spectrum = obj["spectrum"]
-    if len(spectrum) != dim:
-        raise ParseError(f"spectrum has {len(spectrum)} entries for dim {dim}")
+    dim, spectrum = obj["dim"], obj["spectrum"]
+    if type(dim) is not int or dim <= 0:
+        raise ParseError(f"system dim {dim!r} must be a positive integer")
+    if type(spectrum) is not list or len(spectrum) != dim:
+        raise ParseError(f"spectrum must be a list of {dim} integers, got {spectrum!r}")
     for s in spectrum:
-        if int(s) != s:
+        if type(s) not in (int, float) or not float(s).is_integer():
             raise ParseError(f"spectrum entry {s!r} is not an integer")
-    spectrum = [int(s) for s in spectrum]
     basis_field = obj.get("eigenbasis", "computational")
     if basis_field == "computational":
         basis = np.eye(dim, dtype=np.complex128)
     else:
         basis = matrix_from_json(basis_field)
-        if basis.shape != (dim, dim):
-            raise ParseError(f"eigenbasis shape {basis.shape} != ({dim}, {dim})")
-    h = (basis * np.array(spectrum, dtype=np.complex128)) @ np.conj(basis.T)
     try:
-        return SystemSpec(dim, h, tuple(spectrum), basis)
+        return SystemSpec(tuple(int(s) for s in spectrum), basis)
     except Exception as exc:
         raise ParseError(f"invalid system definition: {exc}") from exc
 

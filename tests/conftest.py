@@ -32,9 +32,7 @@ def random_choi(d_in, d_out, rng, env=None):
 
 def integer_system(spectrum, rng):
     """System with the given integer spectrum in a random eigenbasis."""
-    basis = random_unitary(len(spectrum), rng)
-    h = (basis * np.array(spectrum, dtype=np.complex128)) @ np.conj(basis.T)
-    return SystemSpec(len(spectrum), h, tuple(spectrum), basis)
+    return SystemSpec(tuple(spectrum), random_unitary(len(spectrum), rng))
 
 
 def random_integer_system(d, rng, span=2):

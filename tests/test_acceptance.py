@@ -30,7 +30,6 @@ from asymmbench.linalg import trace_norm
 from asymmbench.optimize import OptimizerConfig, max_recovery_fidelity
 from asymmbench.qtypes import (
     DensityMatrix,
-    PureState,
     StateFamily,
     SystemSpec,
     apply_channel,
@@ -48,7 +47,6 @@ QUBIT = SystemSpec.diagonal([0, 1])
 PLUS = DensityMatrix.pure([1, 1])
 ZERO = DensityMatrix.pure([1, 0])
 HALF = DensityMatrix.maximally_mixed(2)
-PLUS_VEC = PureState(np.array([1.0, 1.0]) / math.sqrt(2))
 
 
 def all_passed(*outcomes) -> bool:
@@ -165,11 +163,11 @@ def test_criterion_04_no_broadcasting():
 
 def test_criterion_05_tradeoff_relation():
     start = time.perf_counter()
-    res = run_tradeoff_sweep(PLUS_VEC, QUBIT, QUBIT)
+    res = run_tradeoff_sweep(PLUS, QUBIT, QUBIT)
     records, assertions = res
     worst_slack = min((r["slack"] for r in records if r["converged"]), default=0.0)
     with_pi = run_tradeoff_sweep(
-        PLUS_VEC, QUBIT, QUBIT, t_grid=(math.pi / 2, math.pi), lambda_schedule=(0.0,)
+        PLUS, QUBIT, QUBIT, t_grid=(math.pi / 2, math.pi), lambda_schedule=(0.0,)
     )
     pi_records, pi_assertions = with_pi
     skip_exact = (
@@ -293,7 +291,7 @@ def test_criterion_08_nonadditivity():
 def test_criterion_09_degradation_demo():
     start = time.perf_counter()
     lam = twirled_partial_swap(QUBIT, QUBIT, math.pi / 4)
-    res = run_degradation_demo(lam, PLUS, QUBIT, QUBIT, QUBIT, QUBIT)
+    res = run_degradation_demo(lam, PLUS, QUBIT, QUBIT)
     [rec], _ = res
     ok = (
         all_passed(res)
@@ -323,11 +321,11 @@ def test_criterion_10_determinism():
                 PLUS, QUBIT, QUBIT, lambda_schedule=(0.0, 16.0), optimizer=fast
             ),
             "tradeoff": run_tradeoff_sweep(
-                PLUS_VEC, QUBIT, QUBIT,
+                PLUS, QUBIT, QUBIT,
                 t_grid=(math.pi / 2,), lambda_schedule=(0.0, 16.0), optimizer=fast,
             ),
             "nonadditivity": run_nonadditivity(),
-            "degradation": run_degradation_demo(lam, PLUS, QUBIT, QUBIT, QUBIT, QUBIT),
+            "degradation": run_degradation_demo(lam, PLUS, QUBIT, QUBIT),
             "lemma8": check_fidelity_perturbation_lemma(np.random.default_rng(5), trials=500),
         }
         out = {name: records for name, (records, _) in results.items()}

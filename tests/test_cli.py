@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from asymmbench import ki
 from asymmbench.cli import main, parse_config, print_schema, run
 from asymmbench.errors import ParseError, SchemaVersionMismatch
 from asymmbench.optimize import OptimizerConfig, max_recovery_fidelity
@@ -18,6 +19,7 @@ HALF = matrix_to_json(np.eye(2) / 2)
 MIXED3 = matrix_to_json(np.eye(3) / 3)
 PLUS3 = matrix_to_json(np.ones((3, 3)) / 3)
 QUTRIT = {"dim": 3, "spectrum": [0, 1, 2], "eigenbasis": "computational"}
+NOT_UNITARY = matrix_to_json(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
 def write_config(tmp_path, name, payload):
@@ -448,6 +450,59 @@ class TestMainExitCodes:
         code = main(["run", "--config", str(path), "--seed", "9", "--out", str(tmp_path / "o")])
         assert code == 0
         assert (tmp_path / "o" / "lemma8_seed9.report.json").exists()
+
+    def test_ki_reconstruction_failure_is_a_numerical_error(self, tmp_path, capsys, monkeypatch):
+        # The decomposition's own validation is the reconstruction check: a
+        # 1e-6 error in every reconstructed state stops the run with exit 3.
+        exact = ki.reconstruct_state
+
+        def perturbed(dec, x):
+            out = exact(dec, x)
+            out[0, 0] += 1e-6
+            return out
+
+        monkeypatch.setattr(ki, "reconstruct_state", perturbed)
+        path = write_config(tmp_path, "c.json", {"schema_version": 1, "experiment": "ki"})
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 3
+        assert "DecompositionInvalid" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("source", ["inline", "file"])
+    @pytest.mark.parametrize(
+        "field, obj",
+        [
+            ("state", {**HALF, "rows": "2"}),
+            ("state", {**HALF, "rows": 2.9}),
+            ("state", {**HALF, "re": ["0.5", 0.0, 0.0, "0.5"]}),
+            ("state", {**HALF, "re": [True, 0.0, 0.0, 0.0]}),
+            ("system_q", {"dim": "2", "spectrum": [0, 1]}),
+            ("system_q", {"dim": 2.7, "spectrum": [0, 1]}),
+            ("system_q", {"dim": True, "spectrum": [0]}),
+            ("system_q", {"dim": 2, "spectrum": [0, True]}),
+            ("system_q", {"dim": 2, "spectrum": [0, 1], "eigenbasis": NOT_UNITARY}),
+        ],
+        ids=[
+            "rows-string", "rows-fraction", "re-string", "re-bool", "dim-string",
+            "dim-fraction", "dim-bool", "spectrum-bool", "basis-not-unitary",
+        ],
+    )
+    def test_wire_type_error_is_a_config_error(self, tmp_path, capsys, field, obj, source):
+        # A one-level system needs a one-level state, so that only the
+        # field's type can be at fault.
+        payload = {"experiment": "ki", field: obj}
+        if obj.get("dim") is True:
+            payload["state"] = {"rows": 1, "cols": 1, "re": [1.0], "im": [0.0]}
+        if source == "file":
+            (tmp_path / "field.json").write_text(json.dumps(obj))
+            payload[field] = "field.json"
+        path = write_config(tmp_path, "c.json", {"schema_version": 1, **payload})
+        assert main(["validate", "--config", str(path)]) == 4
+        assert repr(field) in capsys.readouterr().err
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 4
+        assert repr(field) in capsys.readouterr().err
+        assert not out.exists()
 
     def test_negative_seed_override_is_a_config_error(self, tmp_path, capsys):
         path = write_config(

@@ -31,7 +31,6 @@ from asymmbench.optimize import OptimizerConfig
 from asymmbench.qtypes import (
     Channel,
     DensityMatrix,
-    PureState,
     SystemSpec,
     choi_from_map,
     cyclic_shift_system,
@@ -45,7 +44,6 @@ from conftest import witness
 
 QUBIT = SystemSpec.diagonal([0, 1])
 PLUS = DensityMatrix.pure([1, 1])
-PLUS_VEC = PureState(np.array([1.0, 1.0]) / math.sqrt(2))
 FAST = OptimizerConfig(max_iter=80)
 
 
@@ -274,7 +272,7 @@ class TestPerturbationLemma:
 class TestDegradation:
     def test_twirled_partial_swap_instance(self):
         lam = twirled_partial_swap(QUBIT, QUBIT, math.pi / 4)
-        [record], assertions = run_degradation_demo(lam, PLUS, QUBIT, QUBIT, QUBIT, QUBIT)
+        [record], assertions = run_degradation_demo(lam, PLUS, QUBIT, QUBIT)
         assert all(a.passed for a in assertions)
         assert not record["induced_covariant"]
         assert record["induced_witness"] > 0.01
@@ -284,7 +282,7 @@ class TestDegradation:
     def test_symmetric_input_no_claim(self):
         lam = twirled_partial_swap(QUBIT, QUBIT, math.pi / 4)
         rho = DensityMatrix(np.diag([0.3, 0.7]).astype(complex))
-        [record], assertions = run_degradation_demo(lam, rho, QUBIT, QUBIT, QUBIT, QUBIT)
+        [record], assertions = run_degradation_demo(lam, rho, QUBIT, QUBIT)
         assert record["induced_covariant"]
         assert record["induced_witness"] <= 1e-8
         assert assertions == ()
@@ -292,7 +290,7 @@ class TestDegradation:
     def test_identity_joint_channel(self):
         joint = tensor_system(QUBIT, QUBIT)
         ident = Channel(joint, joint, choi_from_map(lambda m: m, 4, 4))
-        [record], assertions = run_degradation_demo(ident, PLUS, QUBIT, QUBIT, QUBIT, QUBIT)
+        [record], assertions = run_degradation_demo(ident, PLUS, QUBIT, QUBIT)
         assert all(a.passed for a in assertions)
         assert record["induced_covariant"]
         assert record["irrev_lower_bound"] == 0.0
@@ -304,7 +302,7 @@ class TestDegradation:
         )
         bad = Channel(joint, joint, choi_from_map(lambda m: h @ m @ h.conj().T, 4, 4))
         with pytest.raises(PreconditionFailed):
-            run_degradation_demo(bad, PLUS, QUBIT, QUBIT, QUBIT, QUBIT)
+            run_degradation_demo(bad, PLUS, QUBIT, QUBIT)
 
 
 class TestComplementarity:
@@ -410,17 +408,22 @@ class TestNoBroadcastSweep:
 class TestTradeoffSweep:
     def test_small_sweep(self):
         records, assertions = run_tradeoff_sweep(
-            PLUS_VEC, QUBIT, QUBIT, t_grid=(math.pi / 2,), lambda_schedule=(0.0, 16.0), optimizer=FAST
+            PLUS, QUBIT, QUBIT, t_grid=(math.pi / 2,), lambda_schedule=(0.0, 16.0), optimizer=FAST
         )
         assert all(a.passed for a in assertions)
         assert len(records) == 2
         assert all(r["slack"] >= -1e-6 for r in records if r["converged"])
         assert witness(assertions, "rows_skipped_at_full_shift") == 0.0
 
+    def test_mixed_input_refused(self):
+        with pytest.raises(PreconditionFailed, match="not pure") as err:
+            run_tradeoff_sweep(DensityMatrix.maximally_mixed(2), QUBIT, QUBIT, t_grid=(1.0,))
+        assert err.value.witness == pytest.approx(0.5)
+
     def test_pi_row_skipped(self):
         # the only shift is skipped, so no row checks the bound: that fails
         records, assertions = run_tradeoff_sweep(
-            PLUS_VEC, QUBIT, QUBIT, t_grid=(math.pi,), lambda_schedule=(0.0,), optimizer=FAST
+            PLUS, QUBIT, QUBIT, t_grid=(math.pi,), lambda_schedule=(0.0,), optimizer=FAST
         )
         assert records == ()
         assert witness(assertions, "rows_skipped_at_full_shift") == 1.0
@@ -435,7 +438,7 @@ class TestTradeoffSweep:
             lambda *args, **kwargs: replace(real(*args, **kwargs), converged=False),
         )
         records, assertions = run_tradeoff_sweep(
-            PLUS_VEC, QUBIT, QUBIT, t_grid=(math.pi / 2,), lambda_schedule=(64.0,), optimizer=FAST
+            PLUS, QUBIT, QUBIT, t_grid=(math.pi / 2,), lambda_schedule=(64.0,), optimizer=FAST
         )
         slack = next(a for a in assertions if a.name == "tradeoff_slack")
         assert not slack.passed
@@ -445,7 +448,7 @@ class TestTradeoffSweep:
         # a marginal-preserving attempt has zero output coherence and
         # essentially zero irreversibility: slack equals the full bound
         [row], assertions = run_tradeoff_sweep(
-            PLUS_VEC, QUBIT, QUBIT, t_grid=(math.pi / 2,), lambda_schedule=(64.0,), optimizer=FAST
+            PLUS, QUBIT, QUBIT, t_grid=(math.pi / 2,), lambda_schedule=(64.0,), optimizer=FAST
         )
         assert all(a.passed for a in assertions)
         assert row["ft_output"] <= 1e-8
@@ -460,10 +463,10 @@ TINY_RUNS = {
         PLUS, QUBIT, QUBIT, lambda_schedule=(0.0,), optimizer=TINY
     ),
     "tradeoff": lambda: run_tradeoff_sweep(
-        PLUS_VEC, QUBIT, QUBIT, t_grid=(1.0,), lambda_schedule=(0.0,), optimizer=TINY
+        PLUS, QUBIT, QUBIT, t_grid=(1.0,), lambda_schedule=(0.0,), optimizer=TINY
     ),
     "degradation": lambda: run_degradation_demo(
-        twirled_partial_swap(QUBIT, QUBIT, math.pi / 4), PLUS, QUBIT, QUBIT, QUBIT, QUBIT, TINY
+        twirled_partial_swap(QUBIT, QUBIT, math.pi / 4), PLUS, QUBIT, QUBIT, TINY
     ),
     "nonadditivity": run_nonadditivity,
     "lemma8": lambda: check_fidelity_perturbation_lemma(np.random.default_rng(0), 5),

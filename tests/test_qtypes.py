@@ -4,13 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from asymmbench.errors import DimensionMismatch, InvalidChannel, NonHermitian, NotPSD, ParseError
 from asymmbench.linalg import max_abs
 from asymmbench.qtypes import (
     Channel,
     DensityMatrix,
-    PureState,
     SystemSpec,
     apply_channel,
     check_density,
@@ -28,7 +29,7 @@ from asymmbench.serialize import (
     system_to_json,
 )
 
-from conftest import random_choi, random_integer_system
+from conftest import random_choi, random_integer_system, random_unitary
 
 
 class TestDensityMatrix:
@@ -76,25 +77,32 @@ class TestDensityMatrix:
         assert all(np.array_equal(stack[i], normalized_gram(g[i])) for i in range(5))
 
 
-class TestPureState:
-    def test_norm_enforced(self):
-        with pytest.raises(DimensionMismatch):
-            PureState(np.array([1.0, 1.0]))
-
-    def test_density(self):
-        psi = PureState(np.array([1.0, 1.0]) / math.sqrt(2))
-        assert max_abs(psi.density().mat - 0.5 * np.ones((2, 2))) < 1e-12
-
-
 class TestSystemSpec:
     def test_diagonal(self):
         sys = SystemSpec.diagonal([0, 1, 3])
         assert sys.spectrum == (0, 1, 3)
         assert max_abs(sys.hamiltonian - np.diag([0.0, 1.0, 3.0])) < 1e-14
 
-    def test_reconstruction_enforced(self):
-        with pytest.raises(DimensionMismatch):
-            SystemSpec(2, np.diag([0.0, 1.0]), (0, 2), np.eye(2))
+    def test_non_unitary_basis_refused(self):
+        with pytest.raises(DimensionMismatch, match="unitary"):
+            SystemSpec((0, 1), np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(
+        spectrum=st.lists(st.integers(-3, 3), min_size=1, max_size=4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_generator_derived_from_spectrum_and_basis(self, spectrum, seed):
+        rng = np.random.default_rng(seed)
+        basis = random_unitary(len(spectrum), rng)
+        sys = SystemSpec(tuple(spectrum), basis)
+        eye = np.eye(len(spectrum))
+        assert max_abs(np.linalg.eigvalsh(sys.hamiltonian) - sorted(spectrum)) <= 1e-9
+        u = sys.translation(float(rng.uniform(-10.0, 10.0)))
+        assert max_abs(u @ u.conj().T - eye) <= 1e-12
+        assert max_abs(sys.translation(2 * math.pi) - eye) <= 1e-9
+        with pytest.raises(DimensionMismatch, match="unitary"):
+            SystemSpec(tuple(spectrum), basis * (1 + 1e-6))
 
     def test_translation_periodic(self):
         sys = SystemSpec.diagonal([0, 1, 2])
@@ -238,3 +246,7 @@ class TestSerialization:
     def test_system_rejects_non_integer_spectrum(self):
         with pytest.raises(ParseError):
             system_from_json({"dim": 2, "spectrum": [0, 1.5]})
+
+    def test_system_accepts_integral_float_spectrum(self):
+        sys = system_from_json({"dim": 2, "spectrum": [0, 1.0]})
+        assert sys.spectrum == (0, 1) and all(type(s) is int for s in sys.spectrum)

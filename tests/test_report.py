@@ -13,9 +13,7 @@ from asymmbench.report import ExperimentReport, emit_csv, report_to_json
 
 def make_report(experiment, records):
     return ExperimentReport(
-        experiment=experiment,
         config={"schema_version": 1, "experiment": experiment, "seed": 0},
-        seed=0,
         records=tuple(records),
         assertions=({"name": "x", "passed": True, "witness": 0.0},),
         wall_time_s=0.1,
