@@ -301,4 +301,4 @@ def cyclic_shift_system(n: int) -> SystemSpec:
     n = int(n)
     k = np.arange(n)
     f = np.exp(-2j * np.pi * np.outer(k, k) / n) / np.sqrt(n)
-    return SystemSpec(tuple(int(x) for x in k), dagger(f))
+    return SystemSpec(tuple(range(n)), dagger(f))
