@@ -26,6 +26,8 @@ PHASED_PLUS = {
     "re": [0.5, 0.5 * math.cos(0.7), 0.5 * math.cos(0.7), 0.5],
     "im": [0.0, -0.5 * math.sin(0.7), 0.5 * math.sin(0.7), 0.0],
 }
+# A qutrit with spectrum (0, 1, 2): an S' larger than the qubit Q.
+QUTRIT = {"dim": 3, "spectrum": [0, 1, 2]}
 ZERO = {"rows": 2, "cols": 2, "re": [1.0, 0.0, 0.0, 0.0], "im": [0.0, 0.0, 0.0, 0.0]}
 # A qubit with spectrum (0, 1) in the Hadamard eigenbasis: its generator
 # (I - X)/2 is derived from the basis, not diagonal.
@@ -58,6 +60,12 @@ GOLDEN_CASES = {
     },
     "no_broadcast": {
         "experiment": "no_broadcast",
+        "lambda_schedule": [0.0, 16.0],
+        "optimizer": {"max_iter": 20, "restarts": 1},
+    },
+    "no_broadcast_qutrit": {
+        "experiment": "no_broadcast",
+        "system_s_out": QUTRIT,
         "lambda_schedule": [0.0, 16.0],
         "optimizer": {"max_iter": 20, "restarts": 1},
     },
