@@ -41,7 +41,6 @@ _COMMON_FIELDS = {
 
 _OPTIMIZER_FIELDS = {
     "max_iter": {"type": "positive_int", "default": None},
-    "tol": {"type": "positive_number", "default": None},
     "restarts": {"type": "positive_int", "default": None},
 }
 
@@ -135,10 +134,6 @@ def _check_scalar(name: str, value, kind: str):
     if kind == "number":
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ParseError(f"field {name!r} must be a number")
-        return float(value)
-    if kind == "positive_number":
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or value <= 0:
-            raise ParseError(f"field {name!r} must be a positive number")
         return float(value)
     if kind == "string":
         if not isinstance(value, str):

@@ -208,7 +208,6 @@ def run_no_broadcast_sweep(
             "lambda": a.lam,
             "marginal_disturbance": a.marginal_disturbance,
             "output_coherence": a.output_coherence,
-            "converged": a.converged,
         }
         for a in attempts
     )
@@ -301,8 +300,9 @@ def run_tradeoff_sweep(
     lhs = f_t(sigma_S') against rhs = 4 sqrt(irrev_lower) / (1 - f_t(psi)),
     with irrev_lower the certified lower bound on the irreversibility
     (irrev, the achieved upper bound, is recorded beside it), and
-    asserts slack = rhs - lhs >= -1e-6 on converged rows; the assertion
-    fails when no row converged, which includes a sweep whose every shift
+    asserts slack = rhs - lhs >= -1e-6 on converged rows, those whose
+    recovery certificate closed; the assertion fails when no row
+    converged, which includes a sweep whose every shift
     was skipped.  Rows that come out essentially reversible must also carry
     essentially no output coherence (the reversible limit of the bound).
     The last assertion always passes; its witness counts the skipped shifts.
@@ -337,7 +337,7 @@ def run_tradeoff_sweep(
                     "lhs": lhs,
                     "rhs": rhs,
                     "slack": rhs - lhs,
-                    "converged": irr.converged and att.converged,
+                    "converged": irr.converged,
                 }
             )
 
@@ -963,7 +963,7 @@ EXPERIMENTS: dict[str, Experiment] = {
                 "lambda_schedule": _spec("number_list", list(DEFAULT_LAMBDA_SCHEDULE)),
                 "optimizer": _spec("optimizer", {}),
             },
-            ("lambda", "marginal_disturbance", "output_coherence", "converged"),
+            ("lambda", "marginal_disturbance", "output_coherence"),
             _run_no_broadcast,
             lambda p: _same_dim(_dims(p, "state", "system_q")),
         ),

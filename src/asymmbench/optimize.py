@@ -70,10 +70,13 @@ REG_EPS = 1e-10
 # sum_i sqrt(w_i^2 + _SMOOTHING^2) over the eigenvalues w_i.
 _SMOOTHING = 1e-6
 
-# A recovery is certified converged when its duality gap is at most the
-# tolerance plus this roundoff: the gap subtracts traces of order one,
-# each rounded at about 1e-16 per matrix entry.
+# The recovery ascent stops at a duality gap of at most _GAP_TOL, and is
+# certified converged at a gap of at most _GAP_TOL plus _GAP_ROUNDOFF: the
+# gap subtracts traces of order one, each rounded at about 1e-16 per entry.
+_GAP_TOL = 1e-8
 _GAP_ROUNDOFF = 1e-12
+# The penalty ascent has no certificate; it stops on a relative rise below this.
+_RISE_TOL = 1e-8
 
 # Dual-Newton projection: TP residual ||Tr_out X - I||_F to reach, per unit
 # of the largest input entry, and the step cap.  The line search halves at
@@ -111,7 +114,6 @@ DEFAULT_LAMBDA_SCHEDULE = (0.0, 1.0, 4.0, 16.0, 64.0, 256.0)
 @dataclass(frozen=True)
 class OptimizerConfig:
     max_iter: int = 2000
-    tol: float = 1e-8
     restarts: int = 1
     seed: int = 0
 
@@ -124,13 +126,16 @@ class IrrevResult:
     irreversibility; the fidelity trace is nondecreasing (monotone ascent
     under backtracking) and ends at F.  gap bounds the optimum from above,
     F* <= F + gap (inf when no certificate exists), so irrev_lower is a
-    lower bound.  converged means gap <= cfg.tol + _GAP_ROUNDOFF.
+    lower bound.  converged is the verdict gap <= _GAP_TOL + _GAP_ROUNDOFF.
     """
 
     best_recovery: Channel
     fidelity_trace: tuple[tuple[int, float], ...]
-    converged: bool
     gap: float
+
+    @property
+    def converged(self) -> bool:
+        return self.gap <= _GAP_TOL + _GAP_ROUNDOFF
 
     @property
     def fidelity(self) -> float:
@@ -157,7 +162,6 @@ class BroadcastAttempt:
     marginal_disturbance: float
     output_coherence: float
     lam: float
-    converged: bool
 
 
 def project_covariant_tp_psd(
@@ -359,18 +363,20 @@ def _ascend(
     cfg: OptimizerConfig,
     gap=None,
 ):
-    """Projected gradient ascent with backtracking; returns (J, trace, value, gap).
+    """Projected gradient ascent with backtracking; returns (J, trace, gap).
 
-    With a gap function (J, gradient at J) -> bound on the optimum minus
-    the objective at J, the ascent stops once that bound is at most cfg.tol
-    and returns the bound at the final J.  Without one it stops when the
-    relative rise falls below cfg.tol, and the returned gap is inf, as it
-    is when the gradient raises SingularTarget.  Either way it also stops
-    after cfg.max_iter steps, and when no step rises: the step halves up to
-    40 times, and the ladder ends early, without evaluating the objective,
-    once a candidate P(J + s G) lies within _FIXED_POINT of J.  For a
-    convex set ||P(J + s G) - J|| is nondecreasing in s (Bertsekas,
-    Nonlinear Programming, sec. 2.3), so then no shorter step can move J.
+    trace holds (step, objective) for each accepted J and ends at the
+    returned one.  With a gap function (J, gradient at J) -> bound on the
+    optimum minus the objective at J, the ascent stops once that bound is
+    at most _GAP_TOL and returns the bound at the final J.  Without one it
+    stops when the relative rise falls below _RISE_TOL, and the returned
+    gap is inf, as it is when the gradient raises SingularTarget.  Either
+    way it also stops after cfg.max_iter steps, and when no step rises:
+    the step halves up to 40 times, and the ladder ends early, without
+    evaluating the objective, once a candidate P(J + s G) lies within
+    _FIXED_POINT of J.  For a convex set ||P(J + s G) - J|| is
+    nondecreasing in s (Bertsekas, Nonlinear Programming, sec. 2.3), so
+    then no shorter step can move J.
     """
     j = project_covariant_tp_psd(j0, in_sys, out_sys)
     val = objective(j)
@@ -387,7 +393,7 @@ def _ascend(
             break
         if gap is not None:
             width = gap(j, grad)
-            if width <= cfg.tol or it > cfg.max_iter:
+            if width <= _GAP_TOL or it > cfg.max_iter:
                 break
         improved = False
         roundoff = _FIXED_POINT * max(1.0, max_abs(j))
@@ -409,9 +415,9 @@ def _ascend(
         j, val = cand, cand_val
         trace.append((it, val))
         step = min(step * 1.5, 1e3)
-        if gap is None and 0 <= rel < cfg.tol:
+        if gap is None and 0 <= rel < _RISE_TOL:
             break
-    return j, trace, val, width
+    return j, trace, width
 
 
 def max_recovery_fidelity(
@@ -476,14 +482,11 @@ def max_recovery_fidelity(
         else:
             start = random_covariant_channel(from_sys, to_sys, np.random.default_rng(seq)).choi
         run = _ascend(start, objective, gradient, from_sys, to_sys, cfg, gap)
-        if best is None or run[2] > best[2]:
+        if best is None or run[1][-1][1] > best[1][-1][1]:
             best = run
-    j, trace, _, width = best
+    j, trace, width = best
     return IrrevResult(
-        best_recovery=Channel(from_sys, to_sys, j),
-        fidelity_trace=tuple(trace),
-        converged=width <= cfg.tol + _GAP_ROUNDOFF,
-        gap=width,
+        best_recovery=Channel(from_sys, to_sys, j), fidelity_trace=tuple(trace), gap=width
     )
 
 
@@ -530,8 +533,8 @@ def optimize_broadcast(
     sys_q: SystemSpec,
     sys_sp: SystemSpec,
     t: float,
-    lambda_schedule=DEFAULT_LAMBDA_SCHEDULE,
-    cfg: OptimizerConfig = OptimizerConfig(max_iter=400),
+    lambda_schedule,
+    cfg: OptimizerConfig,
 ) -> list[BroadcastAttempt]:
     """Frontier of covariant broadcast attempts Q -> Q (x) S'.
 
@@ -542,9 +545,8 @@ def optimize_broadcast(
     first penalty also starts from cfg.restarts random covariant channels,
     drawn in turn from one generator seeded with cfg.seed.  Every
     returned attempt is a feasible covariant channel (a lower-bound
-    witness for the frontier).  Its converged flag is always True: the
-    penalty ascent has no stopping certificate, so a point that did not
-    converge is not flagged.
+    witness for the frontier).  The penalty ascent has no stopping
+    certificate, so an attempt makes no claim of convergence.
     """
     dq, dsp = sys_q.dim, sys_sp.dim
     out_sys = tensor_system(sys_q, sys_sp)
@@ -619,9 +621,9 @@ def optimize_broadcast(
             )
         best = None
         for start in starts:
-            j, _, val, _ = _ascend(start, objective, gradient, sys_q, out_sys, cfg)
-            if best is None or val > best[1]:
-                best = (j, val)
+            j, trace, _ = _ascend(start, objective, gradient, sys_q, out_sys, cfg)
+            if best is None or trace[-1][1] > best[1]:
+                best = (j, trace[-1][1])
         j = best[0]
         warm = j
         sig_q, sig_sp = marginals(j)
@@ -631,7 +633,6 @@ def optimize_broadcast(
                 marginal_disturbance=0.5 * trace_norm(sig_q - rho_q.mat),
                 output_coherence=float(min(1.0, max(0.0, ft_term(sig_sp)))),
                 lam=float(lam),
-                converged=True,
             )
         )
     return attempts

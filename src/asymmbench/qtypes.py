@@ -116,14 +116,16 @@ class SystemSpec:
     makes the translation group compact with period 2*pi, so twirling and
     covariance checks are exact sector operations, not numerical averages
     over the group; V unitary within TOL_STRUCT makes e^{-iHt} unitary.
+    Entries are at most 2**53 in magnitude, beyond which a float64 cannot
+    tell neighbouring integers apart.
     """
 
     spectrum: tuple[int, ...]
     eigenbasis: np.ndarray
 
     def __post_init__(self):
-        if any(abs(float(s0) - round(float(s0))) > 1e-9 for s0 in self.spectrum):
-            raise DimensionMismatch("spectrum entries must be integers")
+        if any(abs(s) > 2**53 or abs(float(s) - round(float(s))) > 1e-9 for s in self.spectrum):
+            raise DimensionMismatch("spectrum entries must be integers of magnitude at most 2**53")
         spec = tuple(int(round(s)) for s in self.spectrum)
         v = _readonly(self.eigenbasis)
         d = len(spec)

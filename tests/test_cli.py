@@ -10,9 +10,10 @@ from asymmbench import ki
 from asymmbench.cli import main, parse_config, print_schema, run
 from asymmbench.errors import ParseError, SchemaVersionMismatch
 from asymmbench.optimize import OptimizerConfig, max_recovery_fidelity
-from asymmbench.qtypes import DensityMatrix, SystemSpec
+from asymmbench.qtypes import DensityMatrix, SystemSpec, apply_channel, random_density_matrix
 from asymmbench.report import emit_csv, report_to_json
 from asymmbench.serialize import density_from_json, matrix_to_json
+from asymmbench.symmetry import random_covariant_channel
 
 
 HALF = matrix_to_json(np.eye(2) / 2)
@@ -44,12 +45,13 @@ class TestParseConfig:
             parse_config(path)
 
     def test_negative_tolerance(self, tmp_path):
+        # the gap tolerance is fixed in code, so any tol is an unknown key
         path = write_config(
             tmp_path,
             "c.json",
             {"schema_version": 1, "experiment": "no_broadcast", "optimizer": {"tol": -1e-4}},
         )
-        with pytest.raises(ParseError, match="optimizer.tol"):
+        with pytest.raises(ParseError, match="unknown optimizer key 'tol'"):
             parse_config(path)
 
     def test_missing_schema_version(self, tmp_path):
@@ -503,6 +505,48 @@ class TestMainExitCodes:
         assert main(["run", "--config", str(path), "--out", str(out)]) == 4
         assert repr(field) in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("entry", [1e300, -1e300, 2**53 + 2], ids=["1e300", "-1e300", "2^53+2"])
+    def test_oversized_spectrum_is_a_config_error(self, tmp_path, capsys, entry):
+        # beyond 2**53 a float64 phase cannot resolve the entry
+        system = {"dim": 2, "spectrum": [0, entry]}
+        payload = {"schema_version": 1, "experiment": "degradation"}
+        path = write_config(tmp_path, "c.json", {**payload, "system_q": system, "system_s": system})
+        assert main(["validate", "--config", str(path)]) == 4
+        assert "2**53" in capsys.readouterr().err
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 4
+        assert "2**53" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_spectrum_entry_at_2_53_validates(self, tmp_path):
+        system = {"dim": 2, "spectrum": [0, 2**53]}
+        payload = {"schema_version": 1, "experiment": "degradation"}
+        path = write_config(tmp_path, "c.json", {**payload, "system_q": system, "system_s": system})
+        assert main(["validate", "--config", str(path)]) == 0
+
+    def test_loose_tolerance_is_an_unknown_key(self, tmp_path, capsys):
+        # With max_iter 1 and tol 1 this recovery stopped at gap 0.51 and
+        # irrev 0.273, against a certified optimum of 0.1226, yet passed
+        # irrev_converged.  What converged means is fixed in code.
+        rng = np.random.default_rng(1)
+        rho = random_density_matrix(3, 3, rng)
+        system = SystemSpec.diagonal([0, 1, 2])
+        sigma = apply_channel(random_covariant_channel(system, system, rng), rho)
+        payload = {
+            "schema_version": 1,
+            "experiment": "irrev",
+            "state": matrix_to_json(rho.mat),
+            "target": matrix_to_json(sigma.mat),
+            "system_from": QUTRIT,
+            "system_to": QUTRIT,
+            "optimizer": {"max_iter": 1, "tol": 1},
+        }
+        path = write_config(tmp_path, "c.json", payload)
+        assert main(["validate", "--config", str(path)]) == 4
+        assert "'tol'" in capsys.readouterr().err
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 4
+        assert "'tol'" in capsys.readouterr().err
 
     def test_negative_seed_override_is_a_config_error(self, tmp_path, capsys):
         path = write_config(

@@ -435,7 +435,7 @@ class TestTradeoffSweep:
         monkeypatch.setattr(
             experiments,
             "max_recovery_fidelity",
-            lambda *args, **kwargs: replace(real(*args, **kwargs), converged=False),
+            lambda *args, **kwargs: replace(real(*args, **kwargs), gap=math.inf),
         )
         records, assertions = run_tradeoff_sweep(
             PLUS, QUBIT, QUBIT, t_grid=(math.pi / 2,), lambda_schedule=(64.0,), optimizer=FAST

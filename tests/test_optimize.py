@@ -1,5 +1,6 @@
 """Covariant-channel optimizers: projection, gradients, recovery, broadcast."""
 import math
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import given, settings
@@ -293,6 +294,12 @@ class TestMaxRecoveryFidelity:
         res = max_recovery_fidelity(ZERO, HALF, QUBIT, QUBIT)
         assert res.value <= 1e-6
         assert res.converged
+
+    def test_converged_is_the_gap_verdict(self):
+        res = max_recovery_fidelity(PLUS, HALF, QUBIT, QUBIT)
+        edge = optimize._GAP_TOL + optimize._GAP_ROUNDOFF
+        assert replace(res, gap=edge).converged
+        assert not replace(res, gap=math.nextafter(edge, math.inf)).converged
 
     def test_trace_monotone(self):
         res = max_recovery_fidelity(PLUS, HALF, QUBIT, QUBIT)

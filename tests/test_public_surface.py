@@ -10,6 +10,7 @@ The few names kept for tests and references are listed below with the
 reason each stays.
 """
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -61,17 +62,20 @@ def unread_exports() -> list[tuple[str, str]]:
         path: ast.parse(path.read_text())
         for path in sorted(PACKAGE.glob("*.py")) + sorted(BENCH.glob("*.py"))
     }
+    # The names each top-level statement reads, from one walk of each tree,
+    # and how many statements of all modules read each name.
+    reads = {id(stmt): read_names(stmt) for tree in trees.values() for stmt in tree.body}
+    readers = Counter(name for names in reads.values() for name in names)
     found = []
     for path, tree in trees.items():
         if path.parent != PACKAGE:
             continue
         definitions = _definitions(tree)
         for name in exported(tree):
-            readers = read_names(tree, definitions.get(name))
-            for other, other_tree in trees.items():
-                if other != path:
-                    readers |= read_names(other_tree)
-            if name not in readers:
+            # A definition that reads its own name (recursion) is no reader.
+            node = definitions.get(name)
+            own = node is not None and name in reads[id(node)]
+            if readers[name] - own == 0:
                 found.append((path.stem, name))
     return found
 

@@ -87,6 +87,18 @@ class TestSystemSpec:
         with pytest.raises(DimensionMismatch, match="unitary"):
             SystemSpec((0, 1), np.array([[1.0, 1.0], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize(
+        "entry",
+        [1e300, -1e300, 2**53 + 2, -(2**53) - 1, 10**400],
+        ids=["1e300", "-1e300", "2^53+2", "-2^53-1", "10^400"],
+    )
+    def test_oversized_entry_refused(self, entry):
+        with pytest.raises(DimensionMismatch, match="2\\*\\*53"):
+            SystemSpec.diagonal([0, entry])
+
+    def test_largest_entry_accepted(self):
+        assert SystemSpec.diagonal([-(2**53), 2**53]).spectrum == (-(2**53), 2**53)
+
     @settings(max_examples=60, deadline=None, database=None)
     @given(
         spectrum=st.lists(st.integers(-3, 3), min_size=1, max_size=4),
