@@ -90,6 +90,10 @@ GOLDEN_CASES = {
         "system_s": HADAMARD_QUBIT,
         "optimizer": {"max_iter": 20, "restarts": 1},
     },
+    # The defaults: the unconverged t = 3pi/4, lambda = 0 tradeoff row and
+    # the repeated lambda >= 1 rows are pinned here.
+    "tradeoff_default": {"experiment": "tradeoff"},
+    "no_broadcast_default": {"experiment": "no_broadcast"},
 }
 
 # One small config per registered experiment, for the column check.
