@@ -35,7 +35,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import partial
 
 import numpy as np
 
@@ -183,9 +183,10 @@ def project_covariant_tp_psd(
     X is PSD and covariant by construction.  Raises NoConvergence with the
     final residual if the line search stalls or NEWTON_MAX_ITER is spent.
     """
-    basis = CovarianceSector.for_channel(out_sys, in_sys).basis
+    sector = CovarianceSector.for_channel(out_sys, in_sys)
+    basis = sector.basis
     jt = (dagger(basis) @ np.asarray(j, dtype=np.complex128) @ basis).ravel()
-    tr_e, layout = _dual_layout(in_sys.spectrum, out_sys.spectrum)
+    tr_e, layout = sector.blocks
     n = tr_e.size
     # Reading off the sector blocks is the dephasing.  Blocks of equal size
     # are stacked, so each size above 1 costs one batched eigh.
@@ -282,62 +283,18 @@ def _clip_blocks(mb: np.ndarray) -> tuple[np.ndarray, np.ndarray | None, np.ndar
     return w, q, (q * np.maximum(w, 0.0)[:, None, :]) @ dagger(q)
 
 
-@lru_cache(maxsize=32)
-def _dual_layout(in_spectrum: tuple[int, ...], out_spectrum: tuple[int, ...]):
-    """Sector layout of the dual problem; depends on the two spectra only.
-
-    Returns (Tr E_k, groups) for an orthonormal basis E_k of the Hermitian
-    matrices that commute with diag(in_spectrum).  Each group stacks the
-    eigenvalue sectors of K of one block size m: the flat indices (g, m*m)
-    of their blocks in the Choi matrix in the sector basis, and the
-    restrictions (g, n, m, m) of I (x) E_k to them.  Sector-basis index
-    a * d_in + b carries the label out_spectrum[a] - in_spectrum[b], as in
-    CovarianceSector.
-    """
-    di, do = len(in_spectrum), len(out_spectrum)
-    units = []
-    for b in range(di):
-        unit = np.zeros((di, di), dtype=np.complex128)
-        unit[b, b] = 1.0
-        units.append(unit)
-        for c in range(b + 1, di):
-            if in_spectrum[b] == in_spectrum[c]:
-                for phase in (1.0, 1j):
-                    unit = np.zeros((di, di), dtype=np.complex128)
-                    unit[b, c] = phase * np.sqrt(0.5)
-                    unit[c, b] = np.conj(unit[b, c])
-                    units.append(unit)
-    units = np.array(units)
-    labels = np.subtract.outer(out_spectrum, in_spectrum).ravel()
-    by_size = {}
-    for lab in np.unique(labels):
-        idx = np.flatnonzero(labels == lab)
-        a, b = np.divmod(idx, di)
-        e = units[:, b[:, None], b[None, :]] * (a[:, None] == a[None, :])
-        flat = (idx[:, None] * (do * di) + idx[None, :]).ravel()
-        by_size.setdefault(idx.size, []).append((flat, e))
-    groups = tuple(
-        (np.array([f for f, _ in members]), np.array([e for _, e in members]))
-        for members in by_size.values()
-    )
-    tr_e = np.real(np.trace(units, axis1=1, axis2=2))
-    # Every caller shares these arrays.
-    for arr in [tr_e] + [arr for group in groups for arr in group]:
-        arr.setflags(write=False)
-    return tr_e, groups
-
-
-def fidelity_gradient(rho_target: DensityMatrix, x: DensityMatrix | np.ndarray) -> np.ndarray:
+def fidelity_gradient(rho_target: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Gradient G of X -> Fid(rho, X): Fid(rho, X + delta) ~ Fid + Tr(G delta).
+
+    Takes raw arrays: rho a state, X Hermitian PSD.
 
     G = (1/2) sqrt(rho) (sqrt(rho) X sqrt(rho))^{-1/2} sqrt(rho) with the
     inverse square root taken on the support; near-singular targets are
     ridge-regularized at eps = 1e-10 and SingularTarget is raised when the
     retained spectrum is conditioned worse than 1e14.
     """
-    x_mat = x.mat if isinstance(x, DensityMatrix) else np.asarray(x, dtype=np.complex128)
-    root = psd_sqrt(rho_target.mat)
-    mid = root @ x_mat @ root
+    root = psd_sqrt(rho_target)
+    mid = root @ x @ root
     mid = (mid + dagger(mid)) / 2
     w = np.linalg.eigvalsh(mid)
     if w[0] < REG_EPS:
@@ -356,8 +313,7 @@ def fidelity_gradient(rho_target: DensityMatrix, x: DensityMatrix | np.ndarray) 
 
 def _ascend(
     j0: np.ndarray,
-    objective,
-    gradient,
+    evaluate,
     in_sys: SystemSpec,
     out_sys: SystemSpec,
     cfg: OptimizerConfig,
@@ -365,11 +321,14 @@ def _ascend(
 ):
     """Projected gradient ascent with backtracking; returns (J, trace, gap).
 
-    trace holds (step, objective) for each accepted J and ends at the
-    returned one.  With a gap function (J, gradient at J) -> bound on the
-    optimum minus the objective at J, the ascent stops once that bound is
-    at most _GAP_TOL and returns the bound at the final J.  Without one it
-    stops when the relative rise falls below _RISE_TOL, and the returned
+    evaluate(J) returns the objective at J and a function that gives the
+    gradient at J from the same intermediates, so a candidate is evaluated
+    once and only an accepted one pays for its gradient.  trace holds
+    (step, objective) for each accepted J and ends at the returned one.
+    With a gap function (J, gradient at J) -> bound on the optimum minus
+    the objective at J, the ascent stops once that bound is at most
+    _GAP_TOL and returns the bound at the final J.  Without one it stops
+    when the relative rise falls below _RISE_TOL, and the returned
     gap is inf, as it is when the gradient raises SingularTarget.  Either
     way it also stops after cfg.max_iter steps, and when no step rises:
     the step halves up to 40 times, and the ladder ends early, without
@@ -379,14 +338,14 @@ def _ascend(
     then no shorter step can move J.
     """
     j = project_covariant_tp_psd(j0, in_sys, out_sys)
-    val = objective(j)
+    val, gradient = evaluate(j)
     trace = [(0, val)]
     step = 1.0
     width = math.inf
     # With a gap function, one more gradient certifies the last step's J.
     for it in range(1, cfg.max_iter + 1 + (gap is not None)):
         try:
-            grad = gradient(j)
+            grad = gradient()
         except SingularTarget:
             # No gradient: no step and no certificate.
             width = math.inf
@@ -402,7 +361,7 @@ def _ascend(
             if max_abs(cand - j) <= roundoff:
                 # J is a fixed point of the projected step: no step can move it.
                 break
-            cand_val = objective(cand)
+            cand_val, cand_gradient = evaluate(cand)
             if cand_val > val:
                 improved = True
                 break
@@ -412,7 +371,7 @@ def _ascend(
         if not improved:
             break
         rel = (cand_val - val) / max(abs(val), 1e-12)
-        j, val = cand, cand_val
+        j, val, gradient = cand, cand_val, cand_gradient
         trace.append((it, val))
         step = min(step * 1.5, 1e3)
         if gap is None and 0 <= rel < _RISE_TOL:
@@ -457,13 +416,14 @@ def max_recovery_fidelity(
     sector = CovarianceSector.for_channel(to_sys, from_sys)
     eye_out = np.eye(d_out)
 
-    def objective(j):
-        return fidelity_arrays(rho_q.mat, apply_choi(j, d_out, d_in, sigma.mat))
-
-    def gradient(j):
+    def evaluate(j):
         out = apply_choi(j, d_out, d_in, sigma.mat)
-        g = fidelity_gradient(rho_q, (out + dagger(out)) / 2)
-        return tensor_product(g, sigma_t)
+
+        def gradient():
+            g = fidelity_gradient(rho_q.mat, (out + dagger(out)) / 2)
+            return tensor_product(g, sigma_t)
+
+        return fidelity_arrays(rho_q.mat, out), gradient
 
     def gap(j, grad):
         g = sector.dephase(grad)
@@ -481,7 +441,7 @@ def max_recovery_fidelity(
             start = sector.dephase(choi_from_map(lambda m: m, d_in, d_out))
         else:
             start = random_covariant_channel(from_sys, to_sys, np.random.default_rng(seq)).choi
-        run = _ascend(start, objective, gradient, from_sys, to_sys, cfg, gap)
+        run = _ascend(start, evaluate, from_sys, to_sys, cfg, gap)
         if best is None or run[1][-1][1] > best[1][-1][1]:
             best = run
     j, trace, width = best
@@ -552,43 +512,21 @@ def optimize_broadcast(
     out_sys = tensor_system(sys_q, sys_sp)
     u_t = sys_sp.translation(t)
 
-    # The last J whose marginals were taken, and those marginals: the
-    # ascent takes the gradient at the candidate it just evaluated.
-    last = [None, None]
-
     def marginals(j):
-        if last[0] is not j:
-            joint = apply_choi(j, out_sys.dim, dq, rho_q.mat)
-            joint = (joint + dagger(joint)) / 2
-            sig_q = partial_trace(joint, [dq, dsp], keep=[0])
-            sig_sp = partial_trace(joint, [dq, dsp], keep=[1])
-            last[:] = j, (sig_q, sig_sp)
-        return last[1]
+        """sigma_Q, sigma_S' and the shifted sigma_S' of the broadcast J."""
+        joint = apply_choi(j, out_sys.dim, dq, rho_q.mat)
+        joint = (joint + dagger(joint)) / 2
+        sig_sp = partial_trace(joint, [dq, dsp], keep=[1])
+        return partial_trace(joint, [dq, dsp], keep=[0]), sig_sp, u_t @ sig_sp @ dagger(u_t)
 
     def smooth_tn(y):
         w = np.linalg.eigvalsh((y + dagger(y)) / 2)
         return float(np.sum(np.sqrt(w * w + _SMOOTHING * _SMOOTHING)))
 
-    def ft_term(sig_sp):
-        shifted = u_t @ sig_sp @ dagger(u_t)
-        return 1.0 - fidelity_arrays(sig_sp, shifted)
-
-    def objective_factory(lam):
-        def objective(j):
-            sig_q, sig_sp = marginals(j)
-            return ft_term(sig_sp) - lam * smooth_tn(sig_q - rho_q.mat)
-
-        return objective
-
-    def gradient_factory(lam):
-        def gradient(j):
-            sig_q, sig_sp = marginals(j)
-            shifted = u_t @ sig_sp @ dagger(u_t)
-            return _broadcast_gradient(
-                rho_q, sig_q, sig_sp, shifted, u_t, lam, dq, dsp
-            )
-
-        return gradient
+    def evaluate(j, lam):
+        sig_q, sig_sp, shifted = marginals(j)
+        val = 1.0 - fidelity_arrays(sig_sp, shifted) - lam * smooth_tn(sig_q - rho_q.mat)
+        return val, lambda: _broadcast_gradient(rho_q, sig_q, sig_sp, shifted, u_t, lam, dq, dsp)
 
     # Fixed feasible seeds: keep-and-prepare (marginal preserving) and,
     # when the dimensions allow, move-and-refill (coherence forwarding).
@@ -607,8 +545,6 @@ def optimize_broadcast(
     warm = None
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     for pos, lam in enumerate(lambda_schedule):
-        objective = objective_factory(lam)
-        gradient = gradient_factory(lam)
         starts = []
         if warm is not None:
             starts.append(warm)
@@ -621,17 +557,17 @@ def optimize_broadcast(
             )
         best = None
         for start in starts:
-            j, trace, _ = _ascend(start, objective, gradient, sys_q, out_sys, cfg)
+            j, trace, _ = _ascend(start, partial(evaluate, lam=lam), sys_q, out_sys, cfg)
             if best is None or trace[-1][1] > best[1]:
                 best = (j, trace[-1][1])
         j = best[0]
         warm = j
-        sig_q, sig_sp = marginals(j)
+        sig_q, sig_sp, shifted = marginals(j)
         attempts.append(
             BroadcastAttempt(
                 map=Channel(sys_q, out_sys, j),
                 marginal_disturbance=0.5 * trace_norm(sig_q - rho_q.mat),
-                output_coherence=float(min(1.0, max(0.0, ft_term(sig_sp)))),
+                output_coherence=float(min(1.0, max(0.0, 1.0 - fidelity_arrays(sig_sp, shifted)))),
                 lam=float(lam),
             )
         )
@@ -643,8 +579,8 @@ def _broadcast_gradient(rho_q, sig_q, sig_sp, shifted, u_t, lam, dq, dsp):
     # d f_t / d sigma_S' : both fidelity slots depend on sigma_S'.
     try:
         shifted, sig_sp = _renorm(shifted), _renorm(sig_sp)
-        ga = fidelity_gradient(DensityMatrix(shifted), sig_sp)
-        gb = fidelity_gradient(DensityMatrix(sig_sp), shifted)
+        ga = fidelity_gradient(shifted, sig_sp)
+        gb = fidelity_gradient(sig_sp, shifted)
         grad_sp = -(ga + dagger(u_t) @ gb @ u_t)
     except SingularTarget:
         grad_sp = np.zeros((dsp, dsp), dtype=np.complex128)

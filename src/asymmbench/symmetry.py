@@ -64,9 +64,10 @@ class CovarianceSector:
 
     basis = V_out (x) conj(V_in) diagonalizes the generator
     K = H_out (x) I - I (x) H_in^T, and labels[i] is the integer eigenvalue
-    of its column i.  generator is built on first use.  for_channel
-    returns one shared instance per pair of systems, so its arrays are
-    read-only.
+    of its column i: sector-basis index a * d_in + b carries
+    out_spectrum[a] - in_spectrum[b].  generator, same_sector and blocks
+    are built on first use.  for_channel returns one shared instance per
+    pair of systems, so its arrays are read-only.
     """
 
     out_sys: SystemSpec
@@ -95,11 +96,58 @@ class CovarianceSector:
         k.setflags(write=False)
         return k
 
+    @cached_property
+    def same_sector(self) -> np.ndarray:
+        """Mask of the sector-basis entries (i, j) with labels[i] == labels[j]."""
+        mask = self.labels[:, None] == self.labels[None, :]
+        mask.setflags(write=False)
+        return mask
+
+    @cached_property
+    def blocks(self) -> tuple[np.ndarray, tuple[tuple[np.ndarray, np.ndarray], ...]]:
+        """(Tr E_k, groups): the block layout of covariant Choi matrices.
+
+        E_k is an orthonormal basis of the Hermitian matrices that commute
+        with diag(in spectrum).  Each group stacks the eigenvalue sectors of
+        K of one block size m: the flat indices (g, m*m) of their blocks in
+        a Choi matrix in the sector basis, and the restrictions (g, n, m, m)
+        of I (x) E_k to them.
+        """
+        spec = self.in_sys.spectrum
+        di = len(spec)
+        units = []
+        for b in range(di):
+            unit = np.zeros((di, di), dtype=np.complex128)
+            unit[b, b] = 1.0
+            units.append(unit)
+            for c in range(b + 1, di):
+                if spec[b] == spec[c]:
+                    for phase in (1.0, 1j):
+                        unit = np.zeros((di, di), dtype=np.complex128)
+                        unit[b, c] = phase * np.sqrt(0.5)
+                        unit[c, b] = np.conj(unit[b, c])
+                        units.append(unit)
+        units = np.array(units)
+        by_size = {}
+        for lab in np.unique(self.labels):
+            idx = np.flatnonzero(self.labels == lab)
+            a, b = np.divmod(idx, di)
+            e = units[:, b[:, None], b[None, :]] * (a[:, None] == a[None, :])
+            flat = (idx[:, None] * self.labels.size + idx[None, :]).ravel()
+            by_size.setdefault(idx.size, []).append((flat, e))
+        groups = tuple(
+            (np.array([f for f, _ in members]), np.array([e for _, e in members]))
+            for members in by_size.values()
+        )
+        tr_e = np.real(np.trace(units, axis1=1, axis2=2))
+        for arr in [tr_e] + [arr for group in groups for arr in group]:
+            arr.setflags(write=False)
+        return tr_e, groups
+
     def dephase(self, j: np.ndarray) -> np.ndarray:
         """Zero all matrix elements between distinct eigenvalue sectors of K."""
         jt = dagger(self.basis) @ j @ self.basis
-        mask = self.labels[:, None] == self.labels[None, :]
-        return self.basis @ (jt * mask) @ dagger(self.basis)
+        return self.basis @ (jt * self.same_sector) @ dagger(self.basis)
 
 
 def time_translate(rho: DensityMatrix, sys: SystemSpec, t: float) -> DensityMatrix:

@@ -242,7 +242,7 @@ class TestFidelityGradient:
             d = int(rng.integers(2, 5))
             rho = random_density_matrix(d, d, rng)
             x = random_density_matrix(d, d, rng)
-            g = fidelity_gradient(rho, x)
+            g = fidelity_gradient(rho.mat, x.mat)
             direction = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
             direction = (direction + direction.conj().T) / 2
             direction /= np.linalg.norm(direction)
@@ -259,7 +259,7 @@ class TestFidelityGradient:
         psi = np.array([1.0, 1.0j]) / math.sqrt(2)
         rho = DensityMatrix.pure(psi)
         x = random_density_matrix(2, 2, rng)
-        g = fidelity_gradient(rho, x)
+        g = fidelity_gradient(rho.mat, x.mat)
         direction = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         direction = (direction + direction.conj().T) / 2
         expect = np.vdot(psi, direction @ psi).real / (
@@ -271,7 +271,7 @@ class TestFidelityGradient:
         # at X = rho the gradient is proportional to the support projector,
         # so it has zero overlap with traceless directions
         rho = random_density_matrix(3, 3, rng)
-        g = fidelity_gradient(rho, rho)
+        g = fidelity_gradient(rho.mat, rho.mat)
         direction = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         direction = (direction + direction.conj().T) / 2
         direction -= np.trace(direction) * np.eye(3) / 3
@@ -320,6 +320,27 @@ class TestMaxRecoveryFidelity:
     def test_recovery_channel_is_covariant(self):
         res = max_recovery_fidelity(PLUS, HALF, QUBIT, QUBIT)
         assert is_covariant_channel(res.best_recovery, 1e-8).ok
+
+    def test_channel_applied_once_per_evaluated_candidate(self, monkeypatch):
+        # the objective's fidelity and the gradient at an accepted J share
+        # one application of the channel to sigma
+        applied, evaluated = [], []
+        apply_choi, fid = optimize.apply_choi, optimize.fidelity_arrays
+
+        def counting_apply(*args):
+            applied.append(1)
+            return apply_choi(*args)
+
+        def counting_fid(*args):
+            evaluated.append(1)
+            return fid(*args)
+
+        monkeypatch.setattr(optimize, "apply_choi", counting_apply)
+        monkeypatch.setattr(optimize, "fidelity_arrays", counting_fid)
+        system, rho, _, sigma = _recovery_pair(3, 3, False)
+        res = max_recovery_fidelity(rho, sigma, system, system, SHORT)
+        assert len(res.fidelity_trace) > 2
+        assert len(applied) == len(evaluated)
 
 
 def _recovery_pair(seed: int, d: int, pure: bool):

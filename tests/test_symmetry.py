@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from asymmbench.linalg import max_abs, tensor_product
 from asymmbench.qtypes import (
@@ -191,6 +193,54 @@ class TestCovarianceSector:
         for i, a in enumerate(keys):
             for b in keys[i + 1 :]:
                 assert max_abs(sectors[a] @ sectors[b]) < 1e-10
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(
+        dims=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_blocks_cover_the_sectors_and_span_the_commutant(self, dims, seed):
+        # spectra drawn from -2..2, so degenerate levels are common
+        rng = np.random.default_rng(seed)
+        sys_in = random_integer_system(dims[0], rng)
+        sys_out = random_integer_system(dims[1], rng)
+        sec = CovarianceSector.for_channel(sys_out, sys_in)
+        di, dd = sys_in.dim, sys_in.dim * sys_out.dim
+        tr_e, groups = sec.blocks
+        # the group indices partition exactly the same-label entries
+        flat = np.concatenate([f.ravel() for f, _ in groups])
+        assert np.array_equal(np.sort(flat), np.flatnonzero(sec.same_sector))
+        for f, e in groups:
+            m = e.shape[-1]
+            assert f.shape == (e.shape[0], m * m) and e.shape[1] == tr_e.size
+        # the blocks of each I (x) E_k make up all of it
+        es = []
+        for k in range(tr_e.size):
+            full = np.zeros(dd * dd, dtype=complex)
+            for f, e in groups:
+                full[f.ravel()] = e[:, k].ravel()
+            full = full.reshape(dd, dd)
+            ek = full[:di, :di]
+            assert max_abs(full - tensor_product(np.eye(sys_out.dim), ek)) == 0.0
+            es.append(ek)
+        es = np.array(es)
+        h_in = np.diag(np.array(sys_in.spectrum, dtype=float))
+        # orthonormal, Hermitian and commuting with diag(in spectrum), and
+        # as many as the commutant's dimension
+        gram = np.einsum("kij,lij->kl", es.conj(), es)
+        assert max_abs(gram - np.eye(tr_e.size)) < 1e-12
+        assert max_abs(es - es.conj().transpose(0, 2, 1)) == 0.0
+        assert max_abs(es @ h_in - h_in @ es) == 0.0
+        _, mult = np.unique(sys_in.spectrum, return_counts=True)
+        assert tr_e.size == int(np.sum(mult**2))
+        assert max_abs(tr_e - np.trace(es, axis1=1, axis2=2)) < 1e-15
+
+    def test_blocks_and_mask_read_only(self, rng):
+        sec = CovarianceSector.for_channel(random_integer_system(2, rng), QUBIT)
+        tr_e, groups = sec.blocks
+        for arr in [sec.same_sector, tr_e] + [arr for group in groups for arr in group]:
+            with pytest.raises(ValueError):
+                arr[0] = arr[0]
 
 
 class TestRandomCovariantChannel:
