@@ -102,6 +102,12 @@ _CLONER_N_CAP = 64  # largest n the cloner super-additivity sweep tries
 _VIOLATION_MARGIN = 1e-9  # how far a measure must beat additivity to count
 _CLONER_TOL = 1e-10  # cloner marginal against its closed form
 _COMPLEMENTARITY_TOL = 1e-9  # identity marginal; the erasure fit gets 10x
+# Size caps, refused with SizeCap before any array is built.  A
+# complementarity map A -> S (x) A has a d^3 x d^3 Choi matrix; at d = 10
+# a run peaks near 100 MB.  A lemma8 trial of dimension d keeps O(d^2)
+# entries per trial; at d = 8 and 10,000 trials a run peaks near 400 MB.
+_COMPLEMENTARITY_DIM_CAP = 10
+_LEMMA8_DIM_CAP = 8
 
 # Defaults shared by the runners' signatures and the registry's field specs.
 _DEFAULT_T = math.pi / 2  # shift of the fidelity-based measure
@@ -401,7 +407,8 @@ def run_degradation_demo(
     state conversion with the probe (default maximally mixed) on S.  The
     assertion is that the certified lower bound on that irreversibility
     exceeds _DEGRADATION_TOL = 1e-6 with a converged recovery optimizer,
-    run with cfg; a covariant induced map yields no degradation claim.
+    run with cfg; a covariant induced map yields no degradation claim, and
+    its record reads converged false: no recovery ran, so none is certified.
     """
     cov = is_covariant_channel(lam, 1e-8)
     if not cov.ok:
@@ -413,7 +420,7 @@ def run_degradation_demo(
 
     assertions = []
     irrev_lower = 0.0
-    irrev_converged = True
+    irrev_converged = False
     if not verdict.ok:
         if probe is None:
             probe = DensityMatrix.maximally_mixed(sys_s.dim)
@@ -642,7 +649,8 @@ def check_fidelity_perturbation_lemma(
     |Fid(U tau1 U†, tau1) - Fid(U tau2 U†, tau2)| <= 4 sqrt(1 - Fid(tau1, tau2)),
     with the worst violation reported (expected <= 1e-9).  One record per
     sampled dimension carries its worst violation; the assertion also
-    fails when a requested dimension drew no trial.
+    fails when a requested dimension drew no trial.  A dimension above
+    _LEMMA8_DIM_CAP = 8 raises SizeCap before any draw.
 
     RNG contract: the draws stay per trial and in order.  Each trial draws
     its dimension, the ranks r1 and r2, the Gaussian factors of tau1 and
@@ -664,6 +672,8 @@ def check_fidelity_perturbation_lemma(
     """
     if trials < 1:
         raise PreconditionFailed(f"lemma8 needs at least one trial, got {trials}")
+    if any(d > _LEMMA8_DIM_CAP for d in dims):
+        raise SizeCap(f"lemma8 capped at dimension {_LEMMA8_DIM_CAP}")
     choices = list(dims)
     # dimension -> (r1, r2) -> the (z, spec, s) draws of each trial
     draws: dict[int, dict[tuple[int, int], list[tuple]]] = {d: {} for d in choices}
@@ -833,6 +843,16 @@ def _faithful_t(p: dict) -> None:
         )
 
 
+def _check_ki(p: dict) -> None:
+    """A given states list replaces the orbit of state, so a state beside it is refused."""
+    if p["states"] is None:
+        _same_dim(_dims(p, "state", "system_q"))
+    elif p["state"] is not None:
+        raise ParseError("'states' replaces the orbit of 'state': give one of the two")
+    else:
+        _same_dim({f"states[{i}]": s.dim for i, s in enumerate(p["states"])})
+
+
 def _run_no_broadcast(p: dict, seed: int) -> Outcome:
     state, sys_q, sys_sp = p["state"] or _PLUS, p["system_q"] or _QUBIT, p["system_s_out"] or _QUBIT
     return run_no_broadcast_sweep(
@@ -941,6 +961,8 @@ _BROADCAST_MAPS = {
 
 def _run_complementarity(p: dict, seed: int) -> Outcome:
     d = p["dim"]
+    if d > _COMPLEMENTARITY_DIM_CAP:
+        raise SizeCap(f"complementarity capped at dimension {_COMPLEMENTARITY_DIM_CAP}")
     sys_a = SystemSpec.diagonal(list(range(d)))
     choi = choi_from_map(_BROADCAST_MAPS[p["mode"]](d), d, d * d)
     return check_broadcast_complementarity(Channel(sys_a, tensor_system(sys_a, sys_a), choi))
@@ -1034,11 +1056,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             },
             ("block", "m", "k", "reconstruction_residual"),
             _run_ki,
-            # A given states list replaces the orbit of state under system_q.
-            lambda p: _same_dim(
-                _dims(p, "state", "system_q") if p["states"] is None
-                else {f"states[{i}]": s.dim for i, s in enumerate(p["states"])}
-            ),
+            _check_ki,
         ),
         Experiment(
             "cloner",

@@ -525,6 +525,50 @@ class TestMainExitCodes:
         path = write_config(tmp_path, "c.json", {**payload, "system_q": system, "system_s": system})
         assert main(["validate", "--config", str(path)]) == 0
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"experiment": "complementarity", "dim": 300},
+            {"experiment": "complementarity", "dim": 11},
+            {"experiment": "lemma8", "dims": [10000000], "trials": 1},
+            {"experiment": "lemma8", "dims": [2, 9], "trials": 1},
+        ],
+        ids=["complementarity-300", "complementarity-11", "lemma8-1e7", "lemma8-9"],
+    )
+    def test_oversized_run_is_a_size_cap(self, tmp_path, capsys, payload):
+        # a dimension the run cannot hold in memory is refused before any
+        # array is built, as the other caps are
+        path = write_config(tmp_path, "c.json", {"schema_version": 1, **payload})
+        assert main(["validate", "--config", str(path)]) == 0
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 3
+        assert "SizeCap" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_complementarity_at_its_cap_runs(self, tmp_path):
+        payload = {"schema_version": 1, "experiment": "complementarity", "dim": 10}
+        path = write_config(tmp_path, "c.json", payload)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+
+    @pytest.mark.parametrize(
+        "orbit", [{"state": PLUS3, "system_q": QUTRIT}, {"state": HALF}], ids=["qutrit", "qubit"]
+    )
+    def test_ki_state_beside_states_is_a_config_error(self, tmp_path, capsys, orbit):
+        # a states list replaces the orbit of state, which would be dropped unread
+        payload = {
+            "schema_version": 1,
+            "experiment": "ki",
+            "states": [HALF, matrix_to_json(np.diag([1.0, 0.0]))],
+            **orbit,
+        }
+        path = write_config(tmp_path, "c.json", payload)
+        assert main(["validate", "--config", str(path)]) == 4
+        assert "'states' replaces the orbit of 'state'" in capsys.readouterr().err
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 4
+        assert "'states' replaces the orbit of 'state'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_loose_tolerance_is_an_unknown_key(self, tmp_path, capsys):
         # With max_iter 1 and tol 1 this recovery stopped at gap 0.51 and
         # irrev 0.273, against a certified optimum of 0.1226, yet passed

@@ -176,6 +176,13 @@ def scalar_lemma8(rng, trials, dims):
 
 
 class TestPerturbationLemma:
+    def test_dimension_cap(self):
+        cap = experiments._LEMMA8_DIM_CAP
+        records, _ = check_fidelity_perturbation_lemma(np.random.default_rng(0), 3, [cap])
+        assert [r["dim"] for r in records] == [cap]
+        with pytest.raises(SizeCap):
+            check_fidelity_perturbation_lemma(np.random.default_rng(0), 3, [2, cap + 1])
+
     @pytest.mark.parametrize(
         "seed, dims", [(0, (2, 3, 4)), (7, (2, 3, 4)), (1, (1,)), (2, (3,)), (3, (1, 2, 5))]
     )
@@ -294,6 +301,15 @@ class TestDegradation:
         assert all(a.passed for a in assertions)
         assert record["induced_covariant"]
         assert record["irrev_lower_bound"] == 0.0
+
+    def test_covariant_induced_map_claims_no_convergence(self):
+        # at angle 0 the partial swap is the identity: the induced map is
+        # covariant, no recovery runs, and nothing is certified
+        lam = twirled_partial_swap(QUBIT, QUBIT, 0.0)
+        [record], assertions = run_degradation_demo(lam, PLUS, QUBIT, QUBIT)
+        assert record["induced_covariant"]
+        assert assertions == ()
+        assert record["converged"] is False
 
     def test_non_covariant_joint_rejected(self):
         joint = tensor_system(QUBIT, QUBIT)
