@@ -17,10 +17,6 @@ class NonHermitian(WorkbenchError):
 class NoConvergence(WorkbenchError):
     """An iterative procedure stalled or exhausted its iteration budget."""
 
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
-
 
 class NotPSD(WorkbenchError):
     """Matrix has an eigenvalue below the allowed negativity tolerance."""
@@ -68,10 +64,6 @@ class RankCollapse(WorkbenchError):
 
 class PreconditionFailed(WorkbenchError):
     """A documented operation precondition does not hold for the inputs."""
-
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
 
 
 class DecompositionInvalid(WorkbenchError):

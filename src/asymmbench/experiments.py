@@ -162,8 +162,8 @@ def run_no_broadcast_sweep(
     sym = is_symmetric_state(rho_q, sys_q)
     if sym.ok:
         raise PreconditionFailed(
-            "input state is symmetric; the sweep needs an asymmetric state",
-            witness=sym.witness,
+            f"input state is symmetric (max |[rho, H]| = {sym.witness:.3e}); "
+            "the sweep needs an asymmetric state"
         )
     attempts = optimize_broadcast(rho_q, sys_q, sys_sp, t, lambda_schedule, optimizer)
 
@@ -316,7 +316,7 @@ def run_tradeoff_sweep(
     """
     top = float(np.linalg.eigvalsh(psi.mat)[-1])
     if top < 1.0 - 1e-9:
-        raise PreconditionFailed("tradeoff input state is not pure", witness=top)
+        raise PreconditionFailed(f"tradeoff input state is not pure (top eigenvalue {top:.6g})")
     rows: list[dict] = []
     skipped = 0
     for t in t_grid:
@@ -413,7 +413,7 @@ def run_degradation_demo(
     cov = is_covariant_channel(lam, 1e-8)
     if not cov.ok:
         raise PreconditionFailed(
-            "joint channel is not covariant", witness=cov.witness
+            f"joint channel is not covariant (max |[J, K]| = {cov.witness:.3e})"
         )
     induced = induce_channel(lam, rho_q, sys_s, sys_s)
     verdict = is_covariant_channel(induced, 1e-8)
@@ -467,8 +467,6 @@ def cloner_marginal(rho: np.ndarray, d: int, n: int) -> np.ndarray:
 class ClonerResult:
     d: int
     n: int
-    joint: np.ndarray
-    marginal: np.ndarray
     trace_error: float
     marginal_error: float
 
@@ -500,14 +498,7 @@ def universal_cloner(rho: DensityMatrix, d: int, n: int) -> ClonerResult:
 
     marginal = partial_trace(joint, [d] * n, keep=[0])
     marginal_error = max_abs(marginal - cloner_marginal(rho.mat, d, n))
-    return ClonerResult(
-        d=d,
-        n=n,
-        joint=joint,
-        marginal=marginal,
-        trace_error=trace_error,
-        marginal_error=marginal_error,
-    )
+    return ClonerResult(d=d, n=n, trace_error=trace_error, marginal_error=marginal_error)
 
 
 def run_nonadditivity(t: float = _DEFAULT_T) -> Outcome:

@@ -711,8 +711,7 @@ def lemma4_reduced_form_check(
         marginals_sp.append(partial_trace(joint, [dq, dsp], keep=[1]))
     if worst_dist > tol:
         raise PreconditionFailed(
-            f"broadcast disturbs the Q marginal by {worst_dist:.3e} > {tol:g}",
-            witness=worst_dist,
+            f"broadcast disturbs the Q marginal by {worst_dist:.3e} > {tol:g}"
         )
 
     p_mat = dec.probs  # (n_states, n_blocks)

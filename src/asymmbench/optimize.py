@@ -1,7 +1,9 @@
 """Constrained optimization over covariant channels.
 
-Three optimizers share one geometric core, project_covariant_tp_psd: the
-Euclidean projection onto covariant, trace-preserving, PSD Choi matrices.
+The two optimizers, recovery and broadcast, share one geometric core,
+project_covariant_tp_psd: the Euclidean projection onto covariant,
+trace-preserving, PSD Choi matrices.  petz_recovery is a closed-form
+baseline and does not optimize.
 It dephases once across the sectors of the covariance generator
 K = H_out (x) I - I (x) H_in^T, which is exact because the target set
 lies in the covariant subspace.  In the eigenbasis of K the dephased
@@ -180,8 +182,9 @@ def project_covariant_tp_psd(
     Armijo line search drives the residual below NEWTON_TOL per unit of
     the largest entry of J~.  The start Y0 = (I - Tr_out J~) / d_out is
     the Newton step from Y = 0, so J = 0 lands on I (x) I / d_out at once.
-    X is PSD and covariant by construction.  Raises NoConvergence with the
-    final residual if the line search stalls or NEWTON_MAX_ITER is spent.
+    X is PSD and covariant by construction.  Raises NoConvergence, its
+    message giving the final residual, if the line search stalls or
+    NEWTON_MAX_ITER is spent.
     """
     sector = CovarianceSector.for_channel(out_sys, in_sys)
     basis = sector.basis
@@ -242,8 +245,7 @@ def project_covariant_tp_psd(
     while res > tol:
         if steps == NEWTON_MAX_ITER:
             raise NoConvergence(
-                f"dual-Newton projection took {steps} steps (TP residual {res:.3e})",
-                residual=res,
+                f"dual-Newton projection took {steps} steps (TP residual {res:.3e})"
             )
         steps += 1
         ridge = min(_RIDGE, res) * np.eye(n)
@@ -257,9 +259,7 @@ def project_covariant_tp_psd(
                 break
             alpha *= 0.5
         else:
-            raise NoConvergence(
-                f"dual-Newton projection stalled (TP residual {res:.3e})", residual=res
-            )
+            raise NoConvergence(f"dual-Newton projection stalled (TP residual {res:.3e})")
         y = y + alpha * step
         theta, grad, eigs = trial
         res = float(np.linalg.norm(grad))

@@ -1,6 +1,7 @@
 """Experiment runners: constructions, assertions, and flagged failure modes."""
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -38,7 +39,7 @@ from asymmbench.qtypes import (
     random_density_matrix,
     tensor_system,
 )
-from asymmbench.symmetry import is_covariant_channel, skew_information
+from asymmbench.symmetry import is_covariant_channel, is_symmetric_state, skew_information
 
 from conftest import witness
 
@@ -58,12 +59,13 @@ class TestUniversalCloner:
         rho = random_density_matrix(3, 3, rng)
         res = universal_cloner(rho, 3, 1)
         assert abs(res.shrink - 1.0) < 1e-15
-        assert max_abs(res.joint - rho.mat) < 1e-12
+        assert res.marginal_error < 1e-12  # at n = 1, max |joint - rho|
 
     def test_triple_clone_marginal(self):
         res = universal_cloner(PLUS, 2, 3)
         expect = (5 / 9) * PLUS.mat + (4 / 9) * np.eye(2) / 2
-        assert max_abs(res.marginal - expect) < 1e-10
+        assert max_abs(cloner_marginal(PLUS.mat, 2, 3) - expect) < 1e-10
+        assert res.marginal_error < 1e-10
 
     def test_formula_matches_explicit_map(self, rng):
         for d, n in [(2, 2), (2, 4), (3, 2), (3, 3)]:
@@ -321,6 +323,31 @@ class TestDegradation:
             run_degradation_demo(bad, PLUS, QUBIT, QUBIT)
 
 
+class TestPreconditionWitness:
+    """A refused input's witness is in the message, which is what the CLI prints."""
+
+    def test_symmetric_sweep_state(self):
+        rho = DensityMatrix(np.array([[0.3, 1e-10], [1e-10, 0.7]], dtype=complex))
+        found = is_symmetric_state(rho, QUBIT).witness
+        assert 0.0 < found <= 1e-9
+        with pytest.raises(PreconditionFailed, match=re.escape(f"{found:.3e}")):
+            run_no_broadcast_sweep(rho, QUBIT, QUBIT)
+
+    def test_impure_tradeoff_state(self):
+        rho = DensityMatrix(np.diag([0.9, 0.1]).astype(complex))
+        with pytest.raises(PreconditionFailed, match=r"top eigenvalue 0\.9\)"):
+            run_tradeoff_sweep(rho, QUBIT, QUBIT, t_grid=(1.0,))
+
+    def test_non_covariant_joint_channel(self):
+        joint = tensor_system(QUBIT, QUBIT)
+        h = np.kron(np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2), np.eye(2))
+        bad = Channel(joint, joint, choi_from_map(lambda m: h @ m @ h.conj().T, 4, 4))
+        found = is_covariant_channel(bad, 1e-8).witness
+        assert found > 1e-8
+        with pytest.raises(PreconditionFailed, match=re.escape(f"{found:.3e}")):
+            run_degradation_demo(bad, PLUS, QUBIT, QUBIT)
+
+
 class TestComplementarity:
     def _out_sys(self):
         return tensor_system(QUBIT, QUBIT)
@@ -432,9 +459,8 @@ class TestTradeoffSweep:
         assert witness(assertions, "rows_skipped_at_full_shift") == 0.0
 
     def test_mixed_input_refused(self):
-        with pytest.raises(PreconditionFailed, match="not pure") as err:
+        with pytest.raises(PreconditionFailed, match=r"not pure \(top eigenvalue 0\.5\)"):
             run_tradeoff_sweep(DensityMatrix.maximally_mixed(2), QUBIT, QUBIT, t_grid=(1.0,))
-        assert err.value.witness == pytest.approx(0.5)
 
     def test_pi_row_skipped(self):
         # the only shift is skipped, so no row checks the bound: that fails
