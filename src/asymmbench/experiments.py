@@ -104,10 +104,12 @@ _CLONER_TOL = 1e-10  # cloner marginal against its closed form
 _COMPLEMENTARITY_TOL = 1e-9  # identity marginal; the erasure fit gets 10x
 # Size caps, refused with SizeCap before any array is built.  A
 # complementarity map A -> S (x) A has a d^3 x d^3 Choi matrix; at d = 10
-# a run peaks near 100 MB.  A lemma8 trial of dimension d keeps O(d^2)
-# entries per trial; at d = 8 and 10,000 trials a run peaks near 400 MB.
+# a run peaks near 100 MB.  A lemma8 run keeps O(d^2) entries per trial of
+# dimension d; at d = 8 and 10,000 trials it peaks near 400 MB, so trials
+# times the largest d^2 is capped at that product.
 _COMPLEMENTARITY_DIM_CAP = 10
 _LEMMA8_DIM_CAP = 8
+_LEMMA8_ENTRY_CAP = 10_000 * _LEMMA8_DIM_CAP**2
 
 # Defaults shared by the runners' signatures and the registry's field specs.
 _DEFAULT_T = math.pi / 2  # shift of the fidelity-based measure
@@ -312,11 +314,19 @@ def run_tradeoff_sweep(
     was skipped.  Rows that come out essentially reversible must also carry
     essentially no output coherence (the reversible limit of the bound).
     The last assertion always passes; its witness counts the skipped shifts.
-    Raises PreconditionFailed unless psi is pure (top eigenvalue >= 1 - 1e-9).
+    Raises PreconditionFailed unless psi is pure (top eigenvalue >= 1 - 1e-9)
+    and asymmetric: a symmetric psi has f_t(psi) = 0, and so has every
+    covariant output, so the bound would hold by construction.
     """
     top = float(np.linalg.eigvalsh(psi.mat)[-1])
     if top < 1.0 - 1e-9:
         raise PreconditionFailed(f"tradeoff input state is not pure (top eigenvalue {top:.6g})")
+    sym = is_symmetric_state(psi, sys_q)
+    if sym.ok:
+        raise PreconditionFailed(
+            f"tradeoff input state is symmetric (max |[psi, H]| = {sym.witness:.3e}); "
+            "the sweep needs an asymmetric state"
+        )
     rows: list[dict] = []
     skipped = 0
     for t in t_grid:
@@ -487,10 +497,14 @@ def universal_cloner(rho: DensityMatrix, d: int, n: int) -> ClonerResult:
     """Symmetric-subspace cloner E(rho) = (d/d(n)) P (rho (x) I^(n-1)) P.
 
     Verifies unit trace and that each single-system marginal equals the
-    closed form c_n rho + (1 - c_n) I/d with c_n = (d+n)/(n(d+1)).
+    closed form c_n rho + (1 - c_n) I/d with c_n = (d+n)/(n(d+1)).  A
+    dimension below 2 raises PreconditionFailed: the only 1 x 1 state is
+    [[1]], which every cloner and the closed form return.
     """
     if rho.dim != d:
         raise DimensionMismatch(f"state dim {rho.dim} != {d}")
+    if d < 2:
+        raise PreconditionFailed(f"cloner needs dimension >= 2, got {d}")
     if n > 4 or d**n > 1024:
         raise SizeCap("explicit cloner capped at n <= 4 and d^n <= 1024")
     joint = _clone(rho.mat, symmetric_subspace_projector(d, n), d, n)
@@ -640,8 +654,11 @@ def check_fidelity_perturbation_lemma(
     |Fid(U tau1 U†, tau1) - Fid(U tau2 U†, tau2)| <= 4 sqrt(1 - Fid(tau1, tau2)),
     with the worst violation reported (expected <= 1e-9).  One record per
     sampled dimension carries its worst violation; the assertion also
-    fails when a requested dimension drew no trial.  A dimension above
-    _LEMMA8_DIM_CAP = 8 raises SizeCap before any draw.
+    fails when a requested dimension drew no trial.  A dimension below 2
+    raises PreconditionFailed, as every 1 x 1 state is [[1]] and so every
+    violation would be 0.  A dimension above _LEMMA8_DIM_CAP = 8, or trials
+    times the largest d^2 above _LEMMA8_ENTRY_CAP = 640,000 (the default
+    10,000 trials at d = 8), raises SizeCap before any draw.
 
     RNG contract: the draws stay per trial and in order.  Each trial draws
     its dimension, the ranks r1 and r2, the Gaussian factors of tau1 and
@@ -663,8 +680,15 @@ def check_fidelity_perturbation_lemma(
     """
     if trials < 1:
         raise PreconditionFailed(f"lemma8 needs at least one trial, got {trials}")
-    if any(d > _LEMMA8_DIM_CAP for d in dims):
+    if min(dims) < 2:
+        raise PreconditionFailed(f"lemma8 needs dimensions >= 2, got {min(dims)}")
+    if max(dims) > _LEMMA8_DIM_CAP:
         raise SizeCap(f"lemma8 capped at dimension {_LEMMA8_DIM_CAP}")
+    if trials * max(dims) ** 2 > _LEMMA8_ENTRY_CAP:
+        raise SizeCap(
+            f"lemma8 capped at trials times the largest d^2 <= {_LEMMA8_ENTRY_CAP}, "
+            f"got {trials} x {max(dims)}^2"
+        )
     choices = list(dims)
     # dimension -> (r1, r2) -> the (z, spec, s) draws of each trial
     draws: dict[int, dict[tuple[int, int], list[tuple]]] = {d: {} for d in choices}
@@ -712,15 +736,7 @@ def _perturbation_violations(d: int, groups: dict[tuple[int, int], list[tuple]])
     taus = taus.reshape(2, -1, d, d)  # tau1, tau2
     q, _ = np.linalg.qr(np.concatenate(gs))
     phases = np.exp(-1j * np.concatenate(specs) * np.concatenate(shifts)[:, None])
-    if d == 1:
-        # The loop's (1, 1) * (1,) product takes numpy's scalar complex
-        # multiply; a stacked (n, 1, 1) product takes its SIMD one, which
-        # can fuse a multiply-add and round differently.  So at d = 1 the
-        # products are taken one trial at a time, as the loop takes them.
-        scaled = np.stack([qx * px for qx, px in zip(q, phases)])
-    else:
-        scaled = q * phases[:, None, :]
-    u = scaled @ dagger(q)
+    u = (q * phases[:, None, :]) @ dagger(q)
     moved = u @ taus @ dagger(u)
     root_tau, root_moved = psd_sqrt(np.stack([taus, moved]))
     # fidelity_arrays, on square roots taken once per state
@@ -835,11 +851,13 @@ def _faithful_t(p: dict) -> None:
 
 
 def _check_ki(p: dict) -> None:
-    """A given states list replaces the orbit of state, so a state beside it is refused."""
+    """A states list replaces the orbit of state under system_q: either beside it is refused."""
     if p["states"] is None:
         _same_dim(_dims(p, "state", "system_q"))
-    elif p["state"] is not None:
-        raise ParseError("'states' replaces the orbit of 'state': give one of the two")
+    elif p["state"] is not None or p["system_q"] is not None:
+        raise ParseError(
+            "'states' replaces the orbit of 'state' under 'system_q': give neither beside it"
+        )
     else:
         _same_dim({f"states[{i}]": s.dim for i, s in enumerate(p["states"])})
 
@@ -952,6 +970,10 @@ _BROADCAST_MAPS = {
 
 def _run_complementarity(p: dict, seed: int) -> Outcome:
     d = p["dim"]
+    if d < 2:
+        # Every map of a one-level A is the identity: both checks would pass
+        # by construction.
+        raise PreconditionFailed(f"complementarity needs dimension >= 2, got {d}")
     if d > _COMPLEMENTARITY_DIM_CAP:
         raise SizeCap(f"complementarity capped at dimension {_COMPLEMENTARITY_DIM_CAP}")
     sys_a = SystemSpec.diagonal(list(range(d)))

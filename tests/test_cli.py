@@ -327,8 +327,7 @@ class TestMainExitCodes:
         "payload",
         [
             {"experiment": "ki", "state": MIXED3, "system_q": QUTRIT},
-            # The states list replaces the orbit, so system_q is not checked against it.
-            {"experiment": "ki", "states": [MIXED3, PLUS3], "system_q": QUTRIT},
+            {"experiment": "ki", "states": [MIXED3, PLUS3]},
             {"experiment": "degradation", "system_q": QUTRIT, "system_s": QUTRIT, "state": PLUS3},
             {
                 "experiment": "irrev",
@@ -532,8 +531,12 @@ class TestMainExitCodes:
             {"experiment": "complementarity", "dim": 11},
             {"experiment": "lemma8", "dims": [10000000], "trials": 1},
             {"experiment": "lemma8", "dims": [2, 9], "trials": 1},
+            # trials x d^2 above the default 10,000 trials at d = 8
+            {"experiment": "lemma8", "dims": [8], "trials": 11_000},
         ],
-        ids=["complementarity-300", "complementarity-11", "lemma8-1e7", "lemma8-9"],
+        ids=[
+            "complementarity-300", "complementarity-11", "lemma8-1e7", "lemma8-9", "lemma8-trials"
+        ],
     )
     def test_oversized_run_is_a_size_cap(self, tmp_path, capsys, payload):
         # a dimension the run cannot hold in memory is refused before any
@@ -545,16 +548,42 @@ class TestMainExitCodes:
         assert "SizeCap" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"experiment": "tradeoff", "state": matrix_to_json(np.diag([1.0, 0.0]))},
+            {"experiment": "lemma8", "dims": [1], "trials": 10},
+            {"experiment": "cloner", "d_list": [1]},
+            {"experiment": "complementarity", "dim": 1},
+        ],
+        ids=["tradeoff-symmetric", "lemma8-1", "cloner-1", "complementarity-1"],
+    )
+    def test_check_true_by_construction_is_refused(self, tmp_path, capsys, payload):
+        # a symmetric tradeoff state, or a one-level system, passes every
+        # check with witness 0 whatever the code computes
+        path = write_config(tmp_path, "c.json", {"schema_version": 1, **payload})
+        assert main(["validate", "--config", str(path)]) == 0
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "PreconditionFailed" in err
+        if payload["experiment"] == "tradeoff":
+            assert "symmetric (max |[psi, H]| = 0.000e+00)" in err
+        assert not out.exists()
+
     def test_complementarity_at_its_cap_runs(self, tmp_path):
         payload = {"schema_version": 1, "experiment": "complementarity", "dim": 10}
         path = write_config(tmp_path, "c.json", payload)
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
 
     @pytest.mark.parametrize(
-        "orbit", [{"state": PLUS3, "system_q": QUTRIT}, {"state": HALF}], ids=["qutrit", "qubit"]
+        "orbit",
+        [{"state": PLUS3, "system_q": QUTRIT}, {"state": HALF}, {"system_q": QUTRIT}],
+        ids=["qutrit", "qubit", "system_q"],
     )
     def test_ki_state_beside_states_is_a_config_error(self, tmp_path, capsys, orbit):
-        # a states list replaces the orbit of state, which would be dropped unread
+        # a states list replaces the orbit of state under system_q, which
+        # would be dropped unread
         payload = {
             "schema_version": 1,
             "experiment": "ki",

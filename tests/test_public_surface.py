@@ -1,4 +1,4 @@
-"""Every public library name has a reader.
+"""Every public library name and every import has a reader.
 
 A name in a module's __all__ that nothing in the library or the
 benchmark reads is surface with no caller: only its own tests keep it
@@ -8,6 +8,9 @@ own definition.  An import alone does not count, so neither the
 __init__ re-export nor an import that nothing uses keeps a name alive.
 The few names kept for tests and references are listed below with the
 reason each stays.
+
+The same holds for imports: each name an import binds in the package or
+in the tests must be read, as a Name, in the module that imports it.
 """
 import ast
 from collections import Counter
@@ -16,6 +19,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "asymmbench"
 BENCH = ROOT / "perfbench"
+TESTS = ROOT / "tests"
 
 # Public names read by no library or benchmark code, each with its reason.
 ALLOWED = {
@@ -96,3 +100,36 @@ def test_every_public_name_has_a_reader():
     assert sorted(name for _, name in unread if name not in ALLOWED) == []
     # every allowed name is still public and still unread, so the list stays exact
     assert set(ALLOWED) == {name for _, name in unread}
+
+
+def unread_imports(tree: ast.Module) -> list[str]:
+    """Names the imports of tree bind that tree never reads as a Name.
+
+    `import a.b` binds a; from __future__ imports bind nothing.
+    """
+    bound, loaded = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [alias.asname or alias.name for alias in node.names]
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            loaded.add(node.id)
+    return [name for name in bound if name not in loaded]
+
+
+def test_import_reader_counts_loads_only():
+    tree = ast.parse(
+        "from __future__ import annotations\nimport a.b\nimport c as d\n"
+        "from e import f, g as h\nf = 1\nprint(d, a.b)\n"
+    )
+    assert unread_imports(tree) == ["f", "h"]
+
+
+def test_every_import_is_read():
+    unread = [
+        (path.relative_to(ROOT).as_posix(), name)
+        for path in sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py"))
+        for name in unread_imports(ast.parse(path.read_text()))
+    ]
+    assert unread == []
