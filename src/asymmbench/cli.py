@@ -328,7 +328,10 @@ def main(argv: list[str] | None = None) -> int:
         return 3
 
     json_path, csv_path = _write_outputs(report, Path(args.out))
-    status = "PASS" if report.all_passed else "FAIL"
+    if not report.assertions:
+        status = "NO CHECKS"  # nothing was checked; still exit 0
+    else:
+        status = "PASS" if report.all_passed else "FAIL"
     for a in report.assertions:
         mark = "pass" if a["passed"] else "FAIL"
         print(f"[{mark}] {a['name']} (witness {a['witness']:.3e})")

@@ -77,7 +77,12 @@ _SMOOTHING = 1e-6
 # gap subtracts traces of order one, each rounded at about 1e-16 per entry.
 _GAP_TOL = 1e-8
 _GAP_ROUNDOFF = 1e-12
-# The penalty ascent has no certificate; it stops on a relative rise below this.
+# The penalty ascent has no certificate; it stops once an accepted step
+# rises by less than _RISE_TOL times max(1, |objective|).  f_t lies in
+# [0, 1], so that unit scale is the resolution the records carry.  A rise
+# relative to |objective| alone would not stop the ascent on the smoothing
+# floor (objective about -2 lam _SMOOTHING, curvature of order
+# lam / _SMOOTHING), where each step gains of order 1e-11.
 _RISE_TOL = 1e-8
 
 # Dual-Newton projection: TP residual ||Tr_out X - I||_F to reach, per unit
@@ -328,9 +333,10 @@ def _ascend(
     With a gap function (J, gradient at J) -> bound on the optimum minus
     the objective at J, the ascent stops once that bound is at most
     _GAP_TOL and returns the bound at the final J.  Without one it stops
-    when the relative rise falls below _RISE_TOL, and the returned
-    gap is inf, as it is when the gradient raises SingularTarget.  Either
-    way it also stops after cfg.max_iter steps, and when no step rises:
+    once an accepted step rises by less than _RISE_TOL times
+    max(1, |objective|), and the returned gap is inf, as it is when the
+    gradient raises SingularTarget.  Either way it also stops after
+    cfg.max_iter steps, and when no step rises:
     the step halves up to 40 times, and the ladder ends early, without
     evaluating the objective, once a candidate P(J + s G) lies within
     _FIXED_POINT of J.  For a convex set ||P(J + s G) - J|| is
@@ -370,7 +376,7 @@ def _ascend(
                 break
         if not improved:
             break
-        rel = (cand_val - val) / max(abs(val), 1e-12)
+        rel = (cand_val - val) / max(1.0, abs(val))
         j, val, gradient = cand, cand_val, cand_gradient
         trace.append((it, val))
         step = min(step * 1.5, 1e3)

@@ -572,6 +572,24 @@ class TestMainExitCodes:
         assert "PreconditionFailed" in err and message in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"experiment": "complementarity", "mode": "move"},
+            {"experiment": "degradation", "state": matrix_to_json(np.diag([0.3, 0.7]))},
+        ],
+        ids=["complementarity-move", "degradation-symmetric"],
+    )
+    def test_run_without_assertions_prints_no_checks(self, tmp_path, capsys, payload):
+        # the move map only reports its marginals, and a symmetric state
+        # induces a covariant map, which the degradation demo does not check:
+        # the run exits 0 but does not claim a pass
+        path = write_config(tmp_path, "c.json", {"schema_version": 1, **payload})
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("NO CHECKS: report ")
+        assert "PASS" not in out
+
     def test_complementarity_at_its_cap_runs(self, tmp_path):
         payload = {"schema_version": 1, "experiment": "complementarity", "dim": 10}
         path = write_config(tmp_path, "c.json", payload)

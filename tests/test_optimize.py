@@ -1,13 +1,16 @@
 """Covariant-channel optimizers: projection, gradients, recovery, broadcast."""
 import math
+from collections import namedtuple
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from asymmbench import optimize
 from asymmbench.errors import SingularTarget
+from asymmbench.experiments import run_tradeoff_sweep
 from asymmbench.linalg import fidelity_arrays, max_abs, partial_trace, tensor_product
 from asymmbench.optimize import (
     OptimizerConfig,
@@ -186,6 +189,35 @@ class TestDualNewtonProjection:
         assert max_abs(project_covariant_tp_psd(out, sys_in, sys_out) - out) <= 1e-10
 
 
+Ascent = namedtuple("Ascent", "penalty projections steps max_iter")
+
+
+def _count_ascents(monkeypatch):
+    """Wrap the ascent and the projection; returns the list of Ascent
+    records, one per call: penalty is True for an ascent without a gap
+    function, projections counts the calls it made, steps is its trace
+    length (the start plus each accepted step).
+    """
+    ascents, projections = [], [0]
+    project, ascend = optimize.project_covariant_tp_psd, optimize._ascend
+
+    def counting_project(*args):
+        projections[0] += 1
+        return project(*args)
+
+    def counting_ascend(j0, evaluate, in_sys, out_sys, cfg, gap=None):
+        before = projections[0]
+        result = ascend(j0, evaluate, in_sys, out_sys, cfg, gap)
+        ascents.append(
+            Ascent(gap is None, projections[0] - before, len(result[1]), cfg.max_iter)
+        )
+        return result
+
+    monkeypatch.setattr(optimize, "project_covariant_tp_psd", counting_project)
+    monkeypatch.setattr(optimize, "_ascend", counting_ascend)
+    return ascents
+
+
 class TestAscentStop:
     @settings(max_examples=40, deadline=None, database=None)
     @given(
@@ -214,26 +246,11 @@ class TestAscentStop:
         # at lambda = 0 the keep-and-prepare start is a fixed point of the
         # projected step (its gradient is normal to the TP constraint), so
         # its first candidate stays at J and ends the ascent
-        projections = []
-        per_ascent = []
-        project, ascend = optimize.project_covariant_tp_psd, optimize._ascend
-
-        def counting_project(*args):
-            projections.append(args[0])
-            return project(*args)
-
-        def counting_ascend(*args):
-            before = len(projections)
-            result = ascend(*args)
-            per_ascent.append((len(projections) - before, len(result[1])))
-            return result
-
-        monkeypatch.setattr(optimize, "project_covariant_tp_psd", counting_project)
-        monkeypatch.setattr(optimize, "_ascend", counting_ascend)
+        ascents = _count_ascents(monkeypatch)
         optimize_broadcast(PLUS, QUBIT, QUBIT, math.pi / 2, (0.0,), OptimizerConfig(max_iter=60))
         # the first ascent starts at keep-and-prepare: the start's own
         # projection, one candidate, and no accepted step
-        assert per_ascent[0] == (2, 1)
+        assert (ascents[0].projections, ascents[0].steps) == (2, 1)
 
 
 class TestFidelityGradient:
@@ -516,3 +533,46 @@ class TestOptimizeBroadcast:
                 rhs = 4 * math.sqrt(max(0.0, 1 - fid * fid))
                 worst = max(worst, lhs - rhs)
         assert worst <= 1e-9
+
+
+class TestBroadcastAscentWork:
+    @pytest.mark.parametrize("seed", [1001, 3108])
+    def test_frontier_ascent_does_not_crawl(self, monkeypatch, seed):
+        # The frontier workload's state at this seed, built as the tradeoff
+        # runner builds it (the projector of the top eigenvector): the crawl
+        # depends on the state's last bits.  A penalty ascent on the
+        # smoothing floor (objective about -2 lam 1e-6) rises of order 1e-11 per
+        # step; measured against |objective| alone that rise never stops the
+        # lambda = 16 ascent, which then runs 200 steps and about 370
+        # projections.
+        phase = np.random.default_rng([seed, 1]).uniform(0.0, 2 * math.pi)
+        psi = np.array([1.0, np.exp(1j * phase)]) / math.sqrt(2)
+        v = np.linalg.eigh(np.outer(psi, psi.conj()))[1][:, -1]
+        ascents = _count_ascents(monkeypatch)
+        run_tradeoff_sweep(
+            DensityMatrix(np.outer(v, v.conj())),
+            QUBIT,
+            QUBIT,
+            t_grid=[3 * math.pi / 4],
+            lambda_schedule=[0.0, 16.0],
+        )
+        penalty = [a for a in ascents if a.penalty]
+        assert penalty and all(a.steps <= a.max_iter for a in penalty)
+        # 48-56 with the unit-scale stop
+        assert sum(a.projections for a in ascents) <= 120
+
+    @settings(max_examples=10, deadline=None, database=None)
+    @given(phase=st.floats(0.0, 2 * math.pi, exclude_max=True))
+    def test_sweep_ascents_end_before_max_iter(self, phase):
+        # Every penalty ascent of the default sweep grid stops on its rise
+        # test or its ladder, never on the step cap.
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            ascents = _count_ascents(monkeypatch)
+            run_tradeoff_sweep(
+                DensityMatrix.pure([1.0, np.exp(1j * phase)]),
+                QUBIT,
+                QUBIT,
+                lambda_schedule=[0.0, 16.0],
+            )
+        penalty = [a for a in ascents if a.penalty]
+        assert penalty and all(a.steps <= a.max_iter for a in penalty)
