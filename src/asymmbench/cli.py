@@ -5,10 +5,10 @@ experiments.EXPERIMENTS; this module checks and parses fields against
 those specs, fills defaults and assembles the report.  Every state and
 system is parsed and dimension-checked here, so validate rejects what run would.
 
-Exit codes: 0 all assertions pass, 2 assertion failure, 3 numerical
-error, 4 config error.  Unknown config keys are fatal by design: a
-silently ignored typo in a tolerance name would invalidate a theorem
-assertion.
+Exit codes: 0 all assertions pass, or the run has none and prints NO
+CHECKS; 2 assertion failure; 3 numerical error; 4 config error.  Unknown
+config keys are fatal by design: a silently ignored typo in a tolerance
+name would invalidate a theorem assertion.
 
 Randomness is pinned to one documented generator (numpy's PCG64 behind
 numpy.random.Generator); the report records its identifier, and the test
@@ -254,7 +254,12 @@ def print_schema() -> str:
             "spectrum": "[int]",
             "eigenbasis": "matrix JSON or 'computational'",
         },
-        "exit_codes": {"0": "all assertions pass", "2": "assertion failure", "3": "numerical error", "4": "config error"},
+        "exit_codes": {
+            "0": "all assertions pass, or the run has none and prints NO CHECKS",
+            "2": "assertion failure",
+            "3": "numerical error",
+            "4": "config error",
+        },
     }
     return json.dumps(schema, indent=2, sort_keys=True)
 

@@ -50,10 +50,6 @@ class SingularTarget(Singular):
     """Fidelity gradient target is singular beyond the regularization cap."""
 
 
-class SingularPrior(Singular):
-    """Recovery-map prior is singular beyond the regularization cap."""
-
-
 class CenterDegenerate(WorkbenchError):
     """Generic central element had a degenerate spectrum after all retries."""
 

@@ -105,7 +105,7 @@ _COMPLEMENTARITY_TOL = 1e-9  # identity marginal; the erasure fit gets 10x
 # Size caps, refused with SizeCap before any array is built.  A
 # complementarity map A -> S (x) A has a d^3 x d^3 Choi matrix; at d = 10
 # a run peaks near 100 MB.  A lemma8 run keeps O(d^2) entries per trial of
-# dimension d; at d = 8 and 10,000 trials it peaks near 400 MB, so trials
+# dimension d; at d = 8 and 10,000 trials it peaks near 260 MB, so trials
 # times the largest d^2 is capped at that product.
 _COMPLEMENTARITY_DIM_CAP = 10
 _LEMMA8_DIM_CAP = 8
@@ -305,10 +305,10 @@ def run_tradeoff_sweep(
 
     For each shift t in t_grid (rows with f_t(psi) = 1 are skipped, as the
     bound's denominator vanishes) and each penalty, records
-    lhs = f_t(sigma_S') against rhs = 4 sqrt(irrev_lower) / (1 - f_t(psi)),
+    ft_output = f_t(sigma_S') against rhs = 4 sqrt(irrev_lower) / (1 - f_t(psi)),
     with irrev_lower the certified lower bound on the irreversibility
     (irrev, the achieved upper bound, is recorded beside it), and
-    asserts slack = rhs - lhs >= -1e-6 on converged rows, those whose
+    asserts slack = rhs - ft_output >= -1e-6 on converged rows, those whose
     recovery certificate closed; the assertion fails when no row
     converged, which includes a sweep whose every shift
     was skipped.  Rows that come out essentially reversible must also carry
@@ -341,7 +341,6 @@ def run_tradeoff_sweep(
                 partial_trace(joint.mat, [sys_q.dim, sys_sp.dim], keep=[0])
             )
             irr = max_recovery_fidelity(psi, sig_q, sys_q, sys_q, optimizer)
-            lhs = att.output_coherence
             rhs = 4.0 * math.sqrt(irr.irrev_lower) / (1.0 - ft_in)
             rows.append(
                 {
@@ -350,9 +349,8 @@ def run_tradeoff_sweep(
                     "ft_output": att.output_coherence,
                     "irrev": irr.value,
                     "irrev_lower": irr.irrev_lower,
-                    "lhs": lhs,
                     "rhs": rhs,
-                    "slack": rhs - lhs,
+                    "slack": rhs - att.output_coherence,
                     "converged": irr.converged,
                 }
             )
@@ -650,33 +648,12 @@ def check_fidelity_perturbation_lemma(
 ) -> Outcome:
     """Monte Carlo check of the fidelity perturbation bound.
 
-    For random state pairs and translation unitaries U = e^{-iHs}:
-    |Fid(U tau1 U†, tau1) - Fid(U tau2 U†, tau2)| <= 4 sqrt(1 - Fid(tau1, tau2)),
-    with the worst violation reported (expected <= 1e-9).  One record per
-    sampled dimension carries its worst violation; the assertion also
-    fails when a requested dimension drew no trial.  A dimension below 2
-    raises PreconditionFailed, as every 1 x 1 state is [[1]] and so every
-    violation would be 0.  A dimension above _LEMMA8_DIM_CAP = 8, or trials
-    times the largest d^2 above _LEMMA8_ENTRY_CAP = 640,000 (the default
-    10,000 trials at d = 8), raises SizeCap before any draw.
-
-    RNG contract: the draws stay per trial and in order.  Each trial draws
-    its dimension, the ranks r1 and r2, the Gaussian factors of tau1 and
-    tau2, the Gaussian matrix whose QR gives the eigenbasis of H, the
-    spectrum of H and the shift s, exactly as a loop over trials that
-    calls rng.choice(dims), random_density_matrix twice and
-    fidelity_arrays would.  Two merges make fewer calls for the same
-    stream.  rng.choice(dims) draws its index as rng.integers(len(dims)),
-    so indexing dims with that draw is the same draw.  standard_normal
-    fills its output one variate at a time in C order, so the six
-    Gaussian calls (real then imaginary part of the tau1 factor, of the
-    tau2 factor and of the matrix for H) are one call of
-    2 d (r1 + r2 + d) variates, cut into those six pieces afterwards.
-    The two rank draws stay scalar calls: one rng.integers(1, d + 1,
-    size=2) would consume the same stream, but an array draw costs more
-    than two scalar ones.
-    Only the arithmetic is batched, per dimension and ranks, so a seed
-    gives the same records as that loop, bit for bit.
+    |Fid(U tau1 U†, tau1) - Fid(U tau2 U†, tau2)| <= 4 sqrt(1 - Fid(tau1, tau2))
+    on random state pairs and translations U = e^{-iHs}: one record of the
+    worst lhs - rhs per sampled d, asserted <= 1e-9 with every d sampled.
+    Before any draw, a d below 2 raises PreconditionFailed (every 1 x 1
+    state is [[1]], so every violation would be 0); a d above
+    _LEMMA8_DIM_CAP, or trials x d^2 above _LEMMA8_ENTRY_CAP, raises SizeCap.
     """
     if trials < 1:
         raise PreconditionFailed(f"lemma8 needs at least one trial, got {trials}")
@@ -689,57 +666,41 @@ def check_fidelity_perturbation_lemma(
             f"lemma8 capped at trials times the largest d^2 <= {_LEMMA8_ENTRY_CAP}, "
             f"got {trials} x {max(dims)}^2"
         )
-    choices = list(dims)
-    # dimension -> (r1, r2) -> the (z, spec, s) draws of each trial
-    draws: dict[int, dict[tuple[int, int], list[tuple]]] = {d: {} for d in choices}
-    for _ in range(trials):
-        d = int(choices[rng.integers(len(choices))])
-        r1 = int(rng.integers(1, d + 1))
-        r2 = int(rng.integers(1, d + 1))
-        z = rng.standard_normal(2 * d * (r1 + r2 + d))
-        spec = rng.integers(-3, 4, size=d)
-        s = rng.uniform(0.0, 2 * math.pi)
-        draws[d].setdefault((r1, r2), []).append((z, spec, s))
-
-    per_dim: dict[int, float] = {}
-    for d, groups in sorted(draws.items()):
-        if groups:
-            per_dim[d] = float(np.max(_perturbation_violations(d, groups)))
+    # Each trial's index into dims, so a repeated entry keeps its weight.
+    drawn = np.asarray(dims)[rng.integers(len(dims), size=trials)]
+    per_dim = {
+        d: float(np.max(_perturbation_violations(rng, d, n)))
+        for d in sorted(set(dims))
+        if (n := int(np.count_nonzero(drawn == d)))
+    }
     worst = max(per_dim.values())
     records = tuple({"dim": d, "max_violation": v} for d, v in per_dim.items())
     return records, (
-        Assertion("perturbation_bound", worst <= 1e-9 and len(per_dim) == len(draws), worst),
+        Assertion("perturbation_bound", worst <= 1e-9 and len(per_dim) == len(set(dims)), worst),
     )
 
 
-def _perturbation_violations(d: int, groups: dict[tuple[int, int], list[tuple]]) -> np.ndarray:
-    """lhs - rhs of the perturbation bound for each drawn trial of dimension d.
+def _perturbation_violations(rng: np.random.Generator, d: int, n: int) -> np.ndarray:
+    """lhs - rhs of the perturbation bound on n trials of dimension d.
 
-    groups maps the ranks (r1, r2) to the (z, spec, s) draws of each trial;
-    the trials come out group by group.  Each matrix gets the same
-    arithmetic as in a per-trial loop; only the stacking differs.
+    Draws the ranks (2, n), one standard_normal((2, 3, n, d, d)) (the real
+    and imaginary parts of the tau1, tau2 and H-eigenbasis factors), then
+    the spectra (n, d) and the shifts (n,).
     """
-    taus1, taus2, gs, specs, shifts = [], [], [], [], []
-    for (r1, r2), group in groups.items():
-        z, spec, s = (np.array(col) for col in zip(*group))
-        n = len(group)
-        re1, im1, re2, im2, re, im = np.split(
-            z, np.cumsum([d * r1, d * r1, d * r2, d * r2, d * d]), axis=1
-        )
-        taus1.append(normalized_gram((re1 + 1j * im1).reshape(n, d, r1)))
-        taus2.append(normalized_gram((re2 + 1j * im2).reshape(n, d, r2)))
-        gs.append((re + 1j * im).reshape(n, d, d))
-        specs.append(spec)
-        shifts.append(s)
-    taus = np.concatenate(taus1 + taus2)
+    ranks = rng.integers(1, d + 1, size=(2, n))
+    re_im = rng.standard_normal((2, 3, n, d, d))
+    spec, s = rng.integers(-3, 4, size=(n, d)), rng.uniform(0.0, 2 * math.pi, size=n)
+    # A d x d Gaussian with its columns from r on zeroed has the law of a d x r one.
+    re_im[:, :2] *= np.arange(d) < ranks[:, :, None, None]
+    g = re_im[0] + 1j * re_im[1]
+    taus = normalized_gram(g[:2])  # tau1, tau2
     check_density(taus)
-    taus = taus.reshape(2, -1, d, d)  # tau1, tau2
-    q, _ = np.linalg.qr(np.concatenate(gs))
-    phases = np.exp(-1j * np.concatenate(specs) * np.concatenate(shifts)[:, None])
-    u = (q * phases[:, None, :]) @ dagger(q)
-    moved = u @ taus @ dagger(u)
-    root_tau, root_moved = psd_sqrt(np.stack([taus, moved]))
+    q = np.linalg.qr(g[2])[0]
+    u = (q * np.exp(-1j * spec * s[:, None])[:, None, :]) @ dagger(q)
+    states = np.stack([taus, u @ taus @ dagger(u)])  # the pairs, then the moved pairs
+    del re_im, g, taus, q, u  # freed before the square roots, which set the peak
     # fidelity_arrays, on square roots taken once per state
+    root_tau, root_moved = psd_sqrt(states)
     fid_moved = np.clip(trace_norm(root_moved @ root_tau), 0.0, 1.0)
     fid_pair = np.clip(trace_norm(root_tau[0] @ root_tau[1]), 0.0, 1.0)
     return np.abs(fid_moved[0] - fid_moved[1]) - 4.0 * np.sqrt(np.maximum(0.0, 1.0 - fid_pair))
@@ -1012,10 +973,7 @@ EXPERIMENTS: dict[str, Experiment] = {
                 "lambda_schedule": _spec("number_list", list(DEFAULT_LAMBDA_SCHEDULE)),
                 "optimizer": _spec("optimizer", {}),
             },
-            (
-                "t", "ft_input", "ft_output", "irrev", "irrev_lower",
-                "lhs", "rhs", "slack", "converged",
-            ),
+            ("t", "ft_input", "ft_output", "irrev", "irrev_lower", "rhs", "slack", "converged"),
             _run_tradeoff,
             lambda p: _same_dim(_dims(p, "state", "system_q")),
         ),

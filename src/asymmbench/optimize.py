@@ -2,8 +2,7 @@
 
 The two optimizers, recovery and broadcast, share one geometric core,
 project_covariant_tp_psd: the Euclidean projection onto covariant,
-trace-preserving, PSD Choi matrices.  petz_recovery is a closed-form
-baseline and does not optimize.
+trace-preserving, PSD Choi matrices.
 It dephases once across the sectors of the covariance generator
 K = H_out (x) I - I (x) H_in^T, which is exact because the target set
 lies in the covariant subspace.  In the eigenbasis of K the dephased
@@ -41,7 +40,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import DimensionMismatch, NoConvergence, SingularPrior, SingularTarget
+from .errors import DimensionMismatch, NoConvergence, SingularTarget
 from .linalg import (
     dagger,
     fidelity_arrays,
@@ -56,7 +55,6 @@ from .qtypes import (
     Channel,
     DensityMatrix,
     SystemSpec,
-    adjoint_apply_choi,
     apply_choi,
     choi_from_map,
     tensor_system,
@@ -110,7 +108,6 @@ __all__ = [
     "project_covariant_tp_psd",
     "fidelity_gradient",
     "max_recovery_fidelity",
-    "petz_recovery",
     "optimize_broadcast",
     "DEFAULT_LAMBDA_SCHEDULE",
 ]
@@ -454,44 +451,6 @@ def max_recovery_fidelity(
     return IrrevResult(
         best_recovery=Channel(from_sys, to_sys, j), fidelity_trace=tuple(trace), gap=width
     )
-
-
-def petz_recovery(ch: Channel, prior: DensityMatrix) -> Channel:
-    """Transpose channel of ch with respect to a prior state.
-
-    X -> sqrt(prior) ch†( ch(prior)^{-1/2} X ch(prior)^{-1/2} ) sqrt(prior),
-    assembled at the Choi level.  If ch(prior) is rank deficient the map
-    is completed on the orthogonal complement by preparing the prior, so
-    the result is always trace preserving.  Raises SingularPrior when the
-    prior itself is numerically singular beyond regularization.
-    """
-    if prior.dim != ch.input.dim:
-        raise DimensionMismatch("prior dimension != channel input dimension")
-    di, do = ch.input.dim, ch.output.dim
-    prior_mat = prior.mat
-    w = np.linalg.eigvalsh(prior_mat)
-    if w[0] < REG_EPS:
-        # The ridge shifts the spectrum by REG_EPS before the positive rescale.
-        if w[0] + REG_EPS <= 0:
-            raise SingularPrior("prior has nonpositive eigenvalues after regularization")
-        logger.info("petz_recovery: regularizing prior with eps=%g", REG_EPS)
-        prior_mat = (prior_mat + REG_EPS * np.eye(di)) / (1.0 + di * REG_EPS)
-    root_prior = psd_sqrt(prior_mat)
-    out_state = apply_choi(ch.choi, do, di, prior_mat)
-    out_state = (out_state + dagger(out_state)) / 2
-    inv_root_out = hermitian_function(out_state, lambda wk: 1.0 / np.sqrt(wk), TOL_RANK)
-    complement = np.eye(do) - hermitian_function(out_state, np.ones_like, TOL_RANK)
-
-    def petz_map(x):
-        core = root_prior @ adjoint_apply_choi(
-            ch.choi, do, di, inv_root_out @ x @ inv_root_out
-        ) @ root_prior
-        leak = complex(np.trace(complement @ x))
-        return core + leak * prior_mat
-
-    j = choi_from_map(petz_map, do, di)
-    j = (j + dagger(j)) / 2
-    return Channel(ch.output, ch.input, j)
 
 
 def optimize_broadcast(

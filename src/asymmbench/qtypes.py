@@ -236,12 +236,6 @@ def apply_channel(ch: Channel, rho: DensityMatrix) -> DensityMatrix:
     return DensityMatrix(out)
 
 
-def adjoint_apply_choi(choi: np.ndarray, d_out: int, d_in: int, y: np.ndarray) -> np.ndarray:
-    """Hilbert-Schmidt adjoint of the channel, applied to y on the output space."""
-    j4 = choi.reshape(d_out, d_in, d_out, d_in)
-    return np.einsum("aibj,ab->ij", np.conj(j4), as_complex(y))
-
-
 def choi_from_map(fn: Callable[[np.ndarray], np.ndarray], d_in: int, d_out: int) -> np.ndarray:
     """Assemble the Choi matrix of a linear map given its action on matrix units."""
     j4 = np.zeros((d_out, d_in, d_out, d_in), dtype=np.complex128)

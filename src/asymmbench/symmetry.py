@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, Singular
 from .linalg import commutator, dagger, hermitian_function, max_abs, psd_sqrt, tensor_product
-from .qtypes import Channel, DensityMatrix, SystemSpec, fidelity, tensor_system
+from .qtypes import Channel, DensityMatrix, SystemSpec, fidelity
 
 __all__ = [
     "SymmetryVerdict",
@@ -46,7 +46,6 @@ __all__ = [
     "random_covariant_channel",
     "measure_ft",
     "skew_information",
-    "product_ft_identity_check",
 ]
 
 
@@ -260,24 +259,3 @@ def skew_information(rho: DensityMatrix, sys: SystemSpec) -> float:
     c = commutator(root, sys.hamiltonian)
     val = -0.5 * float(np.trace(c @ c).real)
     return max(0.0, val)
-
-
-def product_ft_identity_check(
-    psi: DensityMatrix,
-    sigma: DensityMatrix,
-    sys_a: SystemSpec,
-    sys_b: SystemSpec,
-    t: float,
-) -> float:
-    """Residual of the product rule for the fidelity-shift measure.
-
-    For the joint generator H_a (x) I + I (x) H_b (noninteracting parts),
-    the measure satisfies
-    f_t(psi (x) sigma) = 1 - (1 - f_t(psi)) (1 - f_t(sigma)); returns the
-    absolute deviation, used as a test oracle.
-    """
-    joint_sys = tensor_system(sys_a, sys_b)
-    joint = DensityMatrix(tensor_product(psi.mat, sigma.mat))
-    lhs = measure_ft(joint, joint_sys, t)
-    rhs = 1.0 - (1.0 - measure_ft(psi, sys_a, t)) * (1.0 - measure_ft(sigma, sys_b, t))
-    return abs(lhs - rhs)

@@ -2,12 +2,29 @@
 
 random_channel builds CPTP maps from Stinespring isometries, a route
 that never touches the package's Choi plumbing, so channel tests check
-two independent constructions against each other.
+two independent constructions against each other.  petz_recovery, the
+closed-form recovery the optimizer is compared against, and
+product_ft_identity_check, the product rule of f_t, are references that
+no run executes, so they live here rather than in the library.
 """
 import numpy as np
 import pytest
 
-from asymmbench.qtypes import DensityMatrix, StateFamily, SystemSpec, random_density_matrix
+from asymmbench.errors import DimensionMismatch, Singular
+from asymmbench.linalg import as_complex, dagger, hermitian_function, psd_sqrt, tensor_product
+from asymmbench.optimize import REG_EPS
+from asymmbench.qtypes import (
+    Channel,
+    DensityMatrix,
+    StateFamily,
+    SystemSpec,
+    apply_choi,
+    choi_from_map,
+    random_density_matrix,
+    tensor_system,
+)
+from asymmbench.symmetry import measure_ft
+from asymmbench.tolerances import TOL_RANK
 
 
 def random_unitary(d, rng):
@@ -77,6 +94,70 @@ def planted_family(rng, blocks, n_states=3):
         states.append(DensityMatrix(q @ full @ np.conj(q.T)))
     labels = tuple(f"s{i}" for i in range(n_states))
     return StateFamily(tuple(states), labels)
+
+
+def adjoint_apply_choi(choi: np.ndarray, d_out: int, d_in: int, y: np.ndarray) -> np.ndarray:
+    """Hilbert-Schmidt adjoint of the channel, applied to y on the output space."""
+    j4 = choi.reshape(d_out, d_in, d_out, d_in)
+    return np.einsum("aibj,ab->ij", np.conj(j4), as_complex(y))
+
+
+def petz_recovery(ch: Channel, prior: DensityMatrix) -> Channel:
+    """Transpose channel of ch with respect to a prior state.
+
+    X -> sqrt(prior) ch†( ch(prior)^{-1/2} X ch(prior)^{-1/2} ) sqrt(prior),
+    assembled at the Choi level.  If ch(prior) is rank deficient the map
+    is completed on the orthogonal complement by preparing the prior, so
+    the result is always trace preserving.  Raises Singular when the
+    prior itself is numerically singular beyond regularization.
+    """
+    if prior.dim != ch.input.dim:
+        raise DimensionMismatch("prior dimension != channel input dimension")
+    di, do = ch.input.dim, ch.output.dim
+    prior_mat = prior.mat
+    w = np.linalg.eigvalsh(prior_mat)
+    if w[0] < REG_EPS:
+        # The ridge shifts the spectrum by REG_EPS before the positive rescale.
+        if w[0] + REG_EPS <= 0:
+            raise Singular("prior has nonpositive eigenvalues after regularization")
+        prior_mat = (prior_mat + REG_EPS * np.eye(di)) / (1.0 + di * REG_EPS)
+    root_prior = psd_sqrt(prior_mat)
+    out_state = apply_choi(ch.choi, do, di, prior_mat)
+    out_state = (out_state + dagger(out_state)) / 2
+    inv_root_out = hermitian_function(out_state, lambda wk: 1.0 / np.sqrt(wk), TOL_RANK)
+    complement = np.eye(do) - hermitian_function(out_state, np.ones_like, TOL_RANK)
+
+    def petz_map(x):
+        core = root_prior @ adjoint_apply_choi(
+            ch.choi, do, di, inv_root_out @ x @ inv_root_out
+        ) @ root_prior
+        leak = complex(np.trace(complement @ x))
+        return core + leak * prior_mat
+
+    j = choi_from_map(petz_map, do, di)
+    j = (j + dagger(j)) / 2
+    return Channel(ch.output, ch.input, j)
+
+
+def product_ft_identity_check(
+    psi: DensityMatrix,
+    sigma: DensityMatrix,
+    sys_a: SystemSpec,
+    sys_b: SystemSpec,
+    t: float,
+) -> float:
+    """Residual of the product rule for the fidelity-shift measure.
+
+    For the joint generator H_a (x) I + I (x) H_b (noninteracting parts),
+    the measure satisfies
+    f_t(psi (x) sigma) = 1 - (1 - f_t(psi)) (1 - f_t(sigma)); returns the
+    absolute deviation, used as a test oracle.
+    """
+    joint_sys = tensor_system(sys_a, sys_b)
+    joint = DensityMatrix(tensor_product(psi.mat, sigma.mat))
+    lhs = measure_ft(joint, joint_sys, t)
+    rhs = 1.0 - (1.0 - measure_ft(psi, sys_a, t)) * (1.0 - measure_ft(sigma, sys_b, t))
+    return abs(lhs - rhs)
 
 
 def witness(assertions, name):

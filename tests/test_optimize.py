@@ -17,7 +17,6 @@ from asymmbench.optimize import (
     fidelity_gradient,
     max_recovery_fidelity,
     optimize_broadcast,
-    petz_recovery,
     project_covariant_tp_psd,
 )
 from asymmbench.qtypes import (
@@ -36,7 +35,7 @@ from asymmbench.symmetry import (
     random_covariant_channel,
 )
 
-from conftest import integer_system, random_integer_system
+from conftest import integer_system, petz_recovery, random_integer_system
 
 QUBIT = SystemSpec.diagonal([0, 1])
 PLUS = DensityMatrix.pure([1, 1])

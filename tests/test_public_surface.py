@@ -23,8 +23,6 @@ TESTS = ROOT / "tests"
 
 # Public names read by no library or benchmark code, each with its reason.
 ALLOWED = {
-    "petz_recovery": "reference baseline the recovery tests compare the optimizer against",
-    "product_ft_identity_check": "test oracle for the product identity of f_t",
     "twirl_state": "reference twirl the orbit tests compare against; ROADMAP item 5 needs it",
 }
 

@@ -24,7 +24,7 @@ class TestCsv:
     def test_empty_records_header_only(self):
         text = emit_csv(make_report("tradeoff", []))
         assert text.splitlines() == [
-            "t,ft_input,ft_output,irrev,irrev_lower,lhs,rhs,slack,converged"
+            "t,ft_input,ft_output,irrev,irrev_lower,rhs,slack,converged"
         ]
 
     def test_floats_round_trip_exactly(self):
@@ -35,7 +35,6 @@ class TestCsv:
             "ft_output": 0.0,
             "irrev": 2.0 / 3.0,
             "irrev_lower": 1.0 / 3.0,
-            "lhs": value,
             "rhs": value,
             "slack": 0.0,
             "converged": True,

@@ -20,7 +20,6 @@ from asymmbench.symmetry import (
     is_covariant_channel,
     is_symmetric_state,
     measure_ft,
-    product_ft_identity_check,
     random_covariant_channel,
     skew_information,
     time_translate,
@@ -28,7 +27,7 @@ from asymmbench.symmetry import (
     twirl_state,
 )
 
-from conftest import random_choi, random_integer_system
+from conftest import product_ft_identity_check, random_choi, random_integer_system
 
 QUBIT = SystemSpec.diagonal([0, 1])
 PLUS = DensityMatrix.pure([1, 1])
