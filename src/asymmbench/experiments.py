@@ -32,7 +32,6 @@ from .linalg import (
     dagger,
     max_abs,
     partial_trace,
-    psd_sqrt,
     symmetric_subspace_projector,
     tensor_product,
     trace_norm,
@@ -54,7 +53,6 @@ from .qtypes import (
     choi_from_map,
     cyclic_shift_system,
     induce_channel,
-    normalized_gram,
     random_density_matrix,
     tensor_system,
 )
@@ -105,7 +103,7 @@ _COMPLEMENTARITY_TOL = 1e-9  # identity marginal; the erasure fit gets 10x
 # Size caps, refused with SizeCap before any array is built.  A
 # complementarity map A -> S (x) A has a d^3 x d^3 Choi matrix; at d = 10
 # a run peaks near 100 MB.  A lemma8 run keeps O(d^2) entries per trial of
-# dimension d; at d = 8 and 10,000 trials it peaks near 260 MB, so trials
+# dimension d; at d = 8 and 10,000 trials it peaks near 180 MB, so trials
 # times the largest d^2 is capped at that product.
 _COMPLEMENTARITY_DIM_CAP = 10
 _LEMMA8_DIM_CAP = 8
@@ -685,7 +683,8 @@ def _perturbation_violations(rng: np.random.Generator, d: int, n: int) -> np.nda
 
     Draws the ranks (2, n), one standard_normal((2, 3, n, d, d)) (the real
     and imaginary parts of the tau1, tau2 and H-eigenbasis factors), then
-    the spectra (n, d) and the shifts (n,).
+    the spectra (n, d) and the shifts (n,), and hands the unit-norm factors
+    and the translations u = e^{-iHs} to _perturbation_sides.
     """
     ranks = rng.integers(1, d + 1, size=(2, n))
     re_im = rng.standard_normal((2, 3, n, d, d))
@@ -693,17 +692,33 @@ def _perturbation_violations(rng: np.random.Generator, d: int, n: int) -> np.nda
     # A d x d Gaussian with its columns from r on zeroed has the law of a d x r one.
     re_im[:, :2] *= np.arange(d) < ranks[:, :, None, None]
     g = re_im[0] + 1j * re_im[1]
-    taus = normalized_gram(g[:2])  # tau1, tau2
-    check_density(taus)
+    del re_im  # the draws are freed before the arithmetic, which sets the peak
+    f = g[:2] / np.linalg.norm(g[:2], axis=(-2, -1), keepdims=True)  # tau = f f† has trace 1
     q = np.linalg.qr(g[2])[0]
+    del g
     u = (q * np.exp(-1j * spec * s[:, None])[:, None, :]) @ dagger(q)
-    states = np.stack([taus, u @ taus @ dagger(u)])  # the pairs, then the moved pairs
-    del re_im, g, taus, q, u  # freed before the square roots, which set the peak
-    # fidelity_arrays, on square roots taken once per state
-    root_tau, root_moved = psd_sqrt(states)
-    fid_moved = np.clip(trace_norm(root_moved @ root_tau), 0.0, 1.0)
-    fid_pair = np.clip(trace_norm(root_tau[0] @ root_tau[1]), 0.0, 1.0)
-    return np.abs(fid_moved[0] - fid_moved[1]) - 4.0 * np.sqrt(np.maximum(0.0, 1.0 - fid_pair))
+    lhs, rhs = _perturbation_sides(f, u)
+    return lhs - rhs
+
+
+def _perturbation_sides(f: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lhs, rhs) of the perturbation bound for tau_i = f_i f_i† and unitaries u.
+
+    f stacks the factors of tau1 and tau2, shape (2, n, d, d), each of unit
+    Frobenius norm; u has shape (n, d, d).  Each tau is checked as a state.
+    The fidelities come from the factors by Uhlmann's theorem,
+    Fid(A A†, B B†) = ||A† B||_1, so no square root is taken:
+    Fid(tau1, tau2) = ||f1† f2||_1, and u f purifies u tau u†, so
+    Fid(u tau u†, tau) = ||f† u† f||_1 = ||f† u f||_1 (an adjoint keeps the
+    singular values).  A square root's Hermitian and PSD checks on
+    u tau u† are not needed: they hold for any unitary u once tau passes.
+    """
+    fh = dagger(f)
+    check_density(f @ fh)
+    fid_moved = np.clip(trace_norm(fh @ u @ f), 0.0, 1.0)
+    fid_pair = np.clip(trace_norm(fh[0] @ f[1]), 0.0, 1.0)
+    lhs = np.abs(fid_moved[0] - fid_moved[1])
+    return lhs, 4.0 * np.sqrt(np.maximum(0.0, 1.0 - fid_pair))
 
 
 # ---------------------------------------------------------------------------

@@ -271,7 +271,9 @@ class TestPerturbationLemma:
         json.dumps([records, [bound.witness]], allow_nan=False)
 
     def test_drawn_states_are_validated(self, monkeypatch):
-        monkeypatch.setattr(experiments, "normalized_gram", lambda g: 2 * normalized_gram(g))
+        # factors of Frobenius norm sqrt(2) give states of trace 2
+        sides = experiments._perturbation_sides
+        monkeypatch.setattr(experiments, "_perturbation_sides", lambda f, u: sides(2**0.5 * f, u))
         with pytest.raises(DimensionMismatch):
             check_fidelity_perturbation_lemma(np.random.default_rng(0), 5)
 
@@ -280,15 +282,9 @@ class TestPerturbationLemma:
             check_fidelity_perturbation_lemma(rng, 0)
 
     def test_equal_states_saturate_nothing(self, rng):
-        from asymmbench.linalg import fidelity_arrays
-
-        tau = random_density_matrix(3, 3, rng).mat
-        u = SystemSpec.diagonal([0, 1, 2]).translation(0.7)
-        lhs = abs(
-            fidelity_arrays(u @ tau @ u.conj().T, tau)
-            - fidelity_arrays(u @ tau @ u.conj().T, tau)
-        )
-        assert lhs == 0.0
+        f = unit_factors(rng, 200, 3)
+        lhs, rhs = experiments._perturbation_sides(np.stack([f, f]), random_unitaries(rng, 200, 3))
+        assert np.all(lhs == 0.0) and np.all(lhs - rhs <= 0.0)
 
     def test_monte_carlo_small(self, rng):
         _, assertions = check_fidelity_perturbation_lemma(rng, trials=800)
@@ -296,25 +292,60 @@ class TestPerturbationLemma:
         assert witness(assertions, "perturbation_bound") <= 1e-9
 
     def test_translation_invariant_second_state(self, rng):
-        # tau2 = I/d makes the second fidelity term exactly 1
-        from asymmbench.linalg import fidelity_arrays
+        # f2 = I/sqrt(d) gives tau2 = I/d, whose moved fidelity is 1, so the
+        # lhs is 1 - Fid(u tau1 u†, tau1)
+        for d in (2, 3):
+            f1 = unit_factors(rng, 300, d)
+            f2 = np.broadcast_to(np.eye(d) / math.sqrt(d), f1.shape)
+            u = random_unitaries(rng, 300, d)
+            lhs, rhs = experiments._perturbation_sides(np.stack([f1, f2]), u)
+            tau1 = f1 @ dagger(f1)
+            moved = fidelity_arrays(u @ tau1 @ dagger(u), tau1)
+            assert lhs == pytest.approx(1.0 - moved, rel=0, abs=1e-12)
+            assert np.max(lhs - rhs) <= 1e-9
 
-        worst = -np.inf
-        for _ in range(500):
-            d = int(rng.choice([2, 3]))
-            tau1 = random_density_matrix(d, int(rng.integers(1, d + 1)), rng).mat
-            tau2 = np.eye(d) / d
-            g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-            q, _ = np.linalg.qr(g)
-            spec = rng.integers(-2, 3, size=d).astype(float)
-            u = (q * np.exp(-1j * spec * rng.uniform(0, 2 * math.pi))) @ q.conj().T
-            lhs = abs(
-                fidelity_arrays(u @ tau1 @ u.conj().T, tau1)
-                - fidelity_arrays(u @ tau2 @ u.conj().T, tau2)
-            )
-            rhs = 4 * math.sqrt(max(0.0, 1 - fidelity_arrays(tau1, tau2)))
-            worst = max(worst, lhs - rhs)
-        assert worst <= 1e-9
+    def test_constructed_qubit_pair_nears_the_bound(self):
+        # H = diag(0, 1) and s = pi give u = diag(1, -1); tau1 = |+><+| and
+        # tau2 is pure at angle pi/4 + 1e-3.  lhs/rhs tends to 1/sqrt(2) as
+        # the angle nears pi/4, where 10^4 random trials stay below 0.57.
+        theta = math.pi / 4 + 1e-3
+        f = np.zeros((2, 1, 2, 2))
+        f[0, 0, :, 0] = math.sqrt(0.5)
+        f[1, 0, :, 0] = math.cos(theta), math.sin(theta)
+        u = SystemSpec.diagonal([0, 1]).translation(math.pi)[None]
+        [lhs], [rhs] = experiments._perturbation_sides(f, u)
+        assert lhs / rhs >= 0.7071 and lhs - rhs < 0.0
+
+    def test_takes_no_square_root(self, monkeypatch):
+        # the fidelities come from the drawn factors: no eigendecomposition,
+        # and two batched SVDs per sampled dimension
+        def refuse(*args, **kwargs):
+            raise AssertionError("lemma8 took an eigendecomposition")
+
+        svd, calls = np.linalg.svd, []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        records, [bound] = check_fidelity_perturbation_lemma(np.random.default_rng(3), 300)
+        assert [r["dim"] for r in records] == [2, 3, 4] and bound.passed
+        assert len(calls) == 6
+
+
+def unit_factors(rng, n, d):
+    """n complex Gaussian d x d factors, each of unit Frobenius norm."""
+    g = rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))
+    return g / np.linalg.norm(g, axis=(-2, -1), keepdims=True)
+
+
+def random_unitaries(rng, n, d):
+    """n translations e^{-iHs}, each with a random H-eigenbasis, spectrum and shift."""
+    q = np.linalg.qr(rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d)))[0]
+    phases = np.exp(-1j * rng.integers(-2, 3, size=(n, d)) * rng.uniform(0, 2 * math.pi, (n, 1)))
+    return (q * phases[:, None, :]) @ dagger(q)
 
 
 class TestDegradation:
