@@ -139,10 +139,13 @@ def generate_algebra(gens: list[np.ndarray]) -> list[np.ndarray]:
     raise NoConvergence("algebra closure did not stabilize")  # pragma: no cover
 
 
-def _contains(flat: np.ndarray, m: np.ndarray, tol: float) -> bool:
-    """Whether m lies in the span of the orthonormal rows of flat (raveled matrices)."""
+def _contains(flat: np.ndarray, flat_conj: np.ndarray, m: np.ndarray, tol: float) -> bool:
+    """Whether m lies in the span of the orthonormal rows of flat (raveled matrices).
+
+    flat_conj is flat.conj(), taken once by the caller.
+    """
     v = m.ravel()
-    r = v - (flat.conj() @ v) @ flat
+    r = v - (flat_conj @ v) @ flat
     return np.linalg.norm(r) <= tol * (1.0 + np.linalg.norm(m))
 
 
@@ -241,14 +244,15 @@ def wedderburn_decompose(algebra_basis: list[np.ndarray]) -> list[WedderburnBloc
     # Precondition spot check: unital and closed under products/adjoints.
     stack = np.array(algebra_basis)
     flat = stack.reshape(len(stack), -1)
-    if not _contains(flat, np.eye(d, dtype=np.complex128), 100 * _WEDDERBURN_TOL):
+    flat_conj = flat.conj()
+    if not _contains(flat, flat_conj, np.eye(d, dtype=np.complex128), 100 * _WEDDERBURN_TOL):
         raise PreconditionFailed("basis does not span a unital algebra")
     n = len(algebra_basis)
     for _ in range(20):
         i, j = rng.integers(0, n, size=2)
-        if not _contains(flat, stack[i] @ stack[j], 100 * _WEDDERBURN_TOL):
+        if not _contains(flat, flat_conj, stack[i] @ stack[j], 100 * _WEDDERBURN_TOL):
             raise PreconditionFailed("basis is not closed under products")
-        if not _contains(flat, dagger(stack[i]), 100 * _WEDDERBURN_TOL):
+        if not _contains(flat, flat_conj, dagger(stack[i]), 100 * _WEDDERBURN_TOL):
             raise PreconditionFailed("basis is not closed under adjoints")
 
     # the commutant of a *-algebra is *-closed
@@ -368,9 +372,14 @@ def _modular_components(wk: np.ndarray, hatted: list[np.ndarray]) -> list[np.nda
     log_w = np.log(wk)
     freqs = (log_w[:, None] - log_w[None, :]).ravel()
     trans = [(t + dagger(t)) / 2 for t in _transition_operators(wk, hatted)]
+    clusters = _cluster(freqs, _FREQ_TOL)
+    label = np.empty(freqs.size, dtype=np.intp)
+    for c, group in enumerate(clusters):
+        label[group] = c
+    label = label.reshape(wk.size, wk.size)
     parts = []
-    for group in _cluster(freqs, _FREQ_TOL):
-        mask = np.isin(np.arange(freqs.size), group).reshape(wk.size, wk.size)
+    for c in range(len(clusters)):
+        mask = label == c
         parts.extend(np.where(mask, t, 0.0) for t in trans)
     return parts
 

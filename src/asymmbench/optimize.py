@@ -12,7 +12,9 @@ least-squares problem of Malick (SIAM J. Matrix Anal. Appl. 26, 2004) by
 the semismooth Newton method of Qi & Sun (SIAM J. Matrix Anal. Appl. 28,
 2006).  The dual gradient is the TP residual Tr_out X - I, so the result
 is PSD and covariant by construction and trace preserving to the Newton
-tolerance.
+tolerance.  The Newton layout is cached on the CovarianceSector: the 1x1
+sectors are read off as one vector, and the larger blocks of each size
+take one batched eigh per Newton evaluation.
 
 The recovery-fidelity maximization is a concave objective on a convex
 set, so projected gradient ascent with backtracking converges to the
@@ -40,7 +42,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import DimensionMismatch, NoConvergence, SingularTarget
+from .errors import DimensionMismatch, NoConvergence, NonFinite, SingularTarget
 from .linalg import (
     dagger,
     fidelity_arrays,
@@ -184,65 +186,88 @@ def project_covariant_tp_psd(
     Armijo line search drives the residual below NEWTON_TOL per unit of
     the largest entry of J~.  The start Y0 = (I - Tr_out J~) / d_out is
     the Newton step from Y = 0, so J = 0 lands on I (x) I / d_out at once.
-    X is PSD and covariant by construction.  Raises NoConvergence, its
-    message giving the final residual, if the line search stalls or
+    The layout comes from CovarianceSector.newton_layout, cached on the
+    sector: the 1x1 blocks are read off as one vector (each is its own
+    eigenvalue), and the larger blocks of each size take one batched eigh.
+    X is PSD and covariant by construction.  Raises NonFinite if the
+    starting residual is not finite (a NaN or Inf in J), and NoConvergence,
+    its message giving the final residual, if the line search stalls or
     NEWTON_MAX_ITER is spent.
     """
     sector = CovarianceSector.for_channel(out_sys, in_sys)
     basis = sector.basis
     jt = (dagger(basis) @ np.asarray(j, dtype=np.complex128) @ basis).ravel()
-    tr_e, layout = sector.blocks
+    tr_e, layout = sector.newton_layout
     n = tr_e.size
-    # Reading off the sector blocks is the dephasing.  Blocks of equal size
-    # are stacked, so each size above 1 costs one batched eigh.
+    # Reading off the sector blocks is the dephasing.  The 1x1 blocks are
+    # their real diagonal entries, read off as one vector; larger blocks
+    # of equal size are stacked, so each size costs one batched eigh.
     blocks = []
-    for flat, e in layout:
-        jb = jt[flat].reshape(len(flat), e.shape[-1], e.shape[-1])
-        blocks.append(((jb + dagger(jb)) / 2, e, e.conj()))
+    for flat, e, e_conj in layout:
+        if e_conj is None:
+            blocks.append(jt.real[flat])
+        else:
+            jb = jt[flat].reshape(len(flat), e.shape[-1], e.shape[-1])
+            blocks.append((jb + dagger(jb)) / 2)
     # Eigenvalues of the blocks, and so X and the dual value, carry
     # roundoff in proportion to the largest entry.
-    scale = max(1.0, max(max_abs(jb) for jb, _, _ in blocks))
+    scale = max(1.0, max(max_abs(jb) for jb in blocks))
     tol = NEWTON_TOL * scale
 
-    def components(e_conj, xb):
-        """<I (x) E_k, X> summed over a stack of blocks."""
-        return np.real(np.einsum("gkij,gij->k", e_conj, xb))
+    def components(e, e_conj, xb):
+        """<I (x) E_k, X> summed over a group of blocks."""
+        if e_conj is None:
+            # e is the level of each 1x1 block.  bincount adds in block
+            # order, like the einsum below; a BLAS product need not.
+            return np.bincount(e, weights=xb, minlength=n)
+        return np.einsum("gkij,gij->k", e_conj, xb).real
 
     def evaluate(y):
-        """Dual value, gradient and the block eigendecompositions at y."""
+        """Dual value, gradient and the block eigendecompositions at y.
+
+        A 1x1 block is its own eigenvalue w, with eigenvector 1 (q = None).
+        """
         theta = -float(y @ tr_e)
         grad = -tr_e
         eigs = []
-        for jb, e, e_conj in blocks:
-            w, q, xb = _clip_blocks(jb + np.einsum("k,gkij->gij", y, e))
-            wp = np.maximum(w, 0.0)
-            theta += 0.5 * float(np.sum(wp * wp))
-            grad = grad + components(e_conj, xb)
-            eigs.append((w, q, xb))
+        for jb, (_, e, e_conj) in zip(blocks, layout):
+            if e_conj is None:
+                w, q = jb + y[e], None
+                xb = wp = np.maximum(w, 0.0)
+            else:
+                w, q = np.linalg.eigh(jb + np.einsum("k,gkij->gij", y, e))
+                wp = np.maximum(w, 0.0)
+                xb = (q * wp[:, None, :]) @ dagger(q)
+            theta += 0.5 * float((wp * wp).sum())
+            grad = grad + components(e, e_conj, xb)
+            eigs.append((w, wp, q, xb))
         return theta, grad, eigs
 
     def jacobian(eigs):
         """Generalized Jacobian of the gradient, in the commutant basis."""
         v = np.zeros((n, n))
-        for (_, e, e_conj), (w, q, _) in zip(blocks, eigs):
+        for (_, e, e_conj), (w, wp, q, _) in zip(layout, eigs):
             pos = w >= 0
-            wp = np.maximum(w, 0.0)
+            if e_conj is None:
+                # E^T diag(pos) E, for the 1x1 blocks' E = eye(n)[e]
+                v.flat[:: n + 1] += np.bincount(e, weights=pos, minlength=n)
+                continue
             mixed = pos[:, :, None] != pos[:, None, :]
             den = np.where(mixed, w[:, :, None] - w[:, None, :], 1.0)
             both = pos[:, :, None] & pos[:, None, :]
             omega = np.where(mixed, (wp[:, :, None] - wp[:, None, :]) / den, both)
-            if q is None:
-                amat, amat_conj = e, e_conj
-            else:
-                amat = dagger(q)[:, None] @ e @ q[:, None]
-                amat_conj = amat.conj()
-            v += np.real(np.einsum("gkij,gij,glij->kl", amat_conj, omega, amat))
+            amat = dagger(q)[:, None] @ e @ q[:, None]
+            v += np.einsum("gkij,gij,glij->kl", amat.conj(), omega, amat).real
         return v
 
-    marg = sum(components(e_conj, jb) for jb, _, e_conj in blocks)
+    marg = sum(components(e, e_conj, jb) for jb, (_, e, e_conj) in zip(blocks, layout))
     y = (tr_e - marg) / out_sys.dim
     theta, grad, eigs = evaluate(y)
-    res = float(np.linalg.norm(grad))
+    # ||grad||, as np.linalg.norm computes it, without its dispatch
+    res = math.sqrt(grad @ grad)
+    if not math.isfinite(res):
+        raise NonFinite(f"dual-Newton projection input is not finite (TP residual {res})")
+    eye = np.eye(n)
     steps = 0
     while res > tol:
         if steps == NEWTON_MAX_ITER:
@@ -250,8 +275,7 @@ def project_covariant_tp_psd(
                 f"dual-Newton projection took {steps} steps (TP residual {res:.3e})"
             )
         steps += 1
-        ridge = min(_RIDGE, res) * np.eye(n)
-        step = np.linalg.solve(jacobian(eigs) + ridge, -grad)
+        step = np.linalg.solve(jacobian(eigs) + min(_RIDGE, res) * eye, -grad)
         slope = float(grad @ step)
         slack = _ROUNDOFF * scale * (1.0 + abs(theta))
         alpha = 1.0
@@ -264,25 +288,12 @@ def project_covariant_tp_psd(
             raise NoConvergence(f"dual-Newton projection stalled (TP residual {res:.3e})")
         y = y + alpha * step
         theta, grad, eigs = trial
-        res = float(np.linalg.norm(grad))
+        res = math.sqrt(grad @ grad)
     xt = np.zeros_like(jt)
-    for (flat, _), (_, _, xb) in zip(layout, eigs):
+    for (flat, _, _), (_, _, _, xb) in zip(layout, eigs):
         xt[flat] = xb.reshape(flat.shape)
     x = basis @ xt.reshape(basis.shape) @ dagger(basis)
     return (x + dagger(x)) / 2
-
-
-def _clip_blocks(mb: np.ndarray) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
-    """(w, q, X) for a stack of Hermitian blocks mb = q diag(w) q†, X = [mb]_+.
-
-    1x1 blocks are read off: eigh would return the real diagonal entry
-    with eigenvector 1, which q = None stands for.
-    """
-    if mb.shape[-1] == 1:
-        w = mb.real[..., 0]
-        return w, None, np.maximum(w, 0.0)[..., None].astype(np.complex128)
-    w, q = np.linalg.eigh(mb)
-    return w, q, (q * np.maximum(w, 0.0)[:, None, :]) @ dagger(q)
 
 
 def fidelity_gradient(rho_target: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -64,9 +64,9 @@ class CovarianceSector:
     basis = V_out (x) conj(V_in) diagonalizes the generator
     K = H_out (x) I - I (x) H_in^T, and labels[i] is the integer eigenvalue
     of its column i: sector-basis index a * d_in + b carries
-    out_spectrum[a] - in_spectrum[b].  generator, same_sector and blocks
-    are built on first use.  for_channel returns one shared instance per
-    pair of systems, so its arrays are read-only.
+    out_spectrum[a] - in_spectrum[b].  generator, same_sector, blocks and
+    newton_layout are built on first use.  for_channel returns one shared
+    instance per pair of systems, so its arrays are read-only.
     """
 
     out_sys: SystemSpec
@@ -142,6 +142,31 @@ class CovarianceSector:
         for arr in [tr_e] + [arr for group in groups for arr in group]:
             arr.setflags(write=False)
         return tr_e, groups
+
+    @cached_property
+    def newton_layout(self) -> tuple[np.ndarray, tuple[tuple, ...]]:
+        """(Tr E_k, groups): blocks, laid out for the dual-Newton projection.
+
+        The groups follow blocks, in its order.  Each larger group is
+        (flat, e, conj(e)).  The 1x1 sectors are one group (flat (G,),
+        level (G,), None): the restriction of I (x) E_k to the sector of
+        sector-basis index a * d_in + b is the diagonal entry E_k[b, b],
+        which is 1 for the k of the unit |b><b| and 0 for every other k.
+        level holds that k, so E = eye(n)[level] is the group's (G, n)
+        matrix, and the projection reads E y as y[level].
+        """
+        tr_e, groups = self.blocks
+        layout = []
+        for flat, e in groups:
+            if e.shape[-1] == 1:
+                level = np.argmax(e[:, :, 0, 0].real, axis=1)
+                level.setflags(write=False)
+                layout.append((flat[:, 0], level, None))
+            else:
+                e_conj = e.conj()
+                e_conj.setflags(write=False)
+                layout.append((flat, e, e_conj))
+        return tr_e, tuple(layout)
 
     def dephase(self, j: np.ndarray) -> np.ndarray:
         """Zero all matrix elements between distinct eigenvalue sectors of K."""

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from asymmbench import optimize
-from asymmbench.errors import SingularTarget
+from asymmbench.errors import NonFinite, SingularTarget
 from asymmbench.experiments import run_tradeoff_sweep
 from asymmbench.linalg import fidelity_arrays, max_abs, partial_trace, tensor_product
 from asymmbench.optimize import (
@@ -160,15 +160,48 @@ class TestDualNewtonProjection:
             _check_projection(_random_hermitian(6, rng), sys_in, sys_out, rng)
             checked += 1
 
-    def test_one_by_one_blocks_read_off_as_eigh_returns_them(self, rng):
-        # the projection reads 1x1 sector blocks off instead of calling eigh
-        mb = rng.standard_normal((5, 1, 1)) * 10.0 ** rng.integers(-8, 3, size=(5, 1, 1)) + 0j
-        w, q, xb = optimize._clip_blocks(mb)
-        w_ref, q_ref = np.linalg.eigh(mb)
-        assert q is None and np.array_equal(q_ref, np.ones_like(mb))
-        assert np.array_equal(w, w_ref)
-        wp = np.maximum(w_ref, 0.0)
-        assert np.array_equal(xb, (q_ref * wp[:, None, :]) @ q_ref.conj().swapaxes(-1, -2))
+    def test_one_by_one_blocks_read_off_as_eigh_returns_them(self, rng, monkeypatch):
+        # The projection reads the 1x1 sector blocks off as one vector.  Laid
+        # out as (g, 1, 1) blocks instead, the same sectors go through eigh,
+        # and w, X = max(w, 0) and so every projection must come out bit for
+        # bit the same.  Level 0 of (0, 7) -> (0, ..., 5) has six 1x1 sectors.
+        sys_in = integer_system((0, 7), rng)
+        sys_out = integer_system(range(6), rng)
+        sec = CovarianceSector.for_channel(sys_out, sys_in)
+        _, groups = sec.blocks
+        tr_e, layout = sec.newton_layout
+        (_, level, _), = (group for group in layout if group[2] is None)
+        assert np.bincount(level).max() == 6
+        via_eigh = tuple(
+            (flat, e, e.conj()) if e_conj is None else (flat, e, e_conj)
+            for (flat, e), (_, _, e_conj) in zip(groups, layout)
+        )
+        eigh = np.linalg.eigh
+        eigh_sizes = []
+
+        def recording_eigh(mb):
+            eigh_sizes.append(mb.shape[-1])
+            return eigh(mb)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+        js = [10.0**k * _random_hermitian(12, rng) for k in rng.integers(-8, 3, size=10)]
+        by_vector = [project_covariant_tp_psd(j, sys_in, sys_out) for j in js]
+        assert 1 not in eigh_sizes
+        monkeypatch.setitem(sec.__dict__, "newton_layout", (tr_e, via_eigh))
+        by_eigh = [project_covariant_tp_psd(j, sys_in, sys_out) for j in js]
+        assert 1 in eigh_sizes
+        for a, b in zip(by_vector, by_eigh):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_raises(self, bad, rng):
+        # a NaN or Inf entry used to come back as an all-NaN matrix.  numpy
+        # warns on the inf * 0 of the basis change; the contract is the raise.
+        for sys_in, sys_out in [(QUBIT, QUBIT), (QUBIT, integer_system((0, 1, 2), rng))]:
+            j = random_covariant_channel(sys_in, sys_out, rng).choi.copy()
+            j[0, 1] = bad
+            with np.errstate(invalid="ignore"), pytest.raises(NonFinite):
+                project_covariant_tp_psd(j, sys_in, sys_out)
 
     @settings(max_examples=60, deadline=None, database=None)
     @given(

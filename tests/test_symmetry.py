@@ -233,13 +233,27 @@ class TestCovarianceSector:
         _, mult = np.unique(sys_in.spectrum, return_counts=True)
         assert tr_e.size == int(np.sum(mult**2))
         assert max_abs(tr_e - np.trace(es, axis1=1, axis2=2)) < 1e-15
+        # the Newton layout reproduces the groups, in their order: each 1x1
+        # group as the levels of the one-hot rows of e[:, :, 0, 0]
+        tr_l, layout = sec.newton_layout
+        assert tr_l is tr_e and len(layout) == len(groups)
+        for (f, e), (f_l, e_l, e_conj) in zip(groups, layout):
+            if e.shape[-1] == 1:
+                assert e_conj is None and np.array_equal(f_l, f[:, 0])
+                assert np.array_equal(np.eye(tr_e.size)[e_l], e[:, :, 0, 0])
+            else:
+                assert f_l is f and e_l is e and np.array_equal(e_conj, e.conj())
 
     def test_blocks_and_mask_read_only(self, rng):
-        sec = CovarianceSector.for_channel(random_integer_system(2, rng), QUBIT)
-        tr_e, groups = sec.blocks
-        for arr in [sec.same_sector, tr_e] + [arr for group in groups for arr in group]:
-            with pytest.raises(ValueError):
-                arr[0] = arr[0]
+        # QUBIT -> QUBIT has a 1x1 and a 2x2 group
+        for sys_out in (random_integer_system(2, rng), QUBIT):
+            sec = CovarianceSector.for_channel(sys_out, QUBIT)
+            tr_e, groups = sec.blocks
+            _, layout = sec.newton_layout
+            arrays = [arr for group in groups + layout for arr in group if arr is not None]
+            for arr in [sec.same_sector, tr_e] + arrays:
+                with pytest.raises(ValueError):
+                    arr[0] = arr[0]
 
 
 class TestRandomCovariantChannel:
