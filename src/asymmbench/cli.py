@@ -61,19 +61,11 @@ class RunConfig:
 
     def echo(self) -> dict:
         """Config as echoed into reports (defaults made explicit)."""
-
-        def jsonable(v):
-            if isinstance(v, (list, tuple)):
-                return [jsonable(x) for x in v]
-            if isinstance(v, dict):
-                return {k: jsonable(x) for k, x in v.items()}
-            return v
-
         return {
             "schema_version": SCHEMA_VERSION,
             "experiment": self.experiment,
             "seed": self.seed,
-            **{k: jsonable(v) for k, v in sorted(self.params.items())},
+            **dict(sorted(self.params.items())),
         }
 
 

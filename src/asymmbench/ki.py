@@ -39,6 +39,7 @@ from .errors import (
     DecompositionInvalid,
     DimensionMismatch,
     NoConvergence,
+    NonFinite,
     PreconditionFailed,
     RankCollapse,
     SizeCap,
@@ -100,11 +101,12 @@ def generate_algebra(gens: list[np.ndarray]) -> list[np.ndarray]:
     The span is extracted per pass from the Gram matrix of the candidates
     (current basis, adjoints, pairwise products): a direction is kept when
     its Gram eigenvalue exceeds _ALGEBRA_TOL^2 times the largest.  Only the
-    generators are normalized (numerically zero ones are dropped); the
-    products of the orthonormal basis enter with their own norms.  A
-    product that nearly cancels carries its rounding error at full
-    relative weight, so normalizing it would feed floating-point junk
-    into the next pass, where it compounds into spurious directions.
+    generators are normalized (numerically zero ones are dropped, and a
+    norm that is not finite raises NonFinite); the products of the
+    orthonormal basis enter with their own norms.  A product that nearly
+    cancels carries its rounding error at full relative weight, so
+    normalizing it would feed floating-point junk into the next pass,
+    where it compounds into spurious directions.
     """
     if not gens:
         raise DimensionMismatch("no generators")
@@ -122,11 +124,11 @@ def generate_algebra(gens: list[np.ndarray]) -> list[np.ndarray]:
         return vecs[:, keep].T.reshape(-1, d, d)
 
     norms = [float(np.linalg.norm(g)) for g in gens]
-    finite = [n for n in norms if np.isfinite(n)]
-    floor = 1e-8 * max(1.0, max(finite) if finite else 1.0)
+    if not np.isfinite(norms).all():
+        raise NonFinite("a generator's norm is not finite")
+    floor = 1e-8 * max(1.0, max(norms))
     seed = np.array(
-        [np.eye(d) / np.sqrt(d)]
-        + [g / n for g, n in zip(gens, norms) if np.isfinite(n) and n > floor],
+        [np.eye(d) / np.sqrt(d)] + [g / n for g, n in zip(gens, norms) if n > floor],
         dtype=np.complex128,
     )
     basis = span_of([seed, dagger(seed)])
@@ -172,16 +174,25 @@ def _cluster(values: np.ndarray, eps: float) -> list[np.ndarray]:
     return [np.array(g) for g in groups]
 
 
-def _commutant_basis(mats: list[np.ndarray]) -> list[np.ndarray]:
-    """Basis of {Y : [Y, A] = 0 for all A} via the smallest eigenvectors of sum L†L."""
-    p = mats[0].shape[0]
+def _sylvester_gram(p: int, pairs: Iterable[tuple]) -> tuple[np.ndarray, float]:
+    """(sum L†L, max ||right||^2) over pairs, L = kron(left, I) - kron(I, right^T).
+
+    L maps row-major vec(Y) of a p x p Y to vec(left Y - Y right).
+    """
     eye = np.eye(p)
     acc = np.zeros((p * p, p * p), dtype=np.complex128)
     scale = 0.0
-    for a in mats:
-        l_op = np.kron(a, eye) - np.kron(eye, a.T)  # row-major vec: vec(AY - YA)
+    for left, right in pairs:
+        l_op = np.kron(left, eye) - np.kron(eye, right.T)
         acc += dagger(l_op) @ l_op
-        scale = max(scale, float(np.linalg.norm(a)) ** 2)
+        scale = max(scale, float(np.linalg.norm(right)) ** 2)
+    return acc, scale
+
+
+def _commutant_basis(mats: list[np.ndarray]) -> list[np.ndarray]:
+    """Basis of {Y : [Y, A] = 0 for all A} via the smallest eigenvectors of sum L†L."""
+    p = mats[0].shape[0]
+    acc, scale = _sylvester_gram(p, ((a, a) for a in mats))
     w, v = np.linalg.eigh(acc)
     cutoff = _COMMUTANT_TOL * max(1.0, scale)
     return [v[:, i].reshape(p, p) for i in range(p * p) if w[i] <= cutoff]
@@ -554,20 +565,15 @@ def _intertwiner(a_fam: list[np.ndarray], b_fam: list[np.ndarray]) -> np.ndarray
     if tr_a <= 0 or tr_b <= 0:
         return None
     lam = tr_b / tr_a
-    eye = np.eye(p)
-    acc = np.zeros((p * p, p * p), dtype=np.complex128)
-    scale = 0.0
-    for a, b in zip(a_fam, b_fam):
-        l_op = np.kron(eye, a.T) - np.kron(b / lam, eye)  # vec(M A - (B/lam) M)
-        acc += dagger(l_op) @ l_op
-        scale = max(scale, float(np.linalg.norm(a)) ** 2)
+    # the intertwiners M, with (B/lam) M = M A, are the null space
+    acc, scale = _sylvester_gram(p, ((b / lam, a) for a, b in zip(a_fam, b_fam)))
     w, v = np.linalg.eigh(acc)
     if w[0] > _INTERTWINER_TOL * max(1.0, scale):
         return None
     m = v[:, 0].reshape(p, p)
     gram = dagger(m) @ m
     c = float(np.trace(gram).real) / p
-    if c <= 0 or max_abs(gram - c * eye) > 1e-6 * max(1.0, c):
+    if c <= 0 or max_abs(gram - c * np.eye(p)) > 1e-6 * max(1.0, c):
         return None
     u = m / np.sqrt(c)
     worst = max(

@@ -65,39 +65,33 @@ def _require_square(m: np.ndarray) -> np.ndarray:
     return m
 
 
+def _require_matrix(m: np.ndarray) -> np.ndarray:
+    m = as_complex(m)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
+    return m
+
+
 def _require_finite(m: np.ndarray) -> None:
     if not np.isfinite(m).all():
         raise NonFinite("matrix contains NaN or Inf entries")
 
 
-def _max_abs_each(m: np.ndarray) -> np.ndarray:
-    """Largest entry modulus of a matrix, or of each matrix in a stack."""
-    return np.abs(m).max(axis=(-2, -1), initial=0.0)
-
-
-def _unstack(x: np.ndarray) -> float | np.ndarray:
-    """A Python float for a single matrix's value, the array for a stack's."""
-    return float(x) if np.ndim(x) == 0 else x
-
-
 def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix, or of each matrix in a stack.
+    """Eigendecomposition of a Hermitian matrix.
 
     Returns (eigenvalues ascending, eigenvectors as columns of a unitary)
-    with m = V diag(w) V†; for a stack of shape (..., d, d) the results
-    have shapes (..., d) and (..., d, d).  Every member must be finite and
-    Hermitian to TOL_STRUCT relative to its own largest entry.  Degenerate
+    with m = V diag(w) V†.  m must be one square matrix, finite and
+    Hermitian to TOL_STRUCT relative to its largest entry.  Degenerate
     eigenvalues come with an arbitrary orthonormal basis of the
     eigenspace; callers must not rely on the basis choice inside a
     degenerate block.
     """
-    m = _require_square(m)
+    m = _require_matrix(m)
     _require_finite(m)
-    dev = _max_abs_each(m - dagger(m))
-    bad = dev > TOL_STRUCT * (1.0 + _max_abs_each(m))
-    if bad.any():
-        worst = float(np.max(np.where(bad, dev, 0.0)))
-        raise NonHermitian(f"matrix is not Hermitian (deviation {worst:.3e})")
+    dev = max_abs(m - dagger(m))
+    if dev > TOL_STRUCT * (1.0 + max_abs(m)):
+        raise NonHermitian(f"matrix is not Hermitian (deviation {dev:.3e})")
     try:
         w, v = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
@@ -108,31 +102,25 @@ def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def hermitian_function(m: np.ndarray, f, cutoff: float | None = None) -> np.ndarray:
     """V f(w) V† for a Hermitian m = V diag(w) V†, from one eigendecomposition.
 
-    f maps eigenvalues to values and may raise.  With a cutoff, an
-    eigenvalue below -TOL_STRUCT * (1 + the largest of its matrix) raises
-    NotPSD, and only those at or above the cutoff reach f, as one flat
-    array; the rest map to 0.  Without one, f gets the ascending
-    eigenvalue array, of shape (..., d) for a stack.  A stack is mapped
-    matrix by matrix, so with a cutoff f must act elementwise.
+    f maps the ascending eigenvalue array to values and may raise.  With
+    a cutoff, an eigenvalue below -TOL_STRUCT * (1 + the largest) raises
+    NotPSD, and only those at or above the cutoff reach f; the rest map
+    to 0.
     """
     w, v = hermitian_eig(m)
     if cutoff is not None:
-        if w.shape[-1]:
-            lowest = w[..., 0]
-            low = lowest < -TOL_STRUCT * (1.0 + np.maximum(w[..., -1], 0.0))
-            if low.any():
-                worst = float(np.min(np.where(low, lowest, 0.0)))
-                raise NotPSD(f"minimum eigenvalue {worst:.3e} below -{TOL_STRUCT:g}")
+        if w.size and w[0] < -TOL_STRUCT * (1.0 + max(w[-1], 0.0)):
+            raise NotPSD(f"minimum eigenvalue {w[0]:.3e} below -{TOL_STRUCT:g}")
         keep = w >= cutoff
         fw = np.zeros(w.shape)
         fw[keep] = f(w[keep])
     else:
         fw = f(w)
-    return (v * fw[..., None, :]) @ dagger(v)
+    return (v * fw) @ dagger(v)
 
 
 def psd_sqrt(m: np.ndarray) -> np.ndarray:
-    """Positive-semidefinite square root of a matrix or of each matrix in a stack.
+    """Positive-semidefinite square root of a matrix.
 
     See hermitian_function for the PSD check and the rank cutoff.
     """
@@ -140,24 +128,23 @@ def psd_sqrt(m: np.ndarray) -> np.ndarray:
 
 
 def trace_norm(m: np.ndarray) -> float | np.ndarray:
-    """Sum of singular values: a float, or an array of shape (...) for a stack."""
+    """Sum of singular values: a float, or an array of shape (...) for a stack (..., d, d)."""
     m = _require_square(m)
     _require_finite(m)
-    return _unstack(np.linalg.svd(m, compute_uv=False).sum(axis=-1))
+    norms = np.linalg.svd(m, compute_uv=False).sum(axis=-1)
+    return float(norms) if m.ndim == 2 else norms
 
 
-def fidelity_arrays(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
+def fidelity_arrays(a: np.ndarray, b: np.ndarray) -> float:
     """Uhlmann fidelity ||sqrt(a) sqrt(b)||_1, clamped to [0, 1].
 
-    Takes raw PSD Hermitian arrays of equal shape, single matrices or
-    stacks that pair up member by member; the typed wrapper in qtypes
-    validates density matrices first.
+    Takes two raw PSD Hermitian matrices of equal shape.
     """
-    a = _require_square(a)
-    b = _require_square(b)
+    a = _require_matrix(a)
+    b = _require_matrix(b)
     if a.shape != b.shape:
         raise DimensionMismatch(f"fidelity of {a.shape} vs {b.shape}")
-    return _unstack(np.clip(trace_norm(psd_sqrt(a) @ psd_sqrt(b)), 0.0, 1.0))
+    return float(np.clip(trace_norm(psd_sqrt(a) @ psd_sqrt(b)), 0.0, 1.0))
 
 
 def partial_trace(m: np.ndarray, dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:

@@ -12,9 +12,9 @@ least-squares problem of Malick (SIAM J. Matrix Anal. Appl. 26, 2004) by
 the semismooth Newton method of Qi & Sun (SIAM J. Matrix Anal. Appl. 28,
 2006).  The dual gradient is the TP residual Tr_out X - I, so the result
 is PSD and covariant by construction and trace preserving to the Newton
-tolerance.  The Newton layout is cached on the CovarianceSector: the 1x1
-sectors are read off as one vector, and the larger blocks of each size
-take one batched eigh per Newton evaluation.
+tolerance.  It reads the block layout cached on the CovarianceSector: the
+1x1 sectors are read off as one vector, and the larger blocks of each
+size take one batched eigh per Newton evaluation.
 
 The recovery-fidelity maximization is a concave objective on a convex
 set, so projected gradient ascent with backtracking converges to the
@@ -186,9 +186,9 @@ def project_covariant_tp_psd(
     Armijo line search drives the residual below NEWTON_TOL per unit of
     the largest entry of J~.  The start Y0 = (I - Tr_out J~) / d_out is
     the Newton step from Y = 0, so J = 0 lands on I (x) I / d_out at once.
-    The layout comes from CovarianceSector.newton_layout, cached on the
-    sector: the 1x1 blocks are read off as one vector (each is its own
-    eigenvalue), and the larger blocks of each size take one batched eigh.
+    The layout is CovarianceSector.blocks, cached on the sector: the 1x1
+    blocks are read off as one vector (each is its own eigenvalue), and
+    the larger blocks of each size take one batched eigh.
     X is PSD and covariant by construction.  Raises NonFinite if the
     starting residual is not finite (a NaN or Inf in J), and NoConvergence,
     its message giving the final residual, if the line search stalls or
@@ -197,7 +197,7 @@ def project_covariant_tp_psd(
     sector = CovarianceSector.for_channel(out_sys, in_sys)
     basis = sector.basis
     jt = (dagger(basis) @ np.asarray(j, dtype=np.complex128) @ basis).ravel()
-    tr_e, layout = sector.newton_layout
+    tr_e, layout = sector.blocks
     n = tr_e.size
     # Reading off the sector blocks is the dephasing.  The 1x1 blocks are
     # their real diagonal entries, read off as one vector; larger blocks

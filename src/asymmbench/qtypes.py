@@ -22,7 +22,6 @@ from .errors import DimensionMismatch, InvalidChannel, NonHermitian, NotPSD
 from .linalg import (
     as_complex,
     dagger,
-    fidelity_arrays,
     max_abs,
     partial_trace,
     tensor_product,
@@ -36,7 +35,6 @@ __all__ = [
     "SystemSpec",
     "Channel",
     "StateFamily",
-    "fidelity",
     "apply_channel",
     "induce_channel",
     "choi_from_map",
@@ -103,9 +101,9 @@ def check_density(m: np.ndarray) -> None:
 
 
 def normalized_gram(g: np.ndarray) -> np.ndarray:
-    """G G† / Tr(G G†) for a matrix G, or for each matrix of a stack."""
+    """G G† / Tr(G G†) for a matrix G."""
     m = g @ dagger(g)
-    return m / m.trace(0, -2, -1).real[..., None, None]
+    return m / m.trace().real
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,13 +210,6 @@ class StateFamily:
 
     def average(self) -> np.ndarray:
         return sum(s.mat for s in self.states) / len(self.states)
-
-
-def fidelity(a: DensityMatrix, b: DensityMatrix) -> float:
-    """Uhlmann fidelity ||sqrt(a) sqrt(b)||_1 in [0, 1]."""
-    if a.dim != b.dim:
-        raise DimensionMismatch(f"fidelity of dim {a.dim} vs {b.dim}")
-    return fidelity_arrays(a.mat, b.mat)
 
 
 def apply_choi(choi: np.ndarray, d_out: int, d_in: int, m: np.ndarray) -> np.ndarray:

@@ -17,6 +17,10 @@ output factor of a commutator with an output-only operator vanishes, so
 [X, H_in^T] = Tr_out[J0, I (x) H_in^T] = 0.  Hence I (x) X^{-1/2}
 commutes with K and the normalized Choi stays covariant.
 
+CovarianceSector holds this sector structure once per pair of systems,
+with the one block layout of covariant Choi matrices that the projection
+in optimize reads.
+
 Note on the group: the measures and predicates here are defined for
 translations over the whole real line, but with integer spectra every
 statement is 2*pi-periodic, so all checks are carried out on the compact
@@ -32,8 +36,16 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionMismatch, Singular
-from .linalg import commutator, dagger, hermitian_function, max_abs, psd_sqrt, tensor_product
-from .qtypes import Channel, DensityMatrix, SystemSpec, fidelity
+from .linalg import (
+    commutator,
+    dagger,
+    fidelity_arrays,
+    hermitian_function,
+    max_abs,
+    psd_sqrt,
+    tensor_product,
+)
+from .qtypes import Channel, DensityMatrix, SystemSpec
 
 __all__ = [
     "SymmetryVerdict",
@@ -64,9 +76,9 @@ class CovarianceSector:
     basis = V_out (x) conj(V_in) diagonalizes the generator
     K = H_out (x) I - I (x) H_in^T, and labels[i] is the integer eigenvalue
     of its column i: sector-basis index a * d_in + b carries
-    out_spectrum[a] - in_spectrum[b].  generator, same_sector, blocks and
-    newton_layout are built on first use.  for_channel returns one shared
-    instance per pair of systems, so its arrays are read-only.
+    out_spectrum[a] - in_spectrum[b].  generator, same_sector and blocks
+    are built on first use.  for_channel returns one shared instance per
+    pair of systems, so its arrays are read-only.
     """
 
     out_sys: SystemSpec
@@ -103,21 +115,28 @@ class CovarianceSector:
         return mask
 
     @cached_property
-    def blocks(self) -> tuple[np.ndarray, tuple[tuple[np.ndarray, np.ndarray], ...]]:
+    def blocks(self) -> tuple[np.ndarray, tuple[tuple, ...]]:
         """(Tr E_k, groups): the block layout of covariant Choi matrices.
 
         E_k is an orthonormal basis of the Hermitian matrices that commute
         with diag(in spectrum).  Each group stacks the eigenvalue sectors of
-        K of one block size m: the flat indices (g, m*m) of their blocks in
-        a Choi matrix in the sector basis, and the restrictions (g, n, m, m)
-        of I (x) E_k to them.
+        K of one block size m, in the order the sizes first occur among the
+        sorted labels.  A larger group is (flat, e, conj(e)): the flat
+        indices (g, m*m) of its blocks in a Choi matrix in the sector
+        basis, and the restrictions (g, n, m, m) of I (x) E_k to them.  The
+        1x1 sectors are one group (flat (G,), level (G,), None): the
+        restriction of I (x) E_k to the sector of sector-basis index
+        a * d_in + b is the diagonal entry E_k[b, b], which is 1 for the k
+        of the unit |b><b| and 0 for every other k.  level holds that k,
+        so E = eye(n)[level] is the group's (G, n) matrix.
         """
         spec = self.in_sys.spectrum
         di = len(spec)
-        units = []
+        units, diagonal = [], []  # diagonal[b] is the k of the unit |b><b|
         for b in range(di):
             unit = np.zeros((di, di), dtype=np.complex128)
             unit[b, b] = 1.0
+            diagonal.append(len(units))
             units.append(unit)
             for c in range(b + 1, di):
                 if spec[b] == spec[c]:
@@ -130,43 +149,24 @@ class CovarianceSector:
         by_size = {}
         for lab in np.unique(self.labels):
             idx = np.flatnonzero(self.labels == lab)
-            a, b = np.divmod(idx, di)
-            e = units[:, b[:, None], b[None, :]] * (a[:, None] == a[None, :])
-            flat = (idx[:, None] * self.labels.size + idx[None, :]).ravel()
-            by_size.setdefault(idx.size, []).append((flat, e))
-        groups = tuple(
-            (np.array([f for f, _ in members]), np.array([e for _, e in members]))
-            for members in by_size.values()
-        )
+            by_size.setdefault(idx.size, []).append(idx)
+        groups = []
+        for members in by_size.values():
+            if members[0].size == 1:
+                idx = np.concatenate(members)
+                groups.append((idx * (self.labels.size + 1), np.array(diagonal)[idx % di], None))
+                continue
+            flats, es = [], []
+            for idx in members:
+                a, b = np.divmod(idx, di)
+                es.append(units[:, b[:, None], b[None, :]] * (a[:, None] == a[None, :]))
+                flats.append((idx[:, None] * self.labels.size + idx[None, :]).ravel())
+            e = np.array(es)
+            groups.append((np.array(flats), e, e.conj()))
         tr_e = np.real(np.trace(units, axis1=1, axis2=2))
-        for arr in [tr_e] + [arr for group in groups for arr in group]:
+        for arr in [tr_e] + [arr for group in groups for arr in group if arr is not None]:
             arr.setflags(write=False)
-        return tr_e, groups
-
-    @cached_property
-    def newton_layout(self) -> tuple[np.ndarray, tuple[tuple, ...]]:
-        """(Tr E_k, groups): blocks, laid out for the dual-Newton projection.
-
-        The groups follow blocks, in its order.  Each larger group is
-        (flat, e, conj(e)).  The 1x1 sectors are one group (flat (G,),
-        level (G,), None): the restriction of I (x) E_k to the sector of
-        sector-basis index a * d_in + b is the diagonal entry E_k[b, b],
-        which is 1 for the k of the unit |b><b| and 0 for every other k.
-        level holds that k, so E = eye(n)[level] is the group's (G, n)
-        matrix, and the projection reads E y as y[level].
-        """
-        tr_e, groups = self.blocks
-        layout = []
-        for flat, e in groups:
-            if e.shape[-1] == 1:
-                level = np.argmax(e[:, :, 0, 0].real, axis=1)
-                level.setflags(write=False)
-                layout.append((flat[:, 0], level, None))
-            else:
-                e_conj = e.conj()
-                e_conj.setflags(write=False)
-                layout.append((flat, e, e_conj))
-        return tr_e, tuple(layout)
+        return tr_e, tuple(groups)
 
     def dephase(self, j: np.ndarray) -> np.ndarray:
         """Zero all matrix elements between distinct eigenvalue sectors of K."""
@@ -266,7 +266,7 @@ def measure_ft(rho: DensityMatrix, sys: SystemSpec, t: float) -> float:
     channels for every t.
     """
     shifted = time_translate(rho, sys, t)
-    val = 1.0 - fidelity(rho, shifted)
+    val = 1.0 - fidelity_arrays(rho.mat, shifted.mat)
     return float(min(1.0, max(0.0, val)))
 
 

@@ -299,9 +299,11 @@ class TestPerturbationLemma:
             f2 = np.broadcast_to(np.eye(d) / math.sqrt(d), f1.shape)
             u = random_unitaries(rng, 300, d)
             lhs, rhs = experiments._perturbation_sides(np.stack([f1, f2]), u)
-            tau1 = f1 @ dagger(f1)
-            moved = fidelity_arrays(u @ tau1 @ dagger(u), tau1)
-            assert lhs == pytest.approx(1.0 - moved, rel=0, abs=1e-12)
+            moved = [
+                fidelity_arrays(uk @ t @ dagger(uk), t)
+                for uk, t in zip(u, f1 @ dagger(f1))
+            ]
+            assert lhs == pytest.approx(1.0 - np.array(moved), rel=0, abs=1e-12)
             assert np.max(lhs - rhs) <= 1e-9
 
     def test_constructed_qubit_pair_nears_the_bound(self):

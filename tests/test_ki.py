@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from asymmbench.errors import DecompositionInvalid, PreconditionFailed, SizeCap
+from asymmbench.errors import DecompositionInvalid, NonFinite, PreconditionFailed, SizeCap
 from asymmbench.ki import (
     WedderburnBlock,
     _assemble,
@@ -74,6 +74,14 @@ class TestGenerateAlgebra:
         basis = generate_algebra(gens)
         gram = np.array([[np.sum(np.conj(a) * b) for b in basis] for a in basis])
         assert max_abs(gram - np.eye(len(basis))) < 1e-10
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_generator_raises(self, bad):
+        # such a generator used to be dropped, leaving the algebra of the rest
+        gen = np.ones((2, 2), dtype=complex)
+        gen[0, 1] = bad
+        with pytest.raises(NonFinite):
+            generate_algebra([np.diag([1.0, 0.0]).astype(complex), gen])
 
 
 class TestWedderburn:

@@ -27,7 +27,7 @@ from asymmbench.linalg import (
     tensor_product,
     trace_norm,
 )
-from asymmbench.qtypes import DensityMatrix, fidelity, random_density_matrix
+from asymmbench.qtypes import DensityMatrix, check_density, random_density_matrix
 from asymmbench.tolerances import TOL_RANK, TOL_STRUCT
 
 from conftest import random_unitary
@@ -98,6 +98,16 @@ class TestPsdSqrt:
     def test_rejects_negative(self):
         with pytest.raises(NotPSD):
             psd_sqrt(np.diag([1.0, -0.5]))
+
+    def test_tolerance_scales_with_the_largest_eigenvalue(self):
+        # -5e-7 is within TOL_STRUCT of a matrix whose largest eigenvalue is
+        # 1e3, but not of one whose largest eigenvalue is 1
+        big, u = spectral_matrix([-5e-7, 1e3], 1)
+        small, _ = spectral_matrix([-5e-7, 1.0], 2)
+        top = np.outer(u[:, 1], u[:, 1].conj())
+        assert max_abs(psd_sqrt(big) - math.sqrt(1e3) * top) < 1e-12
+        with pytest.raises(NotPSD):
+            psd_sqrt(small)
 
 
 def spectral_matrix(spectrum, seed):
@@ -204,16 +214,17 @@ class TestTraceNorm:
 class TestFidelity:
     def test_self_fidelity(self, rng):
         rho = random_density_matrix(3, 3, rng)
-        assert abs(fidelity(rho, rho) - 1) < 1e-9
+        assert abs(fidelity_arrays(rho.mat, rho.mat) - 1) < 1e-9
 
     def test_pure_overlap(self):
         zero = DensityMatrix.pure([1, 0])
         plus = DensityMatrix.pure([1, 1])
-        assert abs(fidelity(zero, plus) - 1 / math.sqrt(2)) < 1e-12
+        assert abs(fidelity_arrays(zero.mat, plus.mat) - 1 / math.sqrt(2)) < 1e-12
 
     def test_pure_vs_mixed(self):
         zero = DensityMatrix.pure([1, 0])
-        assert abs(fidelity(zero, DensityMatrix.maximally_mixed(2)) - 1 / math.sqrt(2)) < 1e-12
+        mixed = DensityMatrix.maximally_mixed(2)
+        assert abs(fidelity_arrays(zero.mat, mixed.mat) - 1 / math.sqrt(2)) < 1e-12
 
     def test_pure_equals_sqrt_expectation(self, rng):
         # fidelity with a pure state reduces to sqrt(<psi|b|psi>)
@@ -223,14 +234,14 @@ class TestFidelity:
             psi /= np.linalg.norm(psi)
             b = random_density_matrix(d, d, rng)
             expect = math.sqrt(max(0.0, np.vdot(psi, b.mat @ psi).real))
-            assert abs(fidelity(DensityMatrix.pure(psi), b) - expect) < 1e-9
+            assert abs(fidelity_arrays(DensityMatrix.pure(psi).mat, b.mat) - expect) < 1e-9
 
     def test_symmetry_500_pairs(self, rng):
         for _ in range(500):
             d = int(rng.choice([2, 3, 4]))
             a = random_density_matrix(d, int(rng.integers(1, d + 1)), rng)
             b = random_density_matrix(d, int(rng.integers(1, d + 1)), rng)
-            assert abs(fidelity(a, b) - fidelity(b, a)) < 1e-9
+            assert abs(fidelity_arrays(a.mat, b.mat) - fidelity_arrays(b.mat, a.mat)) < 1e-9
 
     def test_monotone_under_partial_trace(self, rng):
         for _ in range(500):
@@ -239,11 +250,13 @@ class TestFidelity:
             fa = fidelity_arrays(
                 partial_trace(a.mat, [2, 2], [0]), partial_trace(b.mat, [2, 2], [0])
             )
-            assert fa >= fidelity(a, b) - 1e-9
+            assert fa >= fidelity_arrays(a.mat, b.mat) - 1e-9
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            fidelity(DensityMatrix.maximally_mixed(2), DensityMatrix.maximally_mixed(3))
+            fidelity_arrays(
+                DensityMatrix.maximally_mixed(2).mat, DensityMatrix.maximally_mixed(3).mat
+            )
 
 
 @st.composite
@@ -265,25 +278,24 @@ def psd_stacks(draw, min_size=1):
 
 
 class TestStacks:
-    """A stack (..., d, d) gives each member exactly its single-matrix result."""
+    """trace_norm and check_density take a stack (..., d, d) member by member.
+
+    The other spectral helpers take one matrix and refuse a stack.
+    """
 
     @settings(max_examples=80, deadline=None, database=None)
     @given(stack=psd_stacks(min_size=2))
     def test_stacked_equals_per_matrix(self, stack):
-        w, v = hermitian_eig(stack)
-        roots = psd_sqrt(stack)
-        products = stack @ roots[::-1]
+        products = stack @ stack[::-1]
         norms = trace_norm(products)
-        half = len(stack) // 2
-        a, b = stack[:half], stack[half : 2 * half]
-        fids = fidelity_arrays(a, b)
-        for i, m in enumerate(stack):
-            wi, vi = hermitian_eig(m)
-            assert np.array_equal(w[i], wi) and np.array_equal(v[i], vi)
-            assert np.array_equal(roots[i], psd_sqrt(m))
-            assert norms[i] == trace_norm(products[i])
-        assert fids.tolist() == [fidelity_arrays(x, y) for x, y in zip(a, b)]
-        assert np.array_equal(psd_sqrt(stack.reshape(1, -1, *stack.shape[1:]))[0], roots)
+        for i, m in enumerate(products):
+            assert norms[i] == trace_norm(m)
+        assert np.array_equal(trace_norm(products[None])[0], norms)
+        states = stack + np.eye(stack.shape[-1])
+        states /= states.trace(0, -2, -1)[:, None, None]
+        check_density(states)
+        for m in states:
+            check_density(m)
 
     @settings(max_examples=60, deadline=None, database=None)
     @given(
@@ -295,36 +307,31 @@ class TestStacks:
     def test_one_bad_member_raises(self, stack, where, negative, seed):
         i = where % len(stack)
         d = stack.shape[-1]
-        bad = stack.copy()
+        bad = stack + np.eye(d)
+        bad /= bad.trace(0, -2, -1)[:, None, None]
+        check_density(bad)
         bad[i], _ = spectral_matrix([-negative] + [1.0] * (d - 1), seed)
         with pytest.raises(NotPSD):
-            psd_sqrt(bad)
-        with pytest.raises(NotPSD):
-            fidelity_arrays(bad, stack)
+            check_density(bad)
         bad = stack.copy()
-        bad[i, 0, 0] += 1e-7j * (1.0 + max_abs(bad[i]))
-        for fn in (hermitian_eig, psd_sqrt):
-            with pytest.raises(NonHermitian):
-                fn(bad)
-        with pytest.raises(NonHermitian):
-            fidelity_arrays(stack, bad)
-
-    def test_tolerances_are_per_member(self):
-        # -5e-7 is within TOL_STRUCT of a member whose largest eigenvalue is
-        # 1e3, but not of one whose largest eigenvalue is 1
-        big, _ = spectral_matrix([-5e-7, 1e3], 1)
-        small, _ = spectral_matrix([-5e-7, 1.0], 2)
-        assert np.array_equal(psd_sqrt(np.array([big, big / 1e3 + 1.0]))[0], psd_sqrt(big))
-        with pytest.raises(NotPSD):
-            psd_sqrt(np.array([big, small]))
+        bad[i, 0, 0] = np.nan
+        with pytest.raises(NonFinite):
+            trace_norm(bad)
 
     def test_shape_errors(self):
         with pytest.raises(DimensionMismatch):
-            psd_sqrt(np.zeros((3, 2, 3)))
-        with pytest.raises(DimensionMismatch):
-            fidelity_arrays(np.eye(2)[None], np.eye(2)[None].repeat(2, axis=0))
+            trace_norm(np.zeros((3, 2, 3)))
         with pytest.raises(NonFinite):
             trace_norm(np.array([np.eye(2), np.full((2, 2), np.nan)]))
+        # a stack of states is refused by every single-matrix helper
+        stack = np.array([np.eye(2) / 2, np.diag([1.0, 0.0])])
+        for fn in (hermitian_eig, psd_sqrt, lambda m: hermitian_function(m, np.abs)):
+            with pytest.raises(DimensionMismatch):
+                fn(stack)
+        with pytest.raises(DimensionMismatch):
+            fidelity_arrays(stack, stack)
+        with pytest.raises(DimensionMismatch):
+            fidelity_arrays(stack[0], stack[:1])
 
 
 class TestPartialTrace:

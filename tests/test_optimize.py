@@ -168,13 +168,13 @@ class TestDualNewtonProjection:
         sys_in = integer_system((0, 7), rng)
         sys_out = integer_system(range(6), rng)
         sec = CovarianceSector.for_channel(sys_out, sys_in)
-        _, groups = sec.blocks
-        tr_e, layout = sec.newton_layout
-        (_, level, _), = (group for group in layout if group[2] is None)
+        tr_e, layout = sec.blocks
+        (flat1, level, _), = (group for group in layout if group[2] is None)
         assert np.bincount(level).max() == 6
+        e1 = np.eye(tr_e.size, dtype=complex)[level][:, :, None, None]
         via_eigh = tuple(
-            (flat, e, e.conj()) if e_conj is None else (flat, e, e_conj)
-            for (flat, e), (_, _, e_conj) in zip(groups, layout)
+            (flat1[:, None], e1, e1.conj()) if e_conj is None else (flat, e, e_conj)
+            for flat, e, e_conj in layout
         )
         eigh = np.linalg.eigh
         eigh_sizes = []
@@ -187,7 +187,7 @@ class TestDualNewtonProjection:
         js = [10.0**k * _random_hermitian(12, rng) for k in rng.integers(-8, 3, size=10)]
         by_vector = [project_covariant_tp_psd(j, sys_in, sys_out) for j in js]
         assert 1 not in eigh_sizes
-        monkeypatch.setitem(sec.__dict__, "newton_layout", (tr_e, via_eigh))
+        monkeypatch.setitem(sec.__dict__, "blocks", (tr_e, via_eigh))
         by_eigh = [project_covariant_tp_psd(j, sys_in, sys_out) for j in js]
         assert 1 in eigh_sizes
         for a, b in zip(by_vector, by_eigh):

@@ -18,7 +18,6 @@ from asymmbench.qtypes import (
     choi_from_map,
     cyclic_shift_system,
     induce_channel,
-    normalized_gram,
     random_density_matrix,
     tensor_system,
 )
@@ -69,12 +68,6 @@ class TestDensityMatrix:
             check_density(stack)
         with pytest.raises(error):
             DensityMatrix(stack[2])
-
-    def test_normalized_gram_stack_matches_members(self, rng):
-        g = rng.standard_normal((5, 3, 2)) + 1j * rng.standard_normal((5, 3, 2))
-        stack = normalized_gram(g)
-        check_density(stack)
-        assert all(np.array_equal(stack[i], normalized_gram(g[i])) for i in range(5))
 
 
 class TestSystemSpec:

@@ -205,7 +205,18 @@ class TestCovarianceSector:
         sys_out = random_integer_system(dims[1], rng)
         sec = CovarianceSector.for_channel(sys_out, sys_in)
         di, dd = sys_in.dim, sys_in.dim * sys_out.dim
-        tr_e, groups = sec.blocks
+        tr_e, layout = sec.blocks
+        # each group as (flat (g, m*m), e (g, n, m, m)); a 1x1 group's rows
+        # of E are eye(n)[level]
+        groups = []
+        for f, e, e_conj in layout:
+            if e_conj is None:
+                groups.append((f[:, None], np.eye(tr_e.size)[e][:, :, None, None]))
+            else:
+                assert np.array_equal(e_conj, e.conj())
+                groups.append((f, e))
+        sizes = [e.shape[-1] for _, e in groups]
+        assert len(set(sizes)) == len(sizes)
         # the group indices partition exactly the same-label entries
         flat = np.concatenate([f.ravel() for f, _ in groups])
         assert np.array_equal(np.sort(flat), np.flatnonzero(sec.same_sector))
@@ -233,24 +244,13 @@ class TestCovarianceSector:
         _, mult = np.unique(sys_in.spectrum, return_counts=True)
         assert tr_e.size == int(np.sum(mult**2))
         assert max_abs(tr_e - np.trace(es, axis1=1, axis2=2)) < 1e-15
-        # the Newton layout reproduces the groups, in their order: each 1x1
-        # group as the levels of the one-hot rows of e[:, :, 0, 0]
-        tr_l, layout = sec.newton_layout
-        assert tr_l is tr_e and len(layout) == len(groups)
-        for (f, e), (f_l, e_l, e_conj) in zip(groups, layout):
-            if e.shape[-1] == 1:
-                assert e_conj is None and np.array_equal(f_l, f[:, 0])
-                assert np.array_equal(np.eye(tr_e.size)[e_l], e[:, :, 0, 0])
-            else:
-                assert f_l is f and e_l is e and np.array_equal(e_conj, e.conj())
 
     def test_blocks_and_mask_read_only(self, rng):
         # QUBIT -> QUBIT has a 1x1 and a 2x2 group
         for sys_out in (random_integer_system(2, rng), QUBIT):
             sec = CovarianceSector.for_channel(sys_out, QUBIT)
             tr_e, groups = sec.blocks
-            _, layout = sec.newton_layout
-            arrays = [arr for group in groups + layout for arr in group if arr is not None]
+            arrays = [arr for group in groups for arr in group if arr is not None]
             for arr in [sec.same_sector, tr_e] + arrays:
                 with pytest.raises(ValueError):
                     arr[0] = arr[0]
