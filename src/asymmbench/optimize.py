@@ -26,12 +26,16 @@ F + gap a lower bound 1 - (F + gap)^2.  Checks that irreversibility is
 small read the first; the degradation demo and the tradeoff relation,
 which need irreversibility to be large, read the second.
 
-Every ascent, for recovery or broadcast, also stops when no step rises,
-or when no step can move J: once a projected step P(J + s G) returns J
-to roundoff, so do all shorter ones.
+Both objectives have one shape: evaluate(J) returns the value and a
+closure that builds the gradient from the same intermediates, so only an
+accepted candidate pays for its gradient.  Every ascent, for recovery or
+broadcast, also stops when no step rises, or when no step can move J:
+once a projected step P(J + s G) returns J to roundoff, so do all
+shorter ones.
 
-Matrix inverses are regularized at eps = 1e-10; each regularized call is
-logged through the standard logging module.
+The inverse square root in fidelity_gradient is regularized at
+eps = 1e-10, decided on the one eigendecomposition that builds it; each
+regularized call is logged through the standard logging module.
 """
 from __future__ import annotations
 
@@ -304,23 +308,28 @@ def fidelity_gradient(rho_target: np.ndarray, x: np.ndarray) -> np.ndarray:
     G = (1/2) sqrt(rho) (sqrt(rho) X sqrt(rho))^{-1/2} sqrt(rho) with the
     inverse square root taken on the support; near-singular targets are
     ridge-regularized at eps = 1e-10 and SingularTarget is raised when the
-    retained spectrum is conditioned worse than 1e14.
+    retained spectrum is conditioned worse than 1e14.  The ridge is
+    decided on the one eigendecomposition of sqrt(rho) X sqrt(rho) that
+    builds the inverse square root: an eigenvalue w is retained when
+    w + eps >= TOL_RANK.
     """
     root = psd_sqrt(rho_target)
     mid = root @ x @ root
     mid = (mid + dagger(mid)) / 2
-    w = np.linalg.eigvalsh(mid)
-    if w[0] < REG_EPS:
-        logger.info("fidelity_gradient: ridge-regularizing target with eps=%g", REG_EPS)
-        mid = mid + REG_EPS * np.eye(mid.shape[0])
+    n = mid.shape[0]
 
     def inv_sqrt(wk):
+        # wk holds the eigenvalues at or above TOL_RANK - REG_EPS.  A dropped
+        # one lies below REG_EPS, so the spectrum is ridged then as well.
+        if wk.size < n or wk[0] < REG_EPS:
+            logger.info("fidelity_gradient: ridge-regularizing target with eps=%g", REG_EPS)
+            wk = wk + REG_EPS
         cond = float(wk[-1] / wk[0]) if wk.size else float("inf")
         if cond > 1e14:
             raise SingularTarget(f"sqrt(rho) X sqrt(rho) condition number {cond:.3e} exceeds 1e14")
         return 1.0 / np.sqrt(wk)
 
-    g = 0.5 * (root @ hermitian_function(mid, inv_sqrt, TOL_RANK) @ root)
+    g = 0.5 * (root @ hermitian_function(mid, inv_sqrt, TOL_RANK - REG_EPS) @ root)
     return (g + dagger(g)) / 2
 
 
@@ -476,17 +485,23 @@ def optimize_broadcast(
 
     For each penalty lam, ascends measure_ft(sigma_S', t)
     - lam * ||sigma_Q - rho_Q||_1 over covariant Choi matrices by
-    (sub)gradient ascent with a smoothed trace norm, warm-starting each
-    penalty from the previous solution plus fixed feasible seeds; the
-    first penalty also starts from cfg.restarts random covariant channels,
-    drawn in turn from one generator seeded with cfg.seed.  Every
-    returned attempt is a feasible covariant channel (a lower-bound
-    witness for the frontier).  The penalty ascent has no stopping
-    certificate, so an attempt makes no claim of convergence.
+    gradient ascent with a smoothed trace norm.  Like the recovery
+    objective, evaluate(J, lam) returns the value and a closure that
+    builds the gradient from the same marginals: the two fidelity
+    gradients of f_t in sigma_S' (zero where a target is singular) and
+    phi(sigma_Q - rho_Q), phi(w) = w / sqrt(w^2 + _SMOOTHING^2).  The
+    first penalty starts from keep-and-prepare, then move-and-refill when
+    d_Q = d_S', then cfg.restarts random covariant channels drawn in turn
+    from one generator seeded with cfg.seed; each later penalty starts
+    from the previous solution, then keep-and-prepare.  The first start
+    wins a tie.  Every returned attempt is a feasible covariant channel
+    (a lower-bound witness for the frontier).  The penalty ascent has no
+    stopping certificate, so an attempt makes no claim of convergence.
     """
     dq, dsp = sys_q.dim, sys_sp.dim
     out_sys = tensor_system(sys_q, sys_sp)
     u_t = sys_sp.translation(t)
+    eye_q, eye_sp = np.eye(dq), np.eye(dsp)
 
     def marginals(j):
         """sigma_Q, sigma_S' and the shifted sigma_S' of the broadcast J."""
@@ -495,49 +510,45 @@ def optimize_broadcast(
         sig_sp = partial_trace(joint, [dq, dsp], keep=[1])
         return partial_trace(joint, [dq, dsp], keep=[0]), sig_sp, u_t @ sig_sp @ dagger(u_t)
 
-    def smooth_tn(y):
-        w = np.linalg.eigvalsh((y + dagger(y)) / 2)
-        return float(np.sum(np.sqrt(w * w + _SMOOTHING * _SMOOTHING)))
-
     def evaluate(j, lam):
         sig_q, sig_sp, shifted = marginals(j)
-        val = 1.0 - fidelity_arrays(sig_sp, shifted) - lam * smooth_tn(sig_q - rho_q.mat)
-        return val, lambda: _broadcast_gradient(rho_q, sig_q, sig_sp, shifted, u_t, lam, dq, dsp)
+        y = sig_q - rho_q.mat
+        y = (y + dagger(y)) / 2
+        w = np.linalg.eigvalsh(y)
+        smooth_tn = float(np.sum(np.sqrt(w * w + _SMOOTHING * _SMOOTHING)))
 
-    # Fixed feasible seeds: keep-and-prepare (marginal preserving) and,
+        def gradient():
+            # d f_t / d sigma_S': both fidelity slots depend on sigma_S'.
+            try:
+                ga = fidelity_gradient(shifted, sig_sp)
+                gb = fidelity_gradient(sig_sp, shifted)
+                grad_sp = -(ga + dagger(u_t) @ gb @ u_t)
+            except SingularTarget:
+                grad_sp = np.zeros((dsp, dsp), dtype=np.complex128)
+            # d smooth_tn / d sigma_Q = phi(y)
+            phi = hermitian_function(y, lambda w: w / np.sqrt(w * w + _SMOOTHING * _SMOOTHING))
+            grad_x = tensor_product(eye_q, grad_sp) - lam * tensor_product(phi, eye_sp)
+            return tensor_product(grad_x, rho_q.mat.T)
+
+        return 1.0 - fidelity_arrays(sig_sp, shifted) - lam * smooth_tn, gradient
+
+    # Fixed feasible starts: keep-and-prepare (marginal preserving) and,
     # when the dimensions allow, move-and-refill (coherence forwarding).
-    eye_q = np.eye(dq, dtype=np.complex128)
-    keep_seed = choi_from_map(
-        lambda m: tensor_product(m, np.eye(dsp, dtype=np.complex128) / dsp), dq, out_sys.dim
-    )
-    seeds_fixed = [keep_seed]
+    keep = choi_from_map(lambda m: tensor_product(m, eye_sp / dsp), dq, out_sys.dim)
+    starts = [keep]
     if dq == dsp:
-        move_seed = choi_from_map(
-            lambda m: tensor_product(eye_q / dq, m), dq, out_sys.dim
-        )
-        seeds_fixed.append(move_seed)
+        starts.append(choi_from_map(lambda m: tensor_product(eye_q / dq, m), dq, out_sys.dim))
+    # Exploration only pays off before the warm-start chain exists.
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
+    starts += [random_covariant_channel(sys_q, out_sys, rng).choi for _ in range(cfg.restarts)]
 
     attempts: list[BroadcastAttempt] = []
-    warm = None
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-    for pos, lam in enumerate(lambda_schedule):
-        starts = []
-        if warm is not None:
-            starts.append(warm)
-        starts.append(keep_seed)
-        if pos == 0:
-            # Exploration only pays off before the warm-start chain exists.
-            starts.extend(seeds_fixed[1:])
-            starts.extend(
-                random_covariant_channel(sys_q, out_sys, rng).choi for _ in range(cfg.restarts)
-            )
-        best = None
-        for start in starts:
-            j, trace, _ = _ascend(start, partial(evaluate, lam=lam), sys_q, out_sys, cfg)
-            if best is None or trace[-1][1] > best[1]:
-                best = (j, trace[-1][1])
-        j = best[0]
-        warm = j
+    for lam in lambda_schedule:
+        objective = partial(evaluate, lam=lam)
+        runs = (_ascend(start, objective, sys_q, out_sys, cfg) for start in starts)
+        # max keeps the first of equal values
+        j = max(runs, key=lambda run: run[1][-1][1])[0]
+        starts = [j, keep]
         sig_q, sig_sp, shifted = marginals(j)
         attempts.append(
             BroadcastAttempt(
@@ -549,35 +560,3 @@ def optimize_broadcast(
         )
     return attempts
 
-
-def _broadcast_gradient(rho_q, sig_q, sig_sp, shifted, u_t, lam, dq, dsp):
-    """Gradient of the broadcast objective with respect to the Choi matrix."""
-    # d f_t / d sigma_S' : both fidelity slots depend on sigma_S'.
-    try:
-        shifted, sig_sp = _renorm(shifted), _renorm(sig_sp)
-        ga = fidelity_gradient(shifted, sig_sp)
-        gb = fidelity_gradient(sig_sp, shifted)
-        grad_sp = -(ga + dagger(u_t) @ gb @ u_t)
-    except SingularTarget:
-        grad_sp = np.zeros((dsp, dsp), dtype=np.complex128)
-    # d smooth-trace-norm / d sigma_Q with phi(y) = y / sqrt(y^2 + _SMOOTHING^2).
-    y = (sig_q - rho_q.mat + dagger(sig_q - rho_q.mat)) / 2
-    phi = hermitian_function(y, lambda w: w / np.sqrt(w * w + _SMOOTHING * _SMOOTHING))
-    grad_x = tensor_product(np.eye(dq), grad_sp) - lam * tensor_product(
-        phi, np.eye(dsp)
-    )
-    return tensor_product(grad_x, rho_q.mat.T)
-
-
-def _renorm(m: np.ndarray) -> np.ndarray:
-    m = (m + dagger(m)) / 2
-    tr = float(np.trace(m).real)
-    if abs(tr - 1.0) > 1e-12 and tr > 0:
-        m = m / tr
-    return hermitian_function(m, _unit_trace_clip)
-
-
-def _unit_trace_clip(w: np.ndarray) -> np.ndarray:
-    w = np.maximum(w, 0.0)
-    s = float(np.sum(w))
-    return w / s if s > 0 else w

@@ -11,7 +11,14 @@ from hypothesis import strategies as st
 from asymmbench import optimize
 from asymmbench.errors import NonFinite, SingularTarget
 from asymmbench.experiments import run_tradeoff_sweep
-from asymmbench.linalg import fidelity_arrays, max_abs, partial_trace, tensor_product
+from asymmbench.linalg import (
+    fidelity_arrays,
+    hermitian_function,
+    max_abs,
+    partial_trace,
+    psd_sqrt,
+    tensor_product,
+)
 from asymmbench.optimize import (
     OptimizerConfig,
     fidelity_gradient,
@@ -34,6 +41,7 @@ from asymmbench.symmetry import (
     measure_ft,
     random_covariant_channel,
 )
+from asymmbench.tolerances import TOL_RANK
 
 from conftest import integer_system, petz_recovery, random_integer_system
 
@@ -327,6 +335,51 @@ class TestFidelityGradient:
         assert abs(float(np.trace(g @ direction).real)) < 1e-6
 
 
+    def test_two_eigendecompositions(self, rng, monkeypatch):
+        # sqrt(rho) and sqrt(rho) X sqrt(rho), each decomposed once: the
+        # ridge is decided on the spectrum that builds the inverse root
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            real = getattr(np.linalg, name)
+            monkeypatch.setattr(
+                np.linalg, name, lambda *a, _real=real, **k: calls.append(1) or _real(*a, **k)
+            )
+        x = random_density_matrix(3, 3, rng).mat
+        for rank in (3, 1):
+            rho = random_density_matrix(3, rank, rng).mat
+            calls.clear()
+            fidelity_gradient(rho, x)
+            assert len(calls) == 2
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(d=st.integers(1, 3), rank=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    def test_folded_ridge_matches_shifted_matrix(self, d, rank, seed):
+        # Oracle: the ridge decided on a separate eigvalsh of
+        # M = sqrt(rho) X sqrt(rho), then M + eps I decomposed again.
+        # Unridged, the two do the same arithmetic.  Ridged, both rebuild
+        # V f(w) V^dag with f up to 1/sqrt(eps) = 1e5 on the kernel of a
+        # rank-deficient target and round at about 1e-16 of that term.
+        rng = np.random.default_rng(seed)
+        rho = random_density_matrix(d, min(rank, d), rng).mat
+        x = random_density_matrix(d, d, rng).mat
+        root = psd_sqrt(rho)
+        mid = root @ x @ root
+        mid = (mid + mid.conj().T) / 2
+        w = np.linalg.eigvalsh(mid)
+        ridged = w[0] < optimize.REG_EPS
+        if ridged:
+            mid = mid + optimize.REG_EPS * np.eye(d)
+            w = w + optimize.REG_EPS
+        oracle = 0.5 * (root @ hermitian_function(mid, lambda v: 1.0 / np.sqrt(v), TOL_RANK) @ root)
+        oracle = (oracle + oracle.conj().T) / 2
+        if ridged:
+            largest_term = 0.5 * max_abs(root) ** 2 / math.sqrt(w[w >= TOL_RANK][0])
+            tol = 1e-14 * largest_term
+        else:
+            tol = 1e-12 * max_abs(oracle)
+        assert max_abs(fidelity_gradient(rho, x) - oracle) <= tol
+
+
 class TestMaxRecoveryFidelity:
     def test_identity_instance(self, rng):
         rho = random_density_matrix(2, 2, rng)
@@ -535,6 +588,29 @@ class TestOptimizeBroadcast:
         assert len(drawn) == 3
         assert np.array_equal(drawn[0], drawn[1])
         assert not np.allclose(drawn[1], drawn[2])
+
+    def test_gradient_matches_finite_differences(self, rng, monkeypatch):
+        # the penalty objective's gradient closure at a random covariant
+        # interior point, against central differences of its value
+        objectives = []
+
+        def capture(j0, evaluate, in_sys, out_sys, cfg, gap=None):
+            objectives.append(evaluate)
+            return j0, [(0, 0.0)], math.inf
+
+        monkeypatch.setattr(optimize, "_ascend", capture)
+        rho = random_density_matrix(2, 2, rng)
+        optimize_broadcast(rho, QUBIT, QUBIT, 1.0, (4.0,), OptimizerConfig(restarts=0))
+        evaluate = objectives[0]
+        j = random_covariant_channel(QUBIT, tensor_system(QUBIT, QUBIT), rng).choi
+        grad = evaluate(j)[1]()
+        h = 1e-5
+        for _ in range(5):
+            direction = _random_hermitian(8, rng)
+            direction /= np.linalg.norm(direction)
+            fd = (evaluate(j + h * direction)[0] - evaluate(j - h * direction)[0]) / (2 * h)
+            an = float(np.vdot(grad, direction).real)
+            assert abs(fd - an) <= 1e-6 * max(1.0, abs(fd))
 
     def test_attempts_are_covariant_channels(self):
         attempts = optimize_broadcast(
