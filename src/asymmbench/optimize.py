@@ -89,12 +89,16 @@ _GAP_ROUNDOFF = 1e-12
 # lam / _SMOOTHING), where each step gains of order 1e-11.
 _RISE_TOL = 1e-8
 
-# Dual-Newton projection: TP residual ||Tr_out X - I||_F to reach, per unit
-# of the largest input entry, and the step cap.  The line search halves at
-# most _MAX_HALVINGS times and forgives a rise of the dual value up to its
+# Dual-Newton projection: TP residual ||Tr_out X - I||_F to reach, and the
+# step cap.  The block eigenvalues carry roundoff in proportion to the
+# largest input entry, which floors the reachable residual, so the target
+# is NEWTON_TOL raised to _NEWTON_FLOOR * NEWTON_TOL per unit of that entry
+# once it exceeds 1 / _NEWTON_FLOOR.  The line search halves at most
+# _MAX_HALVINGS times and forgives a rise of the dual value up to its
 # roundoff, _ROUNDOFF per unit of the largest entry; the Newton system gets
 # a ridge of min(_RIDGE, residual).
 NEWTON_TOL = 1e-13
+_NEWTON_FLOOR = 0.05
 NEWTON_MAX_ITER = 50
 # An ascent candidate P(J + s G) within _FIXED_POINT of J, per unit of the
 # largest entry of J, has not moved beyond the projection's roundoff.
@@ -187,8 +191,9 @@ def project_covariant_tp_psd(
     (1/2)||[J~ + I (x) Y]_+||^2 - Tr Y, whose gradient Tr_out X - I is the
     TP residual.  Semismooth Newton with the generalized Jacobian of the
     block eigendecompositions (zero eigenvalues counted as positive) and an
-    Armijo line search drives the residual below NEWTON_TOL per unit of
-    the largest entry of J~.  The start Y0 = (I - Tr_out J~) / d_out is
+    Armijo line search drives the residual below NEWTON_TOL, or below its
+    roundoff floor _NEWTON_FLOOR * NEWTON_TOL per unit of the largest entry
+    of J~ when that is larger.  The start Y0 = (I - Tr_out J~) / d_out is
     the Newton step from Y = 0, so J = 0 lands on I (x) I / d_out at once.
     The layout is CovarianceSector.blocks, cached on the sector: the 1x1
     blocks are read off as one vector (each is its own eigenvalue), and
@@ -216,7 +221,7 @@ def project_covariant_tp_psd(
     # Eigenvalues of the blocks, and so X and the dual value, carry
     # roundoff in proportion to the largest entry.
     scale = max(1.0, max(max_abs(jb) for jb in blocks))
-    tol = NEWTON_TOL * scale
+    tol = NEWTON_TOL * max(1.0, _NEWTON_FLOOR * scale)
 
     def components(e, e_conj, xb):
         """<I (x) E_k, X> summed over a group of blocks."""
