@@ -309,7 +309,10 @@ def run_tradeoff_sweep(
     asserts slack = rhs - ft_output >= -1e-6 on converged rows, those whose
     recovery certificate closed; the assertion fails when no row
     converged, which includes a sweep whose every shift
-    was skipped.  Rows that come out essentially reversible must also carry
+    was skipped.  f_t is monotone under covariant channels, so every row
+    must have ft_output <= ft_input + 1e-9 (the witness is the largest
+    excess; this fails too when there is no row).  Rows that come out
+    essentially reversible must also carry
     essentially no output coherence (the reversible limit of the bound).
     The last assertion always passes; its witness counts the skipped shifts.
     Raises PreconditionFailed unless psi is pure (top eigenvalue >= 1 - 1e-9)
@@ -358,8 +361,12 @@ def run_tradeoff_sweep(
     # as its witness.
     converged = [r["slack"] for r in rows if r["converged"]]
     worst_slack = min(converged or [r["slack"] for r in rows], default=0.0)
+    # f_t is monotone under covariant channels, so no row may carry more
+    # coherence to S' than psi has, beyond roundoff.
+    excess = max((r["ft_output"] - r["ft_input"] for r in rows), default=0.0)
     assertions = [
         Assertion("tradeoff_slack", worst_slack >= -1e-6 and bool(converged), worst_slack),
+        Assertion("output_coherence_within_input", excess <= 1e-9 and bool(rows), excess),
     ]
     reversible_violation = 0.0
     for r in rows:

@@ -28,7 +28,7 @@ from asymmbench.experiments import (
 )
 from asymmbench.ki import lemma4_reduced_form_check
 from asymmbench.linalg import dagger, fidelity_arrays, max_abs, tensor_product
-from asymmbench.optimize import OptimizerConfig
+from asymmbench.optimize import BroadcastAttempt, OptimizerConfig
 from asymmbench.qtypes import (
     Channel,
     DensityMatrix,
@@ -39,7 +39,12 @@ from asymmbench.qtypes import (
     random_density_matrix,
     tensor_system,
 )
-from asymmbench.symmetry import is_covariant_channel, is_symmetric_state, skew_information
+from asymmbench.symmetry import (
+    is_covariant_channel,
+    is_symmetric_state,
+    measure_ft,
+    skew_information,
+)
 
 from conftest import witness
 
@@ -543,6 +548,8 @@ class TestTradeoffSweep:
         assert witness(assertions, "rows_skipped_at_full_shift") == 1.0
         slack = next(a for a in assertions if a.name == "tradeoff_slack")
         assert not slack.passed
+        within = next(a for a in assertions if a.name == "output_coherence_within_input")
+        assert not within.passed
 
     def test_no_converged_row_fails(self, monkeypatch):
         real = experiments.max_recovery_fidelity
@@ -557,6 +564,29 @@ class TestTradeoffSweep:
         slack = next(a for a in assertions if a.name == "tradeoff_slack")
         assert not slack.passed
         assert slack.witness == records[0]["slack"] and math.isfinite(slack.witness)
+
+    def test_output_coherence_above_input_fails(self, monkeypatch):
+        # a planted non-covariant broadcast rho -> rho (x) |+><+| hands S'
+        # more coherence than a tilted psi has: f_t is no longer monotone
+        t = 1.0
+        psi = DensityMatrix.pure([math.cos(0.3), math.sin(0.3)])
+        planted = Channel(
+            QUBIT,
+            tensor_system(QUBIT, QUBIT),
+            choi_from_map(lambda m: tensor_product(m, PLUS.mat), 2, 4),
+        )
+        coherence = measure_ft(PLUS, QUBIT, t)
+        monkeypatch.setattr(
+            experiments,
+            "optimize_broadcast",
+            lambda *args: [BroadcastAttempt(planted, 0.0, coherence, 0.0)],
+        )
+        [row], assertions = run_tradeoff_sweep(
+            psi, QUBIT, QUBIT, t_grid=(t,), lambda_schedule=(0.0,), optimizer=FAST
+        )
+        check = next(a for a in assertions if a.name == "output_coherence_within_input")
+        assert row["ft_output"] > row["ft_input"] + 0.05
+        assert not check.passed and check.witness == row["ft_output"] - row["ft_input"]
 
     def test_keep_and_prepare_attempt_trivial_row(self):
         # a marginal-preserving attempt has zero output coherence and
