@@ -153,7 +153,7 @@ def partial_trace(m: np.ndarray, dims: Sequence[int], keep: Iterable[int]) -> np
     dims gives the factor dimensions in slow-to-fast (kron) order; the
     result acts on the kept factors in their original order.
     """
-    m = _require_square(m)
+    m = _require_matrix(m)
     dims = tuple(int(d) for d in dims)
     sub, total, kept_dim = _trace_subscripts(dims, tuple(int(k) for k in keep))
     if m.shape[0] != total:

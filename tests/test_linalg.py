@@ -365,6 +365,12 @@ class TestPartialTrace:
         with pytest.raises(DimensionMismatch):
             partial_trace(np.eye(5), [2, 2], [0])
 
+    def test_stack_refused(self):
+        # a stack whose leading size equals the total dimension used to get
+        # past the size check and fail in the reshape with a bare ValueError
+        with pytest.raises(DimensionMismatch):
+            partial_trace(np.zeros((4, 4, 4)), [2, 2], [0])
+
     def test_cached_subscripts_keep_every_check(self):
         # the subscripts of each (dims, keep) are computed once; a later
         # call with the same dims is still checked in full
