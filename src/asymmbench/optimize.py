@@ -26,16 +26,13 @@ F + gap a lower bound 1 - (F + gap)^2.  Checks that irreversibility is
 small read the first; the degradation demo and the tradeoff relation,
 which need irreversibility to be large, read the second.
 
-Both objectives have one shape: evaluate(J) returns the value and a
-closure that builds the gradient from the same intermediates, so only an
-accepted candidate pays for its gradient.  Every ascent, for recovery or
-broadcast, also stops when no step rises, or when no step can move J:
-once a projected step P(J + s G) returns J to roundoff, so do all
-shorter ones.
+Both objectives hand the ascent an evaluate(J) that returns the value and
+a closure building the gradient from the same intermediates.  Every
+ascent also stops when no step rises, or when no step can move J: once a
+projected step P(J + s G) returns J to roundoff, so do all shorter ones.
 
-The inverse square root in fidelity_gradient is regularized at
-eps = 1e-10, decided on the one eigendecomposition that builds it; each
-regularized call is logged through the standard logging module.
+fidelity_gradient ridges its inverse square root at eps = 1e-10 and logs
+each ridged call through the standard logging module.
 """
 from __future__ import annotations
 
@@ -90,13 +87,12 @@ _GAP_ROUNDOFF = 1e-12
 _RISE_TOL = 1e-8
 
 # Dual-Newton projection: TP residual ||Tr_out X - I||_F to reach, and the
-# step cap.  The block eigenvalues carry roundoff in proportion to the
-# largest input entry, which floors the reachable residual, so the target
-# is NEWTON_TOL raised to _NEWTON_FLOOR * NEWTON_TOL per unit of that entry
-# once it exceeds 1 / _NEWTON_FLOOR.  The line search halves at most
-# _MAX_HALVINGS times and forgives a rise of the dual value up to its
-# roundoff, _ROUNDOFF per unit of the largest entry; the Newton system gets
-# a ridge of min(_RIDGE, residual).
+# step cap.  Roundoff in the block eigenvalues floors the reachable residual
+# at about _NEWTON_FLOOR * NEWTON_TOL per unit of the largest input entry,
+# so the target rises to that floor once the entry exceeds 1 / _NEWTON_FLOOR.
+# The line search halves at most _MAX_HALVINGS times and forgives a rise of
+# the dual value up to its roundoff, _ROUNDOFF per unit of the largest
+# entry; the Newton system gets a ridge of min(_RIDGE, residual).
 NEWTON_TOL = 1e-13
 _NEWTON_FLOOR = 0.05
 NEWTON_MAX_ITER = 50
@@ -489,19 +485,16 @@ def optimize_broadcast(
     """Frontier of covariant broadcast attempts Q -> Q (x) S'.
 
     For each penalty lam, ascends measure_ft(sigma_S', t)
-    - lam * ||sigma_Q - rho_Q||_1 over covariant Choi matrices by
-    gradient ascent with a smoothed trace norm.  Like the recovery
-    objective, evaluate(J, lam) returns the value and a closure that
-    builds the gradient from the same marginals: the two fidelity
-    gradients of f_t in sigma_S' (zero where a target is singular) and
-    phi(sigma_Q - rho_Q), phi(w) = w / sqrt(w^2 + _SMOOTHING^2).  The
-    first penalty starts from keep-and-prepare, then move-and-refill when
-    d_Q = d_S', then cfg.restarts random covariant channels drawn in turn
-    from one generator seeded with cfg.seed; each later penalty starts
-    from the previous solution, then keep-and-prepare.  The first start
-    wins a tie.  Every returned attempt is a feasible covariant channel
-    (a lower-bound witness for the frontier).  The penalty ascent has no
-    stopping certificate, so an attempt makes no claim of convergence.
+    - lam * ||sigma_Q - rho_Q||_1 over covariant Choi matrices, with the
+    trace norm smoothed; evaluate(J, lam) returns the value and a closure
+    building the gradient from the same marginals.  The first penalty
+    starts from keep-and-prepare, move-and-refill when d_Q = d_S', and
+    cfg.restarts random covariant channels drawn in turn from one
+    generator seeded with cfg.seed; each later one from the previous
+    solution, then keep-and-prepare.  The first of equal values wins.
+    Every returned attempt is a feasible covariant channel (a lower-bound
+    witness for the frontier).  The penalty ascent has no stopping
+    certificate, so an attempt makes no claim of convergence.
     """
     dq, dsp = sys_q.dim, sys_sp.dim
     out_sys = tensor_system(sys_q, sys_sp)
@@ -564,4 +557,3 @@ def optimize_broadcast(
             )
         )
     return attempts
-

@@ -337,7 +337,6 @@ class TestFidelityGradient:
         direction -= np.trace(direction) * np.eye(3) / 3
         assert abs(float(np.trace(g @ direction).real)) < 1e-6
 
-
     def test_two_eigendecompositions(self, rng, monkeypatch):
         # sqrt(rho) and sqrt(rho) X sqrt(rho), each decomposed once: the
         # ridge is decided on the spectrum that builds the inverse root
