@@ -1,7 +1,9 @@
 """Covariant-channel optimizers: projection, gradients, recovery, broadcast."""
+import json
 import math
 from collections import namedtuple
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +37,7 @@ from asymmbench.qtypes import (
     random_density_matrix,
     tensor_system,
 )
+from asymmbench.serialize import matrix_from_json, matrix_to_json
 from asymmbench.symmetry import (
     CovarianceSector,
     is_covariant_channel,
@@ -45,6 +48,7 @@ from asymmbench.tolerances import TOL_RANK
 
 from conftest import integer_system, petz_recovery, random_integer_system
 
+DATA = Path(__file__).parent / "data"
 QUBIT = SystemSpec.diagonal([0, 1])
 PLUS = DensityMatrix.pure([1, 1])
 ZERO = DensityMatrix.pure([1, 0])
@@ -420,6 +424,20 @@ class TestMaxRecoveryFidelity:
             sigma = DensityMatrix(u @ rho.mat @ u.conj().T)
             res = max_recovery_fidelity(rho, sigma, QUBIT, QUBIT)
             assert res.value <= 1e-6
+
+    def test_pinned_tradeoff_debt_row(self):
+        # The recovery input of the seed-7 default tradeoff row at
+        # t = 3pi/4, lambda = 0, pinned as exact floats.
+        text = (DATA / "tradeoff_debt_row.json").read_text()
+        pinned = json.loads(text)
+        psi = DensityMatrix(matrix_from_json(pinned["psi"]))
+        sigma = DensityMatrix(matrix_from_json(pinned["sigma_q"]))
+        assert matrix_to_json(psi.mat) == pinned["psi"]
+        assert matrix_to_json(sigma.mat) == pinned["sigma_q"]
+        assert json.dumps(pinned, indent=2) + "\n" == text
+        cfg = OptimizerConfig(**pinned["optimizer"])
+        res = max_recovery_fidelity(psi, sigma, QUBIT, QUBIT, cfg)
+        assert res.irrev_lower <= res.value
 
     def test_recovery_channel_is_covariant(self):
         res = max_recovery_fidelity(PLUS, HALF, QUBIT, QUBIT)
