@@ -30,6 +30,7 @@ __all__ = [
     "dagger",
     "commutator",
     "hermitian_eig",
+    "psd_eig",
     "hermitian_function",
     "psd_sqrt",
     "trace_norm",
@@ -99,22 +100,31 @@ def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
+def psd_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """hermitian_eig of a positive-semidefinite matrix.
+
+    An eigenvalue below -TOL_STRUCT * (1 + the largest) raises NotPSD.
+    """
+    w, v = hermitian_eig(m)
+    if w.size and w[0] < -TOL_STRUCT * (1.0 + max(w[-1], 0.0)):
+        raise NotPSD(f"minimum eigenvalue {w[0]:.3e} below -{TOL_STRUCT:g}")
+    return w, v
+
+
 def hermitian_function(m: np.ndarray, f, cutoff: float | None = None) -> np.ndarray:
     """V f(w) V† for a Hermitian m = V diag(w) V†, from one eigendecomposition.
 
     f maps the ascending eigenvalue array to values and may raise.  With
-    a cutoff, an eigenvalue below -TOL_STRUCT * (1 + the largest) raises
-    NotPSD, and only those at or above the cutoff reach f; the rest map
-    to 0.
+    a cutoff, m must pass psd_eig's check, and only the eigenvalues at or
+    above the cutoff reach f; the rest map to 0.
     """
-    w, v = hermitian_eig(m)
     if cutoff is not None:
-        if w.size and w[0] < -TOL_STRUCT * (1.0 + max(w[-1], 0.0)):
-            raise NotPSD(f"minimum eigenvalue {w[0]:.3e} below -{TOL_STRUCT:g}")
+        w, v = psd_eig(m)
         keep = w >= cutoff
         fw = np.zeros(w.shape)
         fw[keep] = f(w[keep])
     else:
+        w, v = hermitian_eig(m)
         fw = f(w)
     return (v * fw) @ dagger(v)
 

@@ -31,12 +31,12 @@ a closure building the gradient from the same intermediates.  Every
 ascent also stops when no step rises, or when no step can move J: once a
 projected step P(J + s G) returns J to roundoff, so do all shorter ones.
 
-fidelity_gradient ridges its inverse square root at eps = 1e-10 and logs
-each ridged call through the standard logging module.
+fidelity_gradient is exact on the support of its target, with no
+regularization, so the gap above is the exact Frank-Wolfe bound wherever
+a gradient exists.
 """
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -50,7 +50,7 @@ from .linalg import (
     hermitian_function,
     max_abs,
     partial_trace,
-    psd_sqrt,
+    psd_eig,
     tensor_product,
     trace_norm,
 )
@@ -64,10 +64,6 @@ from .qtypes import (
 )
 from .symmetry import CovarianceSector, random_covariant_channel
 from .tolerances import TOL_RANK
-
-logger = logging.getLogger(__name__)
-
-REG_EPS = 1e-10
 
 # The broadcast penalty ||sigma_Q - rho_Q||_1 is smoothed to
 # sum_i sqrt(w_i^2 + _SMOOTHING^2) over the eigenvalues w_i.
@@ -306,31 +302,31 @@ def fidelity_gradient(rho_target: np.ndarray, x: np.ndarray) -> np.ndarray:
 
     Takes raw arrays: rho a state, X Hermitian PSD.
 
-    G = (1/2) sqrt(rho) (sqrt(rho) X sqrt(rho))^{-1/2} sqrt(rho) with the
-    inverse square root taken on the support; near-singular targets are
-    ridge-regularized at eps = 1e-10 and SingularTarget is raised when the
-    retained spectrum is conditioned worse than 1e14.  The ridge is
-    decided on the one eigendecomposition of sqrt(rho) X sqrt(rho) that
-    builds the inverse square root: an eigenvalue w is retained when
-    w + eps >= TOL_RANK.
+    With rho = V D V† over its eigenvalues at or above TOL_RANK and
+    B = V D^{1/2}, sqrt(rho) X sqrt(rho) = V M V† for the r x r matrix
+    M = B† X B (r the rank of rho), so Fid = Tr M^{1/2} and
+    G = (1/2) B M^{-1/2} B†, exact wherever M is nonsingular.
+    SingularTarget is raised when M has an eigenvalue below TOL_RANK or
+    is conditioned worse than 1e14, and NotPSD (psd_eig) when rho is not
+    PSD.  rho and M are each decomposed once.
     """
-    root = psd_sqrt(rho_target)
-    mid = root @ x @ root
+    w, v = psd_eig(rho_target)
+    keep = w >= TOL_RANK
+    b = v[:, keep] * np.sqrt(w[keep])
+    mid = dagger(b) @ x @ b
     mid = (mid + dagger(mid)) / 2
-    n = mid.shape[0]
+    r = mid.shape[0]
 
     def inv_sqrt(wk):
-        # wk holds the eigenvalues at or above TOL_RANK - REG_EPS.  A dropped
-        # one lies below REG_EPS, so the spectrum is ridged then as well.
-        if wk.size < n or wk[0] < REG_EPS:
-            logger.info("fidelity_gradient: ridge-regularizing target with eps=%g", REG_EPS)
-            wk = wk + REG_EPS
-        cond = float(wk[-1] / wk[0]) if wk.size else float("inf")
+        # wk holds the eigenvalues of M at or above TOL_RANK.
+        if wk.size < r:
+            raise SingularTarget(f"B† X B has {r - wk.size} eigenvalue(s) below {TOL_RANK:g}")
+        cond = float(wk[-1] / wk[0]) if wk.size else math.inf
         if cond > 1e14:
-            raise SingularTarget(f"sqrt(rho) X sqrt(rho) condition number {cond:.3e} exceeds 1e14")
+            raise SingularTarget(f"B† X B condition number {cond:.3e} exceeds 1e14")
         return 1.0 / np.sqrt(wk)
 
-    g = 0.5 * (root @ hermitian_function(mid, inv_sqrt, TOL_RANK - REG_EPS) @ root)
+    g = 0.5 * (b @ hermitian_function(mid, inv_sqrt, TOL_RANK) @ dagger(b))
     return (g + dagger(g)) / 2
 
 
@@ -420,11 +416,8 @@ def max_recovery_fidelity(
     Tr[G S] <= Tr[Y Tr_out S] = Tr Y0 + d_in s.  F is concave, so
     F(S) <= F(J) + Tr[G (S - J)] <= F(J) + gap with
     gap = Tr Y0 + d_in s - Tr[G J].  At the optimum G J = (I (x) Y0) J and
-    the gap closes.  nabla carries fidelity_gradient's ridge: it is the
-    exact gradient of the ridged fidelity Tr (A + REG_EPS)^{1/2}, with
-    A = sqrt(rho) R(sigma) sqrt(rho), so the bound holds to within
-    rank(rho) REG_EPS / (2 sqrt(a)) for the smallest eigenvalue a of A on
-    the support of rho.
+    the gap closes.  nabla is fidelity_gradient's exact gradient, so the
+    gap is the exact Frank-Wolfe bound.
     A target without a gradient (SingularTarget) stops the ascent and
     leaves the result uncertified, with an infinite gap.
 

@@ -90,8 +90,8 @@ GOLDEN_CASES = {
         "system_s": HADAMARD_QUBIT,
         "optimizer": {"max_iter": 20, "restarts": 1},
     },
-    # The defaults: the unconverged t = 3pi/4, lambda = 0 tradeoff row and
-    # the repeated lambda >= 1 rows are pinned here.
+    # The defaults: the t = 3pi/4, lambda = 0 tradeoff row, once
+    # unconverged, and the repeated lambda >= 1 rows are pinned here.
     "tradeoff_default": {"experiment": "tradeoff"},
     "no_broadcast_default": {"experiment": "no_broadcast"},
 }
@@ -131,6 +131,11 @@ def test_report_and_csv(tmp_path, name):
     report = run_case(tmp_path, GOLDEN_CASES[name])
     assert report_text(report) == (DATA / f"{name}.report.json").read_text()
     assert emit_csv(report) == (DATA / f"{name}.records.csv").read_bytes().decode()
+
+
+def test_default_tradeoff_rows_converge(tmp_path):
+    report = run_case(tmp_path, GOLDEN_CASES["tradeoff_default"])
+    assert [rec["converged"] for rec in report.records] == [True] * len(report.records)
 
 
 def test_every_experiment_has_a_small_case():

@@ -1,5 +1,6 @@
 """Covariant-channel optimizers: projection, gradients, recovery, broadcast."""
 import json
+import logging
 import math
 from collections import namedtuple
 from dataclasses import replace
@@ -11,16 +12,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from asymmbench import optimize
-from asymmbench.errors import NonFinite, SingularTarget
+from asymmbench.errors import NonFinite, NotPSD, SingularTarget
 from asymmbench.experiments import run_tradeoff_sweep
-from asymmbench.linalg import (
-    fidelity_arrays,
-    hermitian_function,
-    max_abs,
-    partial_trace,
-    psd_sqrt,
-    tensor_product,
-)
+from asymmbench.linalg import fidelity_arrays, max_abs, partial_trace, tensor_product
 from asymmbench.optimize import (
     OptimizerConfig,
     fidelity_gradient,
@@ -44,7 +38,6 @@ from asymmbench.symmetry import (
     measure_ft,
     random_covariant_channel,
 )
-from asymmbench.tolerances import TOL_RANK
 
 from conftest import integer_system, petz_recovery, random_integer_system
 
@@ -52,6 +45,7 @@ DATA = Path(__file__).parent / "data"
 QUBIT = SystemSpec.diagonal([0, 1])
 PLUS = DensityMatrix.pure([1, 1])
 ZERO = DensityMatrix.pure([1, 0])
+ONE = DensityMatrix.pure([0, 1])
 HALF = DensityMatrix.maximally_mixed(2)
 
 
@@ -342,8 +336,7 @@ class TestFidelityGradient:
         assert abs(float(np.trace(g @ direction).real)) < 1e-6
 
     def test_two_eigendecompositions(self, rng, monkeypatch):
-        # sqrt(rho) and sqrt(rho) X sqrt(rho), each decomposed once: the
-        # ridge is decided on the spectrum that builds the inverse root
+        # rho and its compression M = B^dag X B, each decomposed once
         calls = []
         for name in ("eigh", "eigvalsh"):
             real = getattr(np.linalg, name)
@@ -359,31 +352,49 @@ class TestFidelityGradient:
 
     @settings(max_examples=200, deadline=None, database=None)
     @given(d=st.integers(1, 3), rank=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
-    def test_folded_ridge_matches_shifted_matrix(self, d, rank, seed):
-        # Oracle: the ridge decided on a separate eigvalsh of
-        # M = sqrt(rho) X sqrt(rho), then M + eps I decomposed again.
-        # Unridged, the two do the same arithmetic.  Ridged, both rebuild
-        # V f(w) V^dag with f up to 1/sqrt(eps) = 1e5 on the kernel of a
-        # rank-deficient target and round at about 1e-16 of that term.
+    def test_matches_finite_differences_on_rank_deficient_targets(self, d, rank, seed):
+        # X is positive definite with trace 1/2, so Fid(rho, X +- h D) stays
+        # clear of fidelity_arrays' clamp at 1 and of the PSD check.
         rng = np.random.default_rng(seed)
         rho = random_density_matrix(d, min(rank, d), rng).mat
+        x = 0.25 * (random_density_matrix(d, d, rng).mat + np.eye(d) / d)
+        g = fidelity_gradient(rho, x)
+        h = 1e-5
+        for _ in range(3):
+            direction = _random_hermitian(d, rng)
+            direction /= np.linalg.norm(direction)
+            fd = (
+                fidelity_arrays(rho, x + h * direction) - fidelity_arrays(rho, x - h * direction)
+            ) / (2 * h)
+            an = float(np.trace(g @ direction).real)
+            # relative to the largest derivative along a unit direction
+            assert abs(fd - an) <= 1e-6 * np.linalg.norm(g)
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(d=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    def test_pure_target_closed_form(self, d, seed):
+        # Fid(psi psi^dag, X) = sqrt(<psi|X|psi>), whose gradient is
+        # psi psi^dag / (2 sqrt(<psi|X|psi>))
+        rng = np.random.default_rng(seed)
+        psi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        psi /= np.linalg.norm(psi)
         x = random_density_matrix(d, d, rng).mat
-        root = psd_sqrt(rho)
-        mid = root @ x @ root
-        mid = (mid + mid.conj().T) / 2
-        w = np.linalg.eigvalsh(mid)
-        ridged = w[0] < optimize.REG_EPS
-        if ridged:
-            mid = mid + optimize.REG_EPS * np.eye(d)
-            w = w + optimize.REG_EPS
-        oracle = 0.5 * (root @ hermitian_function(mid, lambda v: 1.0 / np.sqrt(v), TOL_RANK) @ root)
-        oracle = (oracle + oracle.conj().T) / 2
-        if ridged:
-            largest_term = 0.5 * max_abs(root) ** 2 / math.sqrt(w[w >= TOL_RANK][0])
-            tol = 1e-14 * largest_term
-        else:
-            tol = 1e-12 * max_abs(oracle)
-        assert max_abs(fidelity_gradient(rho, x) - oracle) <= tol
+        expect = np.outer(psi, psi.conj()) / (2 * math.sqrt(np.vdot(psi, x @ psi).real))
+        g = fidelity_gradient(np.outer(psi, psi.conj()), x)
+        assert max_abs(g - expect) <= 1e-14 * max_abs(expect)
+
+    def test_orthogonal_target_is_singular(self):
+        with pytest.raises(SingularTarget):
+            fidelity_gradient(ZERO.mat, ONE.mat)
+
+    def test_negative_target_eigenvalue_is_not_psd(self):
+        with pytest.raises(NotPSD):
+            fidelity_gradient(np.diag([1.0 + 1e-6, -1e-6]).astype(complex), HALF.mat)
+
+    def test_rank_one_target_logs_nothing(self, caplog):
+        with caplog.at_level(logging.DEBUG):
+            fidelity_gradient(PLUS.mat, HALF.mat)
+        assert caplog.records == []
 
 
 class TestMaxRecoveryFidelity:
@@ -663,22 +674,26 @@ class TestOptimizeBroadcast:
         assert worst <= 1e-9
 
 
+def _frontier_state(seed):
+    """The frontier workload's state at this seed, built as the tradeoff
+    runner builds it (the projector of the top eigenvector)."""
+    phase = np.random.default_rng([seed, 1]).uniform(0.0, 2 * math.pi)
+    psi = np.array([1.0, np.exp(1j * phase)]) / math.sqrt(2)
+    v = np.linalg.eigh(np.outer(psi, psi.conj()))[1][:, -1]
+    return DensityMatrix(np.outer(v, v.conj()))
+
+
 class TestBroadcastAscentWork:
     @pytest.mark.parametrize("seed", [1001, 3108])
     def test_frontier_ascent_does_not_crawl(self, monkeypatch, seed):
-        # The frontier workload's state at this seed, built as the tradeoff
-        # runner builds it (the projector of the top eigenvector): the crawl
-        # depends on the state's last bits.  A penalty ascent on the
-        # smoothing floor (objective about -2 lam 1e-6) rises of order 1e-11 per
-        # step; measured against |objective| alone that rise never stops the
-        # lambda = 16 ascent, which then runs 200 steps and about 370
-        # projections.
-        phase = np.random.default_rng([seed, 1]).uniform(0.0, 2 * math.pi)
-        psi = np.array([1.0, np.exp(1j * phase)]) / math.sqrt(2)
-        v = np.linalg.eigh(np.outer(psi, psi.conj()))[1][:, -1]
+        # The crawl depends on the state's last bits.  A penalty ascent on
+        # the smoothing floor (objective about -2 lam 1e-6) rises of order
+        # 1e-11 per step; measured against |objective| alone that rise never
+        # stops the lambda = 16 ascent, which then runs 200 steps and about
+        # 370 projections.
         ascents = _count_ascents(monkeypatch)
         run_tradeoff_sweep(
-            DensityMatrix(np.outer(v, v.conj())),
+            _frontier_state(seed),
             QUBIT,
             QUBIT,
             t_grid=[3 * math.pi / 4],
@@ -688,6 +703,14 @@ class TestBroadcastAscentWork:
         assert penalty and all(a.steps <= a.max_iter for a in penalty)
         # 48-56 with the unit-scale stop
         assert sum(a.projections for a in ascents) <= 120
+
+    def test_frontier_projection_count(self, monkeypatch):
+        # The seed-7 frontier batch: the default t grid is the workload's.
+        # With the exact gradient on the target's support it makes 201
+        # projections; the ridged gradient made 248.
+        ascents = _count_ascents(monkeypatch)
+        run_tradeoff_sweep(_frontier_state(7), QUBIT, QUBIT, lambda_schedule=[0.0, 16.0])
+        assert sum(a.projections for a in ascents) <= 220
 
     @settings(max_examples=10, deadline=None, database=None)
     @given(phase=st.floats(0.0, 2 * math.pi, exclude_max=True))
