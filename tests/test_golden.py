@@ -90,8 +90,8 @@ GOLDEN_CASES = {
         "system_s": HADAMARD_QUBIT,
         "optimizer": {"max_iter": 20, "restarts": 1},
     },
-    # The defaults: the t = 3pi/4, lambda = 0 tradeoff row, once
-    # unconverged, and the repeated lambda >= 1 rows are pinned here.
+    # The defaults: the t = 3pi/4, lambda = 0 tradeoff row and the repeated
+    # lambda >= 1 rows are pinned here.
     "tradeoff_default": {"experiment": "tradeoff"},
     "no_broadcast_default": {"experiment": "no_broadcast"},
 }
