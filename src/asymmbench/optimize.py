@@ -350,7 +350,8 @@ def _ascend(
     once an accepted step rises by less than _RISE_TOL times
     max(1, |objective|), and the returned gap is inf, as it is when the
     gradient raises SingularTarget.  Either way it also stops after
-    cfg.max_iter steps, and when no step rises:
+    cfg.max_iter steps, at an exactly zero gradient, and when no step
+    rises:
     the step halves up to 40 times, and the ladder ends early, without
     evaluating the objective, once a candidate P(J + s G) lies within
     _FIXED_POINT of J.  For a convex set ||P(J + s G) - J|| is
@@ -374,6 +375,9 @@ def _ascend(
             width = gap(j, grad)
             if width <= _GAP_TOL or it > cfg.max_iter:
                 break
+        if not grad.any():
+            # P(J + s G) = J for every s: the ladder would project J to no end.
+            break
         improved = False
         roundoff = _FIXED_POINT * max(1.0, max_abs(j))
         for _ in range(40):

@@ -294,6 +294,18 @@ class TestAscentStop:
         assert (ascents[0].projections, ascents[0].steps) == (2, 1)
 
 
+    def test_zero_gradient_projects_only_the_start(self, monkeypatch):
+        # every candidate P(J + s 0) is J: the ascent stops before its ladder
+        ascents = _count_ascents(monkeypatch)
+        j = choi_from_map(lambda m: m, 2, 2)
+        zero = np.zeros_like(j)
+        j_out, trace, width = optimize._ascend(
+            j, lambda x: (0.5, lambda: zero), QUBIT, QUBIT, OptimizerConfig()
+        )
+        assert (ascents[0].projections, trace, width) == (1, [(0, 0.5)], math.inf)
+        assert max_abs(j_out - j) <= 1e-15
+
+
 class TestFidelityGradient:
     def test_matches_finite_differences(self, rng):
         for _ in range(10):
@@ -711,6 +723,18 @@ class TestBroadcastAscentWork:
         ascents = _count_ascents(monkeypatch)
         run_tradeoff_sweep(_frontier_state(7), QUBIT, QUBIT, lambda_schedule=[0.0, 16.0])
         assert sum(a.projections for a in ascents) <= 220
+
+    def test_qutrit_zero_gradient_ends_ascent(self, monkeypatch):
+        # The no_broadcast_qutrit golden config.  Its lambda = 0 random-start
+        # ascent reaches an S' marginal with an eigenvalue near 1e-8, where
+        # the fidelity gradient is SingularTarget and the whole gradient is
+        # zero.  It makes 56 projections; a full ladder of candidates at that
+        # J made it 96.
+        ascents = _count_ascents(monkeypatch)
+        qutrit = SystemSpec.diagonal([0, 1, 2])
+        cfg = OptimizerConfig(max_iter=20, restarts=1, seed=7)
+        optimize_broadcast(PLUS, QUBIT, qutrit, math.pi / 2, (0.0, 16.0), cfg)
+        assert sum(a.projections for a in ascents) <= 62
 
     @settings(max_examples=10, deadline=None, database=None)
     @given(phase=st.floats(0.0, 2 * math.pi, exclude_max=True))
