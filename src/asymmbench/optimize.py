@@ -330,6 +330,26 @@ def fidelity_gradient(rho_target: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (g + dagger(g)) / 2
 
 
+def _shrink_factor(pred: float, drop: float) -> float:
+    """Factor on the step s after a rejected ascent candidate.
+
+    pred = Re<G, P(J + s G) - J> is the first-order rise to the candidate
+    (nonnegative: the projection gives <G, d> >= ||d||^2 / s), and drop,
+    at most zero, is the objective there minus at J.  The quadratic in the
+    step fraction a with value 0 and slope pred at a = 0 and value drop
+    at a = 1 peaks at a = pred / (2 (pred - drop)) (safeguarded quadratic
+    backtracking, Nocedal & Wright, Numerical Optimization, sec. 3.5).
+    The factor is clipped to [0.2, 0.5], and is 0.5 when the quadratic
+    has no peak or drop is NaN.  Below 0.2 the x1.5 growth of later steps
+    takes long to recover: at 0.1 the warm lambda = 1 ascent of the default
+    no_broadcast run takes 101 steps instead of 18.
+    """
+    curvature = pred - drop
+    if not curvature > 0:
+        return 0.5
+    return min(0.5, max(0.2, pred / (2.0 * curvature)))
+
+
 def _ascend(
     j0: np.ndarray,
     evaluate,
@@ -350,13 +370,13 @@ def _ascend(
     once an accepted step rises by less than _RISE_TOL times
     max(1, |objective|), and the returned gap is inf, as it is when the
     gradient raises SingularTarget.  Either way it also stops after
-    cfg.max_iter steps, at an exactly zero gradient, and when no step
-    rises:
-    the step halves up to 40 times, and the ladder ends early, without
-    evaluating the objective, once a candidate P(J + s G) lies within
-    _FIXED_POINT of J.  For a convex set ||P(J + s G) - J|| is
-    nondecreasing in s (Bertsekas, Nonlinear Programming, sec. 2.3), so
-    then no shorter step can move J.
+    cfg.max_iter steps, at an exactly zero gradient, and when none of 40
+    candidates rises.  Each rejected candidate P(J + s G) shrinks s by
+    _shrink_factor, to the peak of a quadratic model of the objective
+    along the step, and the ladder ends early, without evaluating the
+    objective, once a candidate lies within _FIXED_POINT of J.  For a
+    convex set ||P(J + s G) - J|| is nondecreasing in s (Bertsekas,
+    Nonlinear Programming, sec. 2.3), so then no shorter step can move J.
     """
     j = project_covariant_tp_psd(j0, in_sys, out_sys)
     val, gradient = evaluate(j)
@@ -389,7 +409,7 @@ def _ascend(
             if cand_val > val:
                 improved = True
                 break
-            step *= 0.5
+            step *= _shrink_factor(float(np.vdot(grad, cand - j).real), cand_val - val)
             if step < 1e-14:
                 break
         if not improved:

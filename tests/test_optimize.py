@@ -16,6 +16,7 @@ from asymmbench.errors import NonFinite, NotPSD, SingularTarget
 from asymmbench.experiments import run_tradeoff_sweep
 from asymmbench.linalg import fidelity_arrays, max_abs, partial_trace, tensor_product
 from asymmbench.optimize import (
+    DEFAULT_LAMBDA_SCHEDULE,
     OptimizerConfig,
     fidelity_gradient,
     max_recovery_fidelity,
@@ -304,6 +305,62 @@ class TestAscentStop:
         )
         assert (ascents[0].projections, trace, width) == (1, [(0, 0.5)], math.inf)
         assert max_abs(j_out - j) <= 1e-15
+
+
+class TestShrinkFactor:
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(
+        pred=st.floats(0.0, allow_nan=False, allow_infinity=False),
+        drop=st.floats(max_value=0.0, allow_nan=False, allow_infinity=False),
+    )
+    def test_factor_within_clip(self, pred, drop):
+        assert 0.2 <= optimize._shrink_factor(pred, drop) <= 0.5
+
+    @pytest.mark.parametrize(
+        "pred, drop", [(1.0, math.nan), (math.nan, -1.0), (0.0, 0.0), (0.1, 0.3)]
+    )
+    def test_no_peak_halves(self, pred, drop):
+        assert optimize._shrink_factor(pred, drop) == 0.5
+
+    def test_nan_candidates_get_the_halving_ladder(self, monkeypatch):
+        # a candidate whose objective is NaN is rejected, and the step halves
+        steps = []
+        j = choi_from_map(lambda m: m, 2, 2)
+        grad = choi_from_map(lambda m: np.trace(m) * np.eye(2) / 2, 2, 2) - j
+        project = optimize.project_covariant_tp_psd
+
+        def recording_project(x, *args):
+            steps.append(max_abs(x - j) / max_abs(grad))
+            return project(x, *args)
+
+        values = iter([0.0])
+        monkeypatch.setattr(optimize, "project_covariant_tp_psd", recording_project)
+        optimize._ascend(
+            j, lambda x: (next(values, math.nan), lambda: grad), QUBIT, QUBIT, OptimizerConfig()
+        )
+        # the start, then the 40 candidates of one ladder; the ascent steps
+        # from P(J), which is J to roundoff
+        assert len(steps) == 41
+        assert np.allclose(steps[1:], 0.5 ** np.arange(40), rtol=0, atol=1e-15)
+
+    def test_first_shrink_lands_on_interior_maximiser(self, monkeypatch):
+        # f(X) = -(k/2) ||X - J*||^2 with J* inside the covariant-TP-PSD set.
+        # From J the unit step overshoots J* by a factor k = 3, every
+        # candidate stays inside the set, and the quadratic model is exact.
+        ascents = _count_ascents(monkeypatch)
+        k = 3.0
+        depolarize = choi_from_map(lambda m: np.trace(m) * np.eye(2) / 2, 2, 2)
+        target = depolarize + 0.1 * (choi_from_map(lambda m: m, 2, 2) - depolarize)
+
+        def evaluate(x):
+            return -0.5 * k * np.linalg.norm(x - target) ** 2, lambda: k * (target - x)
+
+        j_out, trace, _ = optimize._ascend(
+            depolarize, evaluate, QUBIT, QUBIT, OptimizerConfig(max_iter=1)
+        )
+        # the start, the rejected unit step, and the step to J*
+        assert (ascents[0].projections, len(trace)) == (3, 2)
+        assert max_abs(j_out - target) <= 1e-12
 
 
 class TestFidelityGradient:
@@ -713,23 +770,32 @@ class TestBroadcastAscentWork:
         )
         penalty = [a for a in ascents if a.penalty]
         assert penalty and all(a.steps <= a.max_iter for a in penalty)
-        # 48-56 with the unit-scale stop
-        assert sum(a.projections for a in ascents) <= 120
+        # 30 and 33; 45 and 88 with a halving ladder
+        assert sum(a.projections for a in ascents) <= 36
 
     def test_frontier_projection_count(self, monkeypatch):
         # The seed-7 frontier batch (the default t grid is the workload's)
-        # makes 201 projections.  The ceiling leaves 10% headroom and stays
-        # below the 248 that a ridged fidelity gradient makes.
+        # makes 144 projections.  The ceiling leaves 10% headroom and stays
+        # below the 198 of a halving ladder.
         ascents = _count_ascents(monkeypatch)
         run_tradeoff_sweep(_frontier_state(7), QUBIT, QUBIT, lambda_schedule=[0.0, 16.0])
-        assert sum(a.projections for a in ascents) <= 220
+        assert sum(a.projections for a in ascents) <= 158
+
+    def test_default_no_broadcast_projection_count(self, monkeypatch):
+        # The seed-7 default no_broadcast run makes 61 projections, and 70
+        # with a halving ladder.  A shrink clipped at 0.1 instead of 0.2
+        # would make its warm lambda = 1 ascent crawl, to 168 projections.
+        ascents = _count_ascents(monkeypatch)
+        cfg = OptimizerConfig(max_iter=200, seed=7)
+        optimize_broadcast(PLUS, QUBIT, QUBIT, math.pi / 2, DEFAULT_LAMBDA_SCHEDULE, cfg)
+        assert sum(a.projections for a in ascents) <= 70
 
     def test_qutrit_zero_gradient_ends_ascent(self, monkeypatch):
         # The no_broadcast_qutrit golden config.  Its lambda = 0 random-start
         # ascent reaches an S' marginal with an eigenvalue near 1e-8, where
         # the fidelity gradient is SingularTarget and the whole gradient is
-        # zero.  It makes 56 projections; a full ladder of candidates at that
-        # J made it 96.
+        # zero.  It makes 45 projections (56 with a halving ladder); a full
+        # ladder of candidates at that J made it 96.
         ascents = _count_ascents(monkeypatch)
         qutrit = SystemSpec.diagonal([0, 1, 2])
         cfg = OptimizerConfig(max_iter=20, restarts=1, seed=7)
