@@ -17,8 +17,8 @@ tolerance.  It reads the block layout cached on the CovarianceSector: the
 size take one batched eigh per Newton evaluation.
 
 The recovery-fidelity maximization is a concave objective on a convex
-set, so projected gradient ascent with backtracking converges to the
-global maximum, and the Frank-Wolfe duality gap (Jaggi, ICML 2013) at
+set, so projected gradient ascent with quadratic backtracking converges
+to the global maximum, and the Frank-Wolfe duality gap (Jaggi, ICML 2013) at
 any feasible point bounds how far below the maximum it is.  The ascent
 stops once that gap is within tolerance, and reports it: the achieved
 fidelity F gives an upper bound 1 - F^2 on the irreversibility, and
@@ -28,8 +28,9 @@ which need irreversibility to be large, read the second.
 
 Both objectives hand the ascent an evaluate(J) that returns the value and
 a closure building the gradient from the same intermediates.  Every
-ascent also stops when no step rises, or when no step can move J: once a
-projected step P(J + s G) returns J to roundoff, so do all shorter ones.
+ascent also stops at a zero gradient, when no step rises, or when no step
+can move J: once a projected step P(J + s G) returns J to roundoff, so do
+all shorter ones.
 
 fidelity_gradient is exact on the support of its target, with no
 regularization, so the gap above is the exact Frank-Wolfe bound wherever
@@ -409,7 +410,7 @@ def _ascend(
             if cand_val > val:
                 improved = True
                 break
-            step *= _shrink_factor(float(np.vdot(grad, cand - j).real), cand_val - val)
+            step *= _shrink_factor(np.vdot(grad, cand - j).real, cand_val - val)
             if step < 1e-14:
                 break
         if not improved:
