@@ -112,6 +112,8 @@ _LEMMA8_ENTRY_CAP = 10_000 * _LEMMA8_DIM_CAP**2
 # Defaults shared by the runners' signatures and the registry's field specs.
 _DEFAULT_T = math.pi / 2  # shift of the fidelity-based measure
 _DEFAULT_T_GRID = (math.pi / 4, math.pi / 2, 3 * math.pi / 4)
+_LEMMA8_TRIALS = 10_000
+_LEMMA8_DIMS = (2, 3, 4)
 _SWEEP_OPTIMIZER = OptimizerConfig(max_iter=200)
 
 
@@ -187,7 +189,7 @@ def run_no_broadcast_sweep(
 
     best = min(attempts, key=lambda a: a.marginal_disturbance)
     if best.marginal_disturbance <= _LEMMA4_DISTURBANCE:
-        reduced = lemma4_reduced_form_check(best.map, fam, dec, tol=1e-5)
+        reduced = lemma4_reduced_form_check(best.map, fam, dec)
         block_witness = 0.0
         for state in reduced.block_states:
             block_witness = max(
@@ -207,7 +209,7 @@ def run_no_broadcast_sweep(
             for name in ("lemma4_reduced_form", "reduced_block_states_symmetric")
         ]
 
-    assertions += _classical_control(_CLASSICAL_REGISTER_SIZE, t)
+    assertions += _classical_control(t)
 
     records = tuple(
         {
@@ -241,7 +243,8 @@ def clone_in_basis_channel(register: SystemSpec) -> Channel:
     return Channel(register, out_sys, choi_from_map(clone, n, n * n))
 
 
-def _classical_control(n: int, t: float) -> list[Assertion]:
+def _classical_control(t: float) -> list[Assertion]:
+    n = _CLASSICAL_REGISTER_SIZE
     register = cyclic_shift_system(n)
     point = DensityMatrix.pure([1.0] + [0.0] * (n - 1))
     sym = is_symmetric_state(point, register)
@@ -423,13 +426,13 @@ def run_degradation_demo(
     run with cfg; a covariant induced map yields no degradation claim, and
     its record reads converged false: no recovery ran, so none is certified.
     """
-    cov = is_covariant_channel(lam, 1e-8)
+    cov = is_covariant_channel(lam)
     if not cov.ok:
         raise PreconditionFailed(
             f"joint channel is not covariant (max |[J, K]| = {cov.witness:.3e})"
         )
     induced = induce_channel(lam, rho_q, sys_s, sys_s)
-    verdict = is_covariant_channel(induced, 1e-8)
+    verdict = is_covariant_channel(induced)
 
     assertions = []
     irrev_lower = 0.0
@@ -648,8 +651,8 @@ def run_nonadditivity(t: float = _DEFAULT_T) -> Outcome:
 
 def check_fidelity_perturbation_lemma(
     rng: np.random.Generator,
-    trials: int = 10_000,
-    dims: Sequence[int] = (2, 3, 4),
+    trials: int = _LEMMA8_TRIALS,
+    dims: Sequence[int] = _LEMMA8_DIMS,
 ) -> Outcome:
     """Monte Carlo check of the fidelity perturbation bound.
 
@@ -1063,7 +1066,10 @@ EXPERIMENTS: dict[str, Experiment] = {
         ),
         Experiment(
             "lemma8",
-            {"trials": _spec("positive_int", 10_000), "dims": _spec("int_list", [2, 3, 4])},
+            {
+                "trials": _spec("positive_int", _LEMMA8_TRIALS),
+                "dims": _spec("int_list", list(_LEMMA8_DIMS)),
+            },
             ("dim", "max_violation"),
             _run_lemma8,
         ),

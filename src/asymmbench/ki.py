@@ -86,6 +86,8 @@ _WEDDERBURN_TOL = 1e-9
 # null-space cutoffs of _commutant_basis and _intertwiner, per unit of scale
 _COMMUTANT_TOL = 1e-9
 _INTERTWINER_TOL = 1e-8
+# largest Q-marginal disturbance, in trace distance, lemma4_reduced_form_check accepts
+_REDUCED_FORM_TOL = 1e-5
 
 
 # ---------------------------------------------------------------------------
@@ -637,12 +639,10 @@ def _sampled_orbit(rho: DensityMatrix, sys: SystemSpec, n: int) -> StateFamily:
     return StateFamily(tuple(states), tuple(labels))
 
 
-def orbit_family(
-    rho: DensityMatrix, sys: SystemSpec, n_samples: int = _ORBIT_SAMPLES
-) -> StateFamily:
+def orbit_family(rho: DensityMatrix, sys: SystemSpec) -> StateFamily:
     """Translates of rho at n equally spaced group times.
 
-    n is the smallest n >= n_samples at which the spectral differences
+    n is the smallest n >= _ORBIT_SAMPLES at which the spectral differences
     s_i - s_j of sys stay distinct mod n (n > 2 D, D the spectral width,
     always qualifies); SizeCap above _ORBIT_SAMPLE_CAP.  Entry (i, j) of
     rho(t) turns at frequency s_i - s_j, so n samples alias two
@@ -651,14 +651,12 @@ def orbit_family(
     average to its twirl, so the family carries the continuous orbit's
     algebra.
     """
-    if n_samples < 2:
-        raise PreconditionFailed("orbit sampling needs at least 2 points")
     spectrum = np.array(sys.spectrum)
     freqs = np.unique(np.subtract.outer(spectrum, spectrum))
     # every nonzero difference between two frequencies
     clashes = np.subtract.outer(freqs, freqs)
     clashes = clashes[clashes > 0]
-    n = int(n_samples)
+    n = _ORBIT_SAMPLES
     while n <= _ORBIT_SAMPLE_CAP and np.any(clashes % n == 0):
         n += 1
     if n > _ORBIT_SAMPLE_CAP:
@@ -700,12 +698,12 @@ def lemma4_reduced_form_check(
     broadcast: Channel,
     fam: StateFamily,
     dec: KIDecomposition,
-    tol: float = 1e-6,
 ) -> ReducedFormResult:
     """Reduced-form test for marginal-preserving broadcast maps.
 
     For a channel Q -> Q (x) S' whose Q-marginal fixes every family
-    member (within tol, else PreconditionFailed), solves least squares
+    member (within _REDUCED_FORM_TOL in trace distance, else
+    PreconditionFailed), solves least squares
     for block states sigma_mu on S' and returns the worst trace-distance
     residual of sigma_{S'}(x) against sum_mu p_mu(x) sigma_mu.  The
     residual tends to zero together with the marginal disturbance.
@@ -724,9 +722,9 @@ def lemma4_reduced_form_check(
         sig_q = partial_trace(joint, [dq, dsp], keep=[0])
         worst_dist = max(worst_dist, 0.5 * trace_norm(sig_q - state.mat))
         marginals_sp.append(partial_trace(joint, [dq, dsp], keep=[1]))
-    if worst_dist > tol:
+    if worst_dist > _REDUCED_FORM_TOL:
         raise PreconditionFailed(
-            f"broadcast disturbs the Q marginal by {worst_dist:.3e} > {tol:g}"
+            f"broadcast disturbs the Q marginal by {worst_dist:.3e} > {_REDUCED_FORM_TOL:g}"
         )
 
     p_mat = dec.probs  # (n_states, n_blocks)

@@ -411,8 +411,6 @@ def _ascend(
                 improved = True
                 break
             step *= _shrink_factor(np.vdot(grad, cand - j).real, cand_val - val)
-            if step < 1e-14:
-                break
         if not improved:
             break
         rel = (cand_val - val) / max(1.0, abs(val))

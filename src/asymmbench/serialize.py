@@ -25,8 +25,6 @@ __all__ = [
 
 def matrix_to_json(m: np.ndarray) -> dict:
     m = np.asarray(m, dtype=np.complex128)
-    if m.ndim == 1:
-        m = m.reshape(-1, 1)
     return {
         "rows": int(m.shape[0]),
         "cols": int(m.shape[1]),

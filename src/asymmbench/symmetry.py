@@ -182,19 +182,23 @@ def time_translate(rho: DensityMatrix, sys: SystemSpec, t: float) -> DensityMatr
     return DensityMatrix(u @ rho.mat @ dagger(u))
 
 
-def is_symmetric_state(rho: DensityMatrix, sys: SystemSpec, tol: float = 1e-9) -> SymmetryVerdict:
+_SYMMETRIC_STATE_TOL = 1e-9  # largest |[rho, H]| entry of a symmetric state
+_COVARIANT_CHANNEL_TOL = 1e-8  # largest |[choi, K]| entry of a covariant channel
+
+
+def is_symmetric_state(rho: DensityMatrix, sys: SystemSpec) -> SymmetryVerdict:
     """True iff rho commutes with the generator; witness is max |[rho, H]| entry."""
     if rho.dim != sys.dim:
         raise DimensionMismatch(f"state dim {rho.dim} != system dim {sys.dim}")
     witness = max_abs(commutator(rho.mat, sys.hamiltonian))
-    return SymmetryVerdict(witness <= tol, witness)
+    return SymmetryVerdict(witness <= _SYMMETRIC_STATE_TOL, witness)
 
 
-def is_covariant_channel(ch: Channel, tol: float = 1e-9) -> SymmetryVerdict:
+def is_covariant_channel(ch: Channel) -> SymmetryVerdict:
     """Covariance test on the Choi matrix: witness is max |[choi, K]| entry."""
     sec = CovarianceSector.for_channel(ch.output, ch.input)
     witness = max_abs(commutator(ch.choi, sec.generator))
-    return SymmetryVerdict(witness <= tol, witness)
+    return SymmetryVerdict(witness <= _COVARIANT_CHANNEL_TOL, witness)
 
 
 def twirl_channel(ch: Channel) -> Channel:

@@ -221,7 +221,7 @@ def test_criterion_07_ki_decomposition():
     r2 = DensityMatrix(np.diag([0.2, 0.8]).astype(complex))
     ok &= ki_decompose(StateFamily((r1, r2), ("a", "b"))).block_dims == [(1, 1), (1, 1)]
 
-    orbit = orbit_family(PLUS, QUBIT, 4)
+    orbit = orbit_family(PLUS, QUBIT)
     ok &= ki_decompose(orbit).block_dims == [(2, 1)]
 
     mismatches = 0
@@ -247,7 +247,7 @@ def test_criterion_07_ki_decomposition():
         (random_density_matrix(2, 2, rng), QUBIT),
         (random_density_matrix(3, 2, rng), SystemSpec.diagonal([0, 1, 2])),
     ]:
-        fam = orbit_family(rho, sys, 4)
+        fam = orbit_family(rho, sys)
         dec = ki_decompose(fam)
         worst_ehrenfest = max(worst_ehrenfest, ehrenfest_constancy_check(dec, rho, sys, grid))
     ok &= worst_ehrenfest <= 1e-7

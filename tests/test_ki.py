@@ -1,11 +1,14 @@
 """Koashi-Imoto decomposition, algebra machinery, and structure checks."""
 import math
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from asymmbench import ki
 from asymmbench.errors import DecompositionInvalid, NonFinite, PreconditionFailed, SizeCap
 from asymmbench.ki import (
     WedderburnBlock,
@@ -48,6 +51,12 @@ SZ = np.diag([1.0, -1.0]).astype(complex)
 PLANTED = st.lists(
     st.tuples(st.integers(1, 3), st.integers(1, 3)), min_size=1, max_size=4
 ).filter(lambda blocks: sum(m * k for m, k in blocks) <= 6)
+
+
+def orbit_from(rho, sys, n):
+    """orbit_family with its first sample count set to n instead of 4."""
+    with mock.patch.object(ki, "_ORBIT_SAMPLES", n):
+        return orbit_family(rho, sys)
 
 
 class TestGenerateAlgebra:
@@ -139,7 +148,7 @@ class TestKIDecompose:
         assert rows == {(0.7, 0.3), (0.2, 0.8)} or rows == {(0.3, 0.7), (0.8, 0.2)}
 
     def test_coherent_orbit(self):
-        fam = orbit_family(PLUS, QUBIT, 4)
+        fam = orbit_family(PLUS, QUBIT)
         dec = ki_decompose(fam)
         assert dec.block_dims == [(2, 1)]
 
@@ -212,6 +221,56 @@ class TestKIDecompose:
             assert dims == planted
             assert dims == ki_refinement_oracle(fam).block_dims
 
+    def test_oracle_splits_a_uniform_multiplicity(self, rng):
+        # States L_x (x) I/2 in a random frame: every member is degenerate
+        # across the multiplicity factor, so no combination of them tells
+        # the two copies of L apart and the oracle must split the support
+        # along a commutant direction.  Without that split it hands one
+        # piece of dimension 4 to the assembly, whose factor is not maximal.
+        q = random_unitary(4, rng)
+        states = tuple(
+            DensityMatrix(q @ np.kron(random_density_matrix(2, 2, rng).mat, np.eye(2) / 2) @ q.conj().T)
+            for _ in range(3)
+        )
+        fam = StateFamily(states, ("a", "b", "c"))
+        for dec in (ki_refinement_oracle(fam), ki_decompose(fam)):
+            assert dec.block_dims == [(2, 2)]
+            assert max_abs(dec.blocks[0].omega.mat - np.eye(2) / 2) <= 1e-9
+
+    def _unweighted_block_family(self, rng):
+        # State "b" lies on the one-level block and has no weight on the
+        # (2, 1) block the other states share.
+        q = random_unitary(3, rng)
+        states = []
+        for w in (0.6, 1.0, 0.3):
+            full = np.zeros((3, 3), dtype=complex)
+            full[:2, :2] = (1 - w) * random_density_matrix(2, 2, rng).mat
+            full[2, 2] = w
+            states.append(DensityMatrix(q @ full @ q.conj().T))
+        return StateFamily(tuple(states), ("a", "b", "c"))
+
+    def test_unweighted_block_gets_the_maximally_mixed_l_state(self, rng):
+        fam = self._unweighted_block_family(rng)
+        dec = ki_decompose(fam)
+        assert dec.block_dims == [(1, 1), (2, 1)]
+        [mu] = [mu for mu, blk in enumerate(dec.blocks) if blk.m == 2]
+        assert dec.probs[1, mu] <= 1e-12
+        assert np.array_equal(dec.l_states[1][mu], np.eye(2) / 2)
+        assert 0.5 * trace_norm(fam.states[1].mat - reconstruct_state(dec, 1)) <= 1e-7
+
+    def test_reconstruction_reads_no_unweighted_l_state(self, rng):
+        # A block a state has no weight on contributes nothing, whatever
+        # stands in for its L-state: a NaN there must not reach the sum.
+        fam = self._unweighted_block_family(rng)
+        dec = ki_decompose(fam)
+        [mu] = [mu for mu, blk in enumerate(dec.blocks) if blk.m == 2]
+        probs = dec.probs.copy()
+        probs[1, mu] = 0.0
+        l_states = list(dec.l_states)
+        l_states[1] = tuple(np.full((2, 2), np.nan) if i == mu else s for i, s in enumerate(l_states[1]))
+        rebuilt = reconstruct_state(replace(dec, probs=probs, l_states=tuple(l_states)), 1)
+        assert 0.5 * trace_norm(fam.states[1].mat - rebuilt) <= 1e-7
+
     def test_near_equal_frequencies_stay_apart(self):
         # rho_bar = diag(w), w ∝ (1, e^{-a}, e^{-a-delta}): the modular
         # frequencies a and a + delta (and 0 and delta) are close but
@@ -283,12 +342,12 @@ class TestKIDecompose:
 class TestOrbitFamily:
     def test_symmetric_state_trivial_orbit(self):
         rho = DensityMatrix(np.diag([0.3, 0.7]).astype(complex))
-        fam = orbit_family(rho, QUBIT, 2)
+        fam = orbit_from(rho, QUBIT, 2)
         for s in fam.states:
             assert max_abs(s.mat - rho.mat) < 1e-12
 
     def test_plus_orbit_four_equator_points(self):
-        fam = orbit_family(PLUS, QUBIT, 4)
+        fam = orbit_family(PLUS, QUBIT)
         assert len(fam.states) == 4
         phases = [s.mat[0, 1] for s in fam.states]
         expected = [0.5 * np.exp(1j * math.pi * j / 2) for j in range(4)]
@@ -298,9 +357,8 @@ class TestOrbitFamily:
     def test_algebra_dimension_stable_from_four(self):
         # 4 samples keep a qubit's frequencies -1, 0, 1 apart; 2 alias -1
         # onto 1, and 3 are the fewest that do not
-        assert len(orbit_family(PLUS, QUBIT, 4).states) == 4
-        assert len(orbit_family(PLUS, QUBIT, 2).states) == 3
-        assert len(orbit_family(PLUS, QUBIT).states) == 4  # the count the experiments use
+        assert len(orbit_family(PLUS, QUBIT).states) == 4
+        assert len(orbit_from(PLUS, QUBIT, 2).states) == 3
 
     def test_aliased_frequencies_get_more_samples(self):
         # Spectrum (0, 1, 7): with 3 or 6 samples the frequency 7 aliases
@@ -310,20 +368,16 @@ class TestOrbitFamily:
         # is the fewest samples (from 3) at which no two agree mod n.
         sys3 = SystemSpec.diagonal([0, 1, 7])
         plus3 = DensityMatrix.pure([1, 1, 1])
-        fam = orbit_family(plus3, sys3, 3)
+        fam = orbit_from(plus3, sys3, 3)
         assert len(fam.states) == 9
         assert ki_decompose(fam).block_dims == [(3, 1)]
         # -32, 0 and 32 stay apart mod 5: a wide spectrum needs no more
-        fam = orbit_family(PLUS, SystemSpec.diagonal([0, 32]), 4)
+        fam = orbit_family(PLUS, SystemSpec.diagonal([0, 32]))
         assert len(fam.states) == 5
         assert ki_decompose(fam).block_dims == [(2, 1)]
         # spectrum 0..33 has the 67 frequencies -33..33, so it needs 67
         with pytest.raises(SizeCap, match="65"):
-            orbit_family(DensityMatrix.pure([1] * 34), SystemSpec.diagonal(range(34)), 4)
-
-    def test_minimum_samples(self):
-        with pytest.raises(PreconditionFailed):
-            orbit_family(PLUS, QUBIT, 1)
+            orbit_family(DensityMatrix.pure([1] * 34), SystemSpec.diagonal(range(34)))
 
     @settings(max_examples=60, deadline=None, database=None)
     @given(
@@ -336,19 +390,19 @@ class TestOrbitFamily:
         rng = np.random.default_rng(seed)
         sys = random_integer_system(d, rng, span=3)
         rho = random_density_matrix(d, int(rng.integers(1, d + 1)), rng)
-        average = orbit_family(rho, sys, n).average()
+        average = orbit_from(rho, sys, n).average()
         assert max_abs(average - twirl_state(rho, sys).mat) <= 1e-12
 
 
 class TestEhrenfest:
     def test_symmetric_state_zero(self):
         rho = DensityMatrix(np.diag([0.3, 0.7]).astype(complex))
-        fam = orbit_family(rho, QUBIT, 2)
+        fam = orbit_from(rho, QUBIT, 2)
         dec = ki_decompose(fam)
         assert ehrenfest_constancy_check(dec, rho, QUBIT, [0.1, 0.9, 2.2]) < 1e-12
 
     def test_plus_orbit(self):
-        fam = orbit_family(PLUS, QUBIT, 4)
+        fam = orbit_family(PLUS, QUBIT)
         dec = ki_decompose(fam)
         grid = list(np.linspace(0, 2 * math.pi, 17))
         assert ehrenfest_constancy_check(dec, PLUS, QUBIT, grid) <= 1e-7
@@ -358,7 +412,7 @@ class TestEhrenfest:
         sys3 = SystemSpec.diagonal([0, 1, 2])
         vec = np.array([1.0, 1.0, 0.0]) / math.sqrt(2)
         rho = DensityMatrix(0.8 * np.outer(vec, vec) + 0.2 * np.diag([0, 0, 1.0]))
-        fam = orbit_family(rho, sys3, 4)
+        fam = orbit_family(rho, sys3)
         dec = ki_decompose(fam)
         grid = list(np.linspace(0, 2 * math.pi, 13))
         assert ehrenfest_constancy_check(dec, rho, sys3, grid) <= 1e-7
@@ -371,16 +425,18 @@ class TestLemma4ReducedForm:
             QUBIT, out_sys, choi_from_map(lambda m: tensor_product(m, tau_mat), 2, 4)
         )
 
-    def test_identity_prepare(self, rng):
+    def test_identity_prepare(self, rng, monkeypatch):
+        monkeypatch.setattr(ki, "_REDUCED_FORM_TOL", 1e-9)
         tau = random_density_matrix(2, 2, rng)
         ch = self._prepare_channel(tau.mat)
-        fam = orbit_family(PLUS, QUBIT, 4)
+        fam = orbit_family(PLUS, QUBIT)
         dec = ki_decompose(fam)
-        res = lemma4_reduced_form_check(ch, fam, dec, tol=1e-9)
+        res = lemma4_reduced_form_check(ch, fam, dec)
         assert res.residual <= 1e-9
         assert max_abs(res.block_states[0] - tau.mat) < 1e-8
 
-    def test_classical_measure_and_reprepare(self):
+    def test_classical_measure_and_reprepare(self, monkeypatch):
+        monkeypatch.setattr(ki, "_REDUCED_FORM_TOL", 1e-8)
         # commuting family broadcast by measuring in the common eigenbasis
         r1 = DensityMatrix(np.diag([0.7, 0.3]).astype(complex))
         r2 = DensityMatrix(np.diag([0.2, 0.8]).astype(complex))
@@ -397,21 +453,20 @@ class TestLemma4ReducedForm:
             return out
 
         ch = Channel(QUBIT, out_sys, choi_from_map(measure_reprepare, 2, 4))
-        res = lemma4_reduced_form_check(ch, fam, dec, tol=1e-8)
+        res = lemma4_reduced_form_check(ch, fam, dec)
         assert res.residual <= 1e-8
 
-    def test_covariant_marginal_fixer_gives_symmetric_blocks(self):
+    def test_covariant_marginal_fixer_gives_symmetric_blocks(self, monkeypatch):
         # keep-and-prepare with a symmetric prepared state: the block
         # states recovered from the orbit family must be symmetric
+        monkeypatch.setattr(ki, "_REDUCED_FORM_TOL", 1e-9)
         ch = self._prepare_channel(np.eye(2) / 2)
-        fam = orbit_family(PLUS, QUBIT, 4)
+        fam = orbit_family(PLUS, QUBIT)
         dec = ki_decompose(fam)
-        res = lemma4_reduced_form_check(ch, fam, dec, tol=1e-9)
+        res = lemma4_reduced_form_check(ch, fam, dec)
         for state in res.block_states:
-            verdict = is_symmetric_state(
-                DensityMatrix((state + state.conj().T) / 2), QUBIT, 1e-8
-            )
-            assert verdict.ok
+            verdict = is_symmetric_state(DensityMatrix((state + state.conj().T) / 2), QUBIT)
+            assert verdict.witness <= 1e-8
 
     def test_precondition_failure(self, rng):
         # a channel that replaces the Q output disturbs the marginal
@@ -422,7 +477,7 @@ class TestLemma4ReducedForm:
             out_sys,
             choi_from_map(lambda m: tensor_product(np.trace(m) * half, half), 2, 4),
         )
-        fam = orbit_family(PLUS, QUBIT, 4)
+        fam = orbit_family(PLUS, QUBIT)
         dec = ki_decompose(fam)
         with pytest.raises(PreconditionFailed):
-            lemma4_reduced_form_check(ch, fam, dec, tol=1e-6)
+            lemma4_reduced_form_check(ch, fam, dec)

@@ -76,7 +76,7 @@ class TestProjection:
         j = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
         out = project_covariant_tp_psd((j + j.conj().T) / 2, sys_in, sys_out)
         ch = Channel(sys_in, sys_out, out)  # validates CP and TP
-        assert is_covariant_channel(ch, 1e-9).ok
+        assert is_covariant_channel(ch).witness <= 1e-9
 
     def test_affine_projections_commute(self, rng):
         # the dephasing and trace-preservation projections are order
@@ -110,7 +110,7 @@ def _check_projection(j, sys_in, sys_out, rng, n_witnesses=10):
     marg = partial_trace(out, [sys_out.dim, sys_in.dim], keep=[1])
     assert max_abs(marg - np.eye(sys_in.dim)) <= 1e-12
     assert np.linalg.eigvalsh(out)[0] >= -1e-14
-    assert is_covariant_channel(Channel(sys_in, sys_out, out), 1e-9).ok
+    assert is_covariant_channel(Channel(sys_in, sys_out, out)).witness <= 1e-9
     for _ in range(n_witnesses):
         c = random_covariant_channel(sys_in, sys_out, rng).choi
         assert np.vdot(j - out, c - out).real <= 1e-10
@@ -521,7 +521,7 @@ class TestMaxRecoveryFidelity:
 
     def test_recovery_channel_is_covariant(self):
         res = max_recovery_fidelity(PLUS, HALF, QUBIT, QUBIT)
-        assert is_covariant_channel(res.best_recovery, 1e-8).ok
+        assert is_covariant_channel(res.best_recovery).ok
 
     def test_channel_applied_once_per_evaluated_candidate(self, monkeypatch):
         # the objective's fidelity and the gradient at an accepted J share
@@ -624,7 +624,7 @@ class TestPetzRecovery:
         for _ in range(10):
             ch = random_covariant_channel(QUBIT, QUBIT, rng)
             p = petz_recovery(ch, HALF)
-            assert is_covariant_channel(p, 1e-8).ok
+            assert is_covariant_channel(p).ok
 
     def test_petz_no_better_than_optimum(self, rng):
         # baseline property: the transpose channel never beats the optimizer
@@ -669,7 +669,7 @@ class TestOptimizeBroadcast:
             PLUS, QUBIT, QUBIT, 3 * math.pi / 4, (0.0, 1.0), OptimizerConfig(max_iter=200)
         )
         for att in attempts:
-            assert is_covariant_channel(att.map, 1e-8).ok
+            assert is_covariant_channel(att.map).ok
 
     def test_restarts_draw_random_starts(self, monkeypatch):
         # optimizer.restarts random covariant starts at the first penalty,
@@ -717,7 +717,7 @@ class TestOptimizeBroadcast:
             PLUS, QUBIT, QUBIT, math.pi / 2, (0.0, 1.0), OptimizerConfig(max_iter=60)
         )
         for att in attempts:
-            assert is_covariant_channel(att.map, 1e-8).ok
+            assert is_covariant_channel(att.map).ok
 
     def test_per_recovery_inequality(self, rng):
         # for any covariant recovery applied to the broadcast marginal:
