@@ -29,6 +29,10 @@ def write_config(tmp_path, name, payload):
     return path
 
 
+def config_text(**fields):
+    return json.dumps({"schema_version": 1, **fields})
+
+
 class TestParseConfig:
     def test_minimal_no_broadcast_defaults(self, tmp_path):
         cfg = parse_config(
@@ -242,6 +246,56 @@ class TestMainExitCodes:
     def test_config_error_exit_4(self, tmp_path):
         path = write_config(tmp_path, "c.json", {"schema_version": 1, "experiment": "zzz"})
         assert main(["run", "--config", str(path)]) == 4
+
+    @pytest.mark.parametrize(
+        "files, named",
+        [
+            pytest.param(
+                {"c.json": config_text(experiment="no_broadcast", lambda_schedule=[])},
+                "'lambda_schedule'",
+                id="empty-list",
+            ),
+            pytest.param(
+                {"c.json": config_text(experiment="no_broadcast", optimizer="fast")},
+                "'optimizer'",
+                id="optimizer-not-an-object",
+            ),
+            pytest.param(
+                {"c.json": config_text(experiment="cloner", seed=-1)}, "'seed'", id="negative-seed"
+            ),
+            pytest.param(
+                {"c.json": config_text(experiment="cloner", seed=1.5)}, "'seed'", id="fractional-seed"
+            ),
+            pytest.param(
+                {"c.json": config_text(experiment="nonadditivity", t="pi")}, "'t'", id="not-a-number"
+            ),
+            pytest.param(
+                {"c.json": config_text(experiment="complementarity", mode=3)},
+                "'mode'",
+                id="not-a-string",
+            ),
+            pytest.param(
+                {"c.json": config_text(experiment="ki", state="s.json"), "s.json": "{"},
+                "s.json",
+                id="field-file-not-json",
+            ),
+            pytest.param(
+                {"c.json": config_text(experiment="ki", state=3)},
+                "'state'",
+                id="neither-path-nor-object",
+            ),
+            pytest.param({}, "c.json", id="missing-config-file"),
+            pytest.param({"c.json": "[1, 2]"}, "config root", id="root-not-an-object"),
+            pytest.param(
+                {"c.json": config_text(experiment="irrev")}, "'target'", id="missing-required"
+            ),
+        ],
+    )
+    def test_config_error_names_its_field_or_file(self, tmp_path, capsys, files, named):
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        assert main(["validate", "--config", str(tmp_path / "c.json")]) == 4
+        assert named in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "experiment, key, value",
