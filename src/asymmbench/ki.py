@@ -703,10 +703,10 @@ def lemma4_reduced_form_check(
 
     For a channel Q -> Q (x) S' whose Q-marginal fixes every family
     member (within _REDUCED_FORM_TOL in trace distance, else
-    PreconditionFailed), solves least squares
-    for block states sigma_mu on S' and returns the worst trace-distance
-    residual of sigma_{S'}(x) against sum_mu p_mu(x) sigma_mu.  The
-    residual tends to zero together with the marginal disturbance.
+    PreconditionFailed), solves least squares for block states sigma_mu
+    on S' and returns the worst trace-distance residual of sigma_{S'}(x)
+    against sum_mu p_mu(x) sigma_mu.  The residual tends to zero together
+    with the marginal disturbance.
     """
     dq = broadcast.input.dim
     if broadcast.output.dim % dq:

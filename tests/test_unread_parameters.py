@@ -156,10 +156,12 @@ def _literal(expr, constants) -> str | None:
 def _defaulted(func, method: bool) -> dict[str, tuple[int | None, ast.expr]]:
     """Parameter -> (index among a call's positional arguments, default)."""
     args = func.args
-    positional = [a.arg for a in args.posonlyargs + args.args][method:]
-    out = {}
-    for arg, default in zip((args.posonlyargs + args.args)[::-1], args.defaults[::-1]):
-        out[arg.arg] = (positional.index(arg.arg) if arg.arg in positional else None, default)
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    out = {
+        arg.arg: (first + i - method, default)
+        for i, (arg, default) in enumerate(zip(positional[first:], args.defaults))
+    }
     for arg, default in zip(args.kwonlyargs, args.kw_defaults):
         if default is not None:
             out[arg.arg] = (None, default)
@@ -182,11 +184,11 @@ def one_valued_parameters(
 
     library and callers map module names to source; the calls are read from
     both.  Calls match functions by name, so a call of a same-named
-    function elsewhere can only make a parameter look varied.  A method
-    called on an instance or class skips its self or cls.
+    function elsewhere can only make a parameter look varied.  A method,
+    called on an instance or a class, skips its self or cls.
     """
     calls = {}
-    for source in {**callers, **library}.values():
+    for source in [*callers.values(), *library.values()]:
         tree = ast.parse(source)
         constants = _constants(tree)
         for node in ast.walk(tree):
@@ -200,8 +202,7 @@ def one_valued_parameters(
         for func in ast.walk(tree):
             if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
-            static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in func.decorator_list)
-            method = isinstance(parents.get(func), ast.ClassDef) and not static
+            method = isinstance(parents.get(func), ast.ClassDef)
             for param, (index, default) in _defaulted(func, method).items():
                 values = set()
                 for call, call_constants in calls.get(func.name, []):
