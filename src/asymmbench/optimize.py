@@ -32,6 +32,10 @@ ascent also stops at a zero gradient, when no step rises, or when no step
 can move J: once a projected step P(J + s G) returns J to roundoff, so do
 all shorter ones.
 
+The broadcast objective never exceeds f_t(rho_Q): sigma_S' is the output of
+a covariant channel, f_t cannot increase under one, and the penalty is
+nonnegative.  Its ascents, and its starts, stop once a run reaches it.
+
 fidelity_gradient is exact on the support of its target, with no
 regularization, so the gap above is the exact Frank-Wolfe bound wherever
 a gradient exists.
@@ -63,7 +67,7 @@ from .qtypes import (
     choi_from_map,
     tensor_system,
 )
-from .symmetry import CovarianceSector, random_covariant_channel
+from .symmetry import CovarianceSector, measure_ft, random_covariant_channel
 from .tolerances import TOL_RANK
 
 # The broadcast penalty ||sigma_Q - rho_Q||_1 is smoothed to
@@ -80,7 +84,8 @@ _GAP_ROUNDOFF = 1e-12
 # [0, 1], so that unit scale is the resolution the records carry.  A rise
 # relative to |objective| alone would not stop the ascent on the smoothing
 # floor (objective about -2 lam _SMOOTHING, curvature of order
-# lam / _SMOOTHING), where each step gains of order 1e-11.
+# lam / _SMOOTHING), where each step gains of order 1e-11.  The same
+# resolution decides when an objective has reached its ceiling.
 _RISE_TOL = 1e-8
 
 # Dual-Newton projection: TP residual ||Tr_out X - I||_F to reach, and the
@@ -351,6 +356,11 @@ def _shrink_factor(pred: float, drop: float) -> float:
     return min(0.5, max(0.2, pred / (2.0 * curvature)))
 
 
+def _at_ceiling(val: float, ceiling: float) -> bool:
+    """True once val is within _RISE_TOL * max(1, |val|) of ceiling."""
+    return ceiling - val <= _RISE_TOL * max(1.0, abs(val))
+
+
 def _ascend(
     j0: np.ndarray,
     evaluate,
@@ -358,6 +368,7 @@ def _ascend(
     out_sys: SystemSpec,
     cfg: OptimizerConfig,
     gap=None,
+    ceiling: float = math.inf,
 ):
     """Projected gradient ascent with backtracking; returns (J, trace, gap).
 
@@ -371,13 +382,15 @@ def _ascend(
     once an accepted step rises by less than _RISE_TOL times
     max(1, |objective|), and the returned gap is inf, as it is when the
     gradient raises SingularTarget.  Either way it also stops after
-    cfg.max_iter steps, at an exactly zero gradient, and when none of 40
-    candidates rises.  Each rejected candidate P(J + s G) shrinks s by
-    _shrink_factor, to the peak of a quadratic model of the objective
-    along the step, and the ladder ends early, without evaluating the
-    objective, once a candidate lies within _FIXED_POINT of J.  For a
-    convex set ||P(J + s G) - J|| is nondecreasing in s (Bertsekas,
-    Nonlinear Programming, sec. 2.3), so then no shorter step can move J.
+    cfg.max_iter steps, at an exactly zero gradient, when none of 40
+    candidates rises, and, before the gradient, once the objective is
+    _at_ceiling (ceiling bounds the objective over the whole set).
+    Each rejected candidate P(J + s G) shrinks s by _shrink_factor, to
+    the peak of a quadratic model of the objective along the step, and
+    the ladder ends early, without evaluating the objective, once a
+    candidate lies within _FIXED_POINT of J.  For a convex set
+    ||P(J + s G) - J|| is nondecreasing in s (Bertsekas, Nonlinear
+    Programming, sec. 2.3), so then no shorter step can move J.
     """
     j = project_covariant_tp_psd(j0, in_sys, out_sys)
     val, gradient = evaluate(j)
@@ -386,6 +399,8 @@ def _ascend(
     width = math.inf
     # With a gap function, one more gradient certifies the last step's J.
     for it in range(1, cfg.max_iter + 1 + (gap is not None)):
+        if _at_ceiling(val, ceiling):
+            break
         try:
             grad = gradient()
         except SingularTarget:
@@ -508,6 +523,10 @@ def optimize_broadcast(
     cfg.restarts random covariant channels drawn in turn from one
     generator seeded with cfg.seed; each later one from the previous
     solution, then keep-and-prepare.  The first of equal values wins.
+    f_t(rho_Q) bounds every objective: f_t cannot increase under the
+    covariant channel rho_Q -> sigma_S', and the penalty is nonnegative.
+    An ascent stops there, and no start after one that reaches it is
+    ascended.
     Every returned attempt is a feasible covariant channel (a lower-bound
     witness for the frontier).  The penalty ascent has no stopping
     certificate, so an attempt makes no claim of convergence.
@@ -556,12 +575,19 @@ def optimize_broadcast(
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     starts += [random_covariant_channel(sys_q, out_sys, rng).choi for _ in range(cfg.restarts)]
 
+    ceiling = measure_ft(rho_q, sys_q, t)
     attempts: list[BroadcastAttempt] = []
     for lam in lambda_schedule:
         objective = partial(evaluate, lam=lam)
-        runs = (_ascend(start, objective, sys_q, out_sys, cfg) for start in starts)
-        # max keeps the first of equal values
-        j = max(runs, key=lambda run: run[1][-1][1])[0]
+        best = None
+        for start in starts:
+            run = _ascend(start, objective, sys_q, out_sys, cfg, ceiling=ceiling)
+            # the first of equal values wins
+            if best is None or run[1][-1][1] > best[1][-1][1]:
+                best = run
+            if _at_ceiling(best[1][-1][1], ceiling):
+                break
+        j = best[0]
         starts = [j, keep]
         sig_q, sig_sp, shifted = marginals(j)
         attempts.append(

@@ -28,6 +28,7 @@ from asymmbench.qtypes import (
     DensityMatrix,
     SystemSpec,
     apply_channel,
+    apply_choi,
     choi_from_map,
     random_density_matrix,
     tensor_system,
@@ -247,9 +248,9 @@ def _count_ascents(monkeypatch):
         projections[0] += 1
         return project(*args)
 
-    def counting_ascend(j0, evaluate, in_sys, out_sys, cfg, gap=None):
+    def counting_ascend(j0, evaluate, in_sys, out_sys, cfg, gap=None, ceiling=math.inf):
         before = projections[0]
-        result = ascend(j0, evaluate, in_sys, out_sys, cfg, gap)
+        result = ascend(j0, evaluate, in_sys, out_sys, cfg, gap, ceiling)
         ascents.append(
             Ascent(gap is None, projections[0] - before, len(result[1]), cfg.max_iter)
         )
@@ -694,7 +695,7 @@ class TestOptimizeBroadcast:
         # interior point, against central differences of its value
         objectives = []
 
-        def capture(j0, evaluate, in_sys, out_sys, cfg, gap=None):
+        def capture(j0, evaluate, in_sys, out_sys, cfg, gap=None, ceiling=math.inf):
             objectives.append(evaluate)
             return j0, [(0, 0.0)], math.inf
 
@@ -733,14 +734,52 @@ class TestOptimizeBroadcast:
             sig_q = partial_trace(joint.mat, [2, 2], keep=[0])
             for _ in range(170):
                 rec = random_covariant_channel(QUBIT, QUBIT, rng)
-                from asymmbench.qtypes import apply_choi
-
                 recovered = apply_choi(rec.choi, 2, 2, sig_q)
                 fid = fidelity_arrays(PLUS.mat, recovered)
                 lhs = (1 - ft_in) * att.output_coherence
                 rhs = 4 * math.sqrt(max(0.0, 1 - fid * fid))
                 worst = max(worst, lhs - rhs)
         assert worst <= 1e-9
+
+
+class TestBroadcastCeiling:
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(
+        sys_sp=st.sampled_from([QUBIT, SystemSpec.diagonal([0, 1, 2])]),
+        rank=st.sampled_from([1, 2]),
+        t=st.floats(0.0, 2 * math.pi, exclude_min=True, exclude_max=True),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_broadcast_output_within_input_coherence(self, sys_sp, rank, t, seed):
+        # f_t cannot increase under the covariant channel rho_Q -> sigma_S',
+        # so f_t(rho_Q) bounds every broadcast objective
+        rng = np.random.default_rng(seed)
+        rho = random_density_matrix(2, rank, rng)
+        out_sys = tensor_system(QUBIT, sys_sp)
+        choi = random_covariant_channel(QUBIT, out_sys, rng).choi
+        joint = apply_choi(choi, out_sys.dim, 2, rho.mat)
+        sig_sp = partial_trace((joint + joint.conj().T) / 2, [2, sys_sp.dim], keep=[1])
+        assert measure_ft(DensityMatrix(sig_sp), sys_sp, t) <= measure_ft(rho, QUBIT, t) + 1e-12
+
+    def test_first_penalty_stops_at_the_ceiling(self, monkeypatch):
+        # At lambda = 0 the move-and-refill start attains f_t(rho_Q): its
+        # ascent ends at its start, and the random start is not ascended.
+        ascents = _count_ascents(monkeypatch)
+        cfg = OptimizerConfig(restarts=1)
+        attempts = optimize_broadcast(PLUS, QUBIT, QUBIT, math.pi / 2, (0.0, 16.0), cfg)
+        # keep-and-prepare (its start and one fixed-point candidate), then
+        # move-and-refill (its start only), then the two lambda = 16 ascents
+        assert [(a.projections, a.steps) for a in ascents] == [(2, 1), (1, 1), (6, 6), (2, 1)]
+        # without the ceiling the random start is ascended too, and the
+        # attempts are the same
+        ascents.clear()
+        monkeypatch.setattr(optimize, "measure_ft", lambda *args: math.inf)
+        uncapped = optimize_broadcast(PLUS, QUBIT, QUBIT, math.pi / 2, (0.0, 16.0), cfg)
+        assert [(a.projections, a.steps) for a in ascents] == [
+            (2, 1), (2, 1), (9, 9), (6, 6), (2, 1)
+        ]
+        for att, ref in zip(attempts, uncapped):
+            assert np.array_equal(att.map.choi, ref.map.choi)
 
 
 def _frontier_state(seed):
@@ -770,25 +809,27 @@ class TestBroadcastAscentWork:
         )
         penalty = [a for a in ascents if a.penalty]
         assert penalty and all(a.steps <= a.max_iter for a in penalty)
-        # 30 and 33; 45 and 88 with a halving ladder
-        assert sum(a.projections for a in ascents) <= 36
+        # 21 and 24 (30 and 33 without the f_t(rho_Q) ceiling, 45 and 88
+        # with a halving ladder as well)
+        assert sum(a.projections for a in ascents) <= 26
 
     def test_frontier_projection_count(self, monkeypatch):
         # The seed-7 frontier batch (the default t grid is the workload's)
-        # makes 144 projections.  The ceiling leaves 10% headroom and stays
-        # below the 198 of a halving ladder.
+        # makes 86 projections, and 144 without the f_t(rho_Q) ceiling.
+        # The bound leaves 10% headroom.
         ascents = _count_ascents(monkeypatch)
         run_tradeoff_sweep(_frontier_state(7), QUBIT, QUBIT, lambda_schedule=[0.0, 16.0])
-        assert sum(a.projections for a in ascents) <= 158
+        assert sum(a.projections for a in ascents) <= 95
 
     def test_default_no_broadcast_projection_count(self, monkeypatch):
-        # The seed-7 default no_broadcast run makes 61 projections, and 70
-        # with a halving ladder.  A shrink clipped at 0.1 instead of 0.2
-        # would make its warm lambda = 1 ascent crawl, to 168 projections.
+        # The seed-7 default no_broadcast run makes 51 projections (61
+        # without the f_t(rho_Q) ceiling, 70 with a halving ladder as well).
+        # A shrink clipped at 0.1 instead of 0.2 would make its warm
+        # lambda = 1 ascent crawl, to 158 projections.
         ascents = _count_ascents(monkeypatch)
         cfg = OptimizerConfig(max_iter=200, seed=7)
         optimize_broadcast(PLUS, QUBIT, QUBIT, math.pi / 2, DEFAULT_LAMBDA_SCHEDULE, cfg)
-        assert sum(a.projections for a in ascents) <= 70
+        assert sum(a.projections for a in ascents) <= 56
 
     def test_qutrit_zero_gradient_ends_ascent(self, monkeypatch):
         # The no_broadcast_qutrit golden config.  Its lambda = 0 random-start
