@@ -45,6 +45,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain
 
 import numpy as np
 
@@ -361,6 +362,30 @@ def _at_ceiling(val: float, ceiling: float) -> bool:
     return ceiling - val <= _RISE_TOL * max(1.0, abs(val))
 
 
+def _embedding(in_sys: SystemSpec, out_sys: SystemSpec):
+    """Isometry iota: in -> out with H_out iota = iota (H_in + s), or None.
+
+    s is the integer of least |s| (the negative one of a tie) for which each
+    level of H_in + s has at least as many eigenvectors in H_out; the n-th
+    input eigenvector at a level goes to the n-th output eigenvector at that
+    level + s.  Then iota e^{-iH_in t} = e^{ist} e^{-iH_out t} iota, so
+    rho -> iota rho iota† is a covariant channel.  None when no shift fits
+    the spectrum of in inside that of out.
+    """
+    slots = {}
+    for o, level in enumerate(out_sys.spectrum):
+        slots.setdefault(level, []).append(o)
+    first = in_sys.spectrum[0]
+    for s in sorted({level - first for level in slots}, key=lambda s: (abs(s), s)):
+        free = {level: iter(outs) for level, outs in slots.items()}
+        try:
+            cols = [next(free[level + s]) for level in in_sys.spectrum]
+        except (KeyError, StopIteration):
+            continue
+        return out_sys.eigenbasis[:, cols] @ dagger(in_sys.eigenbasis)
+    return None
+
+
 def _ascend(
     j0: np.ndarray,
     evaluate,
@@ -437,6 +462,21 @@ def _ascend(
     return j, trace, width
 
 
+def _best_ascent(starts, evaluate, in_sys, out_sys, cfg, gap=None, ceiling=math.inf):
+    """The _ascend run of highest final objective over starts (the first of
+    equal values wins).  starts is read lazily, and no start is read once
+    the best run is _at_ceiling.
+    """
+    best = None
+    for start in starts:
+        run = _ascend(start, evaluate, in_sys, out_sys, cfg, gap, ceiling)
+        if best is None or run[1][-1][1] > best[1][-1][1]:
+            best = run
+        if _at_ceiling(best[1][-1][1], ceiling):
+            break
+    return best
+
+
 def max_recovery_fidelity(
     rho_q: DensityMatrix,
     sigma: DensityMatrix,
@@ -459,9 +499,11 @@ def max_recovery_fidelity(
     A target without a gradient (SingularTarget) stops the ascent and
     leaves the result uncertified, with an infinite gap.
 
-    The first start is the identity channel when the spaces match, any
-    further one (cfg.restarts) a random covariant channel; the best
-    achieved value wins.
+    The first start is rho -> iota rho iota† for the _embedding iota of
+    from in to (the identity channel when the systems match), or a random
+    covariant channel when there is none; any further start (cfg.restarts)
+    is a random covariant channel, each from its own SeedSequence child of
+    cfg.seed.  The best achieved value wins.
     """
     if sigma.dim != from_sys.dim or rho_q.dim != to_sys.dim:
         raise DimensionMismatch("state dimensions do not match the recovery spaces")
@@ -490,16 +532,14 @@ def max_recovery_fidelity(
         # The exact gap is nonnegative at a feasible J; NaN stays NaN.
         return max(width, 0.0)
 
-    best = None
-    for idx, seq in enumerate(np.random.SeedSequence(cfg.seed).spawn(max(1, cfg.restarts))):
-        if idx == 0 and d_in == d_out:
-            start = sector.dephase(choi_from_map(lambda m: m, d_in, d_out))
-        else:
-            start = random_covariant_channel(from_sys, to_sys, np.random.default_rng(seq)).choi
-        run = _ascend(start, evaluate, from_sys, to_sys, cfg, gap)
-        if best is None or run[1][-1][1] > best[1][-1][1]:
-            best = run
-    j, trace, width = best
+    iota = _embedding(from_sys, to_sys)
+    starts = (
+        choi_from_map(lambda m: iota @ m @ dagger(iota), d_in, d_out)
+        if idx == 0 and iota is not None
+        else random_covariant_channel(from_sys, to_sys, np.random.default_rng(seq)).choi
+        for idx, seq in enumerate(np.random.SeedSequence(cfg.seed).spawn(max(1, cfg.restarts)))
+    )
+    j, trace, width = _best_ascent(starts, evaluate, from_sys, to_sys, cfg, gap)
     return IrrevResult(
         best_recovery=Channel(from_sys, to_sys, j), fidelity_trace=tuple(trace), gap=width
     )
@@ -519,14 +559,16 @@ def optimize_broadcast(
     - lam * ||sigma_Q - rho_Q||_1 over covariant Choi matrices, with the
     trace norm smoothed; evaluate(J, lam) returns the value and a closure
     building the gradient from the same marginals.  The first penalty
-    starts from keep-and-prepare, move-and-refill when d_Q = d_S', and
-    cfg.restarts random covariant channels drawn in turn from one
-    generator seeded with cfg.seed; each later one from the previous
-    solution, then keep-and-prepare.  The first of equal values wins.
+    starts from keep-and-prepare, then move-and-refill
+    rho -> I/d_Q (x) iota rho iota† when S' holds a shifted copy of Q's
+    spectrum (the _embedding iota), then cfg.restarts random covariant
+    channels drawn in turn from one generator seeded with cfg.seed; each
+    later penalty from the previous solution, then keep-and-prepare.  The
+    first of equal values wins.
     f_t(rho_Q) bounds every objective: f_t cannot increase under the
     covariant channel rho_Q -> sigma_S', and the penalty is nonnegative.
     An ascent stops there, and no start after one that reaches it is
-    ascended.
+    ascended or drawn.
     Every returned attempt is a feasible covariant channel (a lower-bound
     witness for the frontier).  The penalty ascent has no stopping
     certificate, so an attempt makes no claim of convergence.
@@ -566,28 +608,27 @@ def optimize_broadcast(
         return 1.0 - fidelity_arrays(sig_sp, shifted) - lam * smooth_tn, gradient
 
     # Fixed feasible starts: keep-and-prepare (marginal preserving) and,
-    # when the dimensions allow, move-and-refill (coherence forwarding).
+    # where S' holds a shifted copy of Q, move-and-refill (coherence
+    # forwarding).  Exploration only pays off before the warm-start chain
+    # exists; a random start is drawn only when it is reached.
     keep = choi_from_map(lambda m: tensor_product(m, eye_sp / dsp), dq, out_sys.dim)
-    starts = [keep]
-    if dq == dsp:
-        starts.append(choi_from_map(lambda m: tensor_product(eye_q / dq, m), dq, out_sys.dim))
-    # Exploration only pays off before the warm-start chain exists.
+    fixed = [keep]
+    iota = _embedding(sys_q, sys_sp)
+    if iota is not None:
+        fixed.append(
+            choi_from_map(
+                lambda m: tensor_product(eye_q / dq, iota @ m @ dagger(iota)), dq, out_sys.dim
+            )
+        )
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-    starts += [random_covariant_channel(sys_q, out_sys, rng).choi for _ in range(cfg.restarts)]
+    draws = (random_covariant_channel(sys_q, out_sys, rng).choi for _ in range(cfg.restarts))
+    starts = chain(fixed, draws)
 
     ceiling = measure_ft(rho_q, sys_q, t)
     attempts: list[BroadcastAttempt] = []
     for lam in lambda_schedule:
         objective = partial(evaluate, lam=lam)
-        best = None
-        for start in starts:
-            run = _ascend(start, objective, sys_q, out_sys, cfg, ceiling=ceiling)
-            # the first of equal values wins
-            if best is None or run[1][-1][1] > best[1][-1][1]:
-                best = run
-            if _at_ceiling(best[1][-1][1], ceiling):
-                break
-        j = best[0]
+        j = _best_ascent(starts, objective, sys_q, out_sys, cfg, ceiling=ceiling)[0]
         starts = [j, keep]
         sig_q, sig_sp, shifted = marginals(j)
         attempts.append(

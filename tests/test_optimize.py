@@ -2,7 +2,7 @@
 import json
 import logging
 import math
-from collections import namedtuple
+from collections import Counter, namedtuple
 from dataclasses import replace
 from pathlib import Path
 
@@ -49,6 +49,8 @@ PLUS = DensityMatrix.pure([1, 1])
 ZERO = DensityMatrix.pure([1, 0])
 ONE = DensityMatrix.pure([0, 1])
 HALF = DensityMatrix.maximally_mixed(2)
+QUTRIT = SystemSpec.diagonal([0, 1, 2])
+QUTRIT_UNIFORM = DensityMatrix.pure([1, 1, 1])
 
 
 class TestProjection:
@@ -674,7 +676,9 @@ class TestOptimizeBroadcast:
 
     def test_restarts_draw_random_starts(self, monkeypatch):
         # optimizer.restarts random covariant starts at the first penalty,
-        # drawn in turn from one generator, so the first draw never moves
+        # drawn in turn from one generator, so the first draw never moves.
+        # A start is drawn only when it is reached: on a qubit pair the
+        # move-and-refill start sits at the ceiling, and none is drawn.
         drawn = []
 
         def counting(sys_in, sys_out, rng):
@@ -683,12 +687,35 @@ class TestOptimizeBroadcast:
             return ch
 
         monkeypatch.setattr(optimize, "random_covariant_channel", counting)
+        cfg = OptimizerConfig(max_iter=20, restarts=2, seed=3)
+        optimize_broadcast(PLUS, QUBIT, QUBIT, math.pi / 2, (0.0, 16.0), cfg)
+        assert drawn == []
+        # a qutrit Q of spectrum (0, 1, 2) has no embedding in a qubit S'
         for restarts in (1, 2):
             cfg = OptimizerConfig(max_iter=20, restarts=restarts, seed=3)
-            optimize_broadcast(PLUS, QUBIT, QUBIT, math.pi / 2, (0.0, 16.0), cfg)
+            optimize_broadcast(QUTRIT_UNIFORM, QUTRIT, QUBIT, math.pi / 2, (0.0, 16.0), cfg)
         assert len(drawn) == 3
         assert np.array_equal(drawn[0], drawn[1])
         assert not np.allclose(drawn[1], drawn[2])
+
+    def test_random_start_moves_coherence_without_embedding(self):
+        # No shift of Q's spectrum (0, 1, 2) fits in a qubit S', so there is
+        # no move-and-refill start, and keep-and-prepare alone moves nothing.
+        # Only a random start reaches a point that moves coherence to S'.
+        runs = {
+            restarts: optimize_broadcast(
+                QUTRIT_UNIFORM,
+                QUTRIT,
+                QUBIT,
+                math.pi / 2,
+                (0.0,),
+                OptimizerConfig(max_iter=200, restarts=restarts, seed=7),
+            )[0]
+            for restarts in (0, 1)
+        }
+        assert runs[0].output_coherence <= 1e-12
+        # 0.2546
+        assert runs[1].output_coherence > 0.1
 
     def test_gradient_matches_finite_differences(self, rng, monkeypatch):
         # the penalty objective's gradient closure at a random covariant
@@ -761,6 +788,15 @@ class TestBroadcastCeiling:
         sig_sp = partial_trace((joint + joint.conj().T) / 2, [2, sys_sp.dim], keep=[1])
         assert measure_ft(DensityMatrix(sig_sp), sys_sp, t) <= measure_ft(rho, QUBIT, t) + 1e-12
 
+    def test_qutrit_move_reaches_the_ceiling(self):
+        # The no_broadcast_qutrit golden config: a qubit Q embeds in the
+        # levels (0, 1) of a qutrit S', so move-and-refill moves all of
+        # f_t(psi) at lambda = 0.
+        cfg = OptimizerConfig(max_iter=20, restarts=1, seed=7)
+        attempts = optimize_broadcast(PLUS, QUBIT, QUTRIT, math.pi / 2, (0.0, 16.0), cfg)
+        ceiling = measure_ft(PLUS, QUBIT, math.pi / 2)
+        assert abs(attempts[0].output_coherence - ceiling) <= 1e-12
+
     def test_first_penalty_stops_at_the_ceiling(self, monkeypatch):
         # At lambda = 0 the move-and-refill start attains f_t(rho_Q): its
         # ascent ends at its start, and the random start is not ascended.
@@ -780,6 +816,46 @@ class TestBroadcastCeiling:
         ]
         for att, ref in zip(attempts, uncapped):
             assert np.array_equal(att.map.choi, ref.map.choi)
+
+
+def _shifts_that_fit(spec_in, spec_out):
+    """Every integer s with the multiset {q + s} inside spec_out, by brute force."""
+    span = max(map(abs, spec_in)) + max(map(abs, spec_out))
+    return [
+        s
+        for s in range(-span, span + 1)
+        if not Counter(q + s for q in spec_in) - Counter(spec_out)
+    ]
+
+
+class TestEmbedding:
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(
+        d_in=st.integers(1, 4), d_out=st.integers(1, 4), seed=st.integers(0, 2**32 - 1)
+    )
+    def test_embedding_is_a_covariant_isometry(self, d_in, d_out, seed):
+        # iota maps Q's eigenvectors onto S' eigenvectors shifted by the s of
+        # least |s|, so the move-and-refill start through it is covariant;
+        # without such an s there is no iota
+        rng = np.random.default_rng(seed)
+        sys_in = random_integer_system(d_in, rng)
+        sys_out = random_integer_system(d_out, rng)
+        iota = optimize._embedding(sys_in, sys_out)
+        shifts = _shifts_that_fit(sys_in.spectrum, sys_out.spectrum)
+        if iota is None:
+            assert shifts == []
+            return
+        s = min(shifts, key=lambda s: (abs(s), s))
+        assert max_abs(iota.conj().T @ iota - np.eye(d_in)) <= 1e-12
+        shifted = sys_in.hamiltonian + s * np.eye(d_in)
+        assert max_abs(sys_out.hamiltonian @ iota - iota @ shifted) <= 1e-12
+        out_sys = tensor_system(sys_in, sys_out)
+        move = choi_from_map(
+            lambda m: tensor_product(np.eye(d_in) / d_in, iota @ m @ iota.conj().T),
+            d_in,
+            out_sys.dim,
+        )
+        assert is_covariant_channel(Channel(sys_in, out_sys, move)).witness <= 1e-12
 
 
 def _frontier_state(seed):
@@ -832,18 +908,17 @@ class TestBroadcastAscentWork:
         assert sum(a.projections for a in ascents) <= 56
 
     def test_qutrit_zero_gradient_ends_ascent(self, monkeypatch):
-        # The no_broadcast_qutrit golden config.  Its lambda = 0 random-start
-        # ascent reaches an S' marginal with an eigenvalue near 1e-8, where
-        # the fidelity gradient is SingularTarget and the whole gradient is
-        # zero.  It makes 45 projections (56 with a halving ladder); a full
-        # ladder of candidates at that J made it 96.
+        # The no_broadcast_qutrit golden config.  Its lambda = 0 move-and-
+        # refill start sits at the ceiling, so no random start is ascended;
+        # it makes 10 projections.  Without a move start, the random-start
+        # ascent reached a zero gradient (a SingularTarget S' marginal) after
+        # 45; test_zero_gradient_projects_only_the_start covers that stop.
         ascents = _count_ascents(monkeypatch)
-        qutrit = SystemSpec.diagonal([0, 1, 2])
         cfg = OptimizerConfig(max_iter=20, restarts=1, seed=7)
-        optimize_broadcast(PLUS, QUBIT, qutrit, math.pi / 2, (0.0, 16.0), cfg)
-        assert sum(a.projections for a in ascents) <= 62
+        optimize_broadcast(PLUS, QUBIT, QUTRIT, math.pi / 2, (0.0, 16.0), cfg)
+        assert sum(a.projections for a in ascents) <= 11
 
-    @settings(max_examples=10, deadline=None, database=None)
+    @settings(max_examples=10, deadline=None, database=None, derandomize=True)
     @given(phase=st.floats(0.0, 2 * math.pi, exclude_max=True))
     def test_sweep_ascents_end_before_max_iter(self, phase):
         # Every penalty ascent of the default sweep grid stops on its rise
