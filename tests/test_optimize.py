@@ -714,7 +714,7 @@ class TestOptimizeBroadcast:
             for restarts in (0, 1)
         }
         assert runs[0].output_coherence <= 1e-12
-        # 0.2546
+        # it measures 0.2546
         assert runs[1].output_coherence > 0.1
 
     def test_gradient_matches_finite_differences(self, rng, monkeypatch):
@@ -911,7 +911,7 @@ class TestBroadcastAscentWork:
         # The no_broadcast_qutrit golden config.  Its lambda = 0 move-and-
         # refill start sits at the ceiling, so no random start is ascended;
         # it makes 10 projections.  Without a move start, the random-start
-        # ascent reached a zero gradient (a SingularTarget S' marginal) after
+        # ascent reaches a zero gradient (a SingularTarget S' marginal) after
         # 45; test_zero_gradient_projects_only_the_start covers that stop.
         ascents = _count_ascents(monkeypatch)
         cfg = OptimizerConfig(max_iter=20, restarts=1, seed=7)
