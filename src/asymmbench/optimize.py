@@ -386,6 +386,52 @@ def _embedding(in_sys: SystemSpec, out_sys: SystemSpec):
     return None
 
 
+def _pure_qubit_recovery(rho_q, sigma, from_sys, to_sys, iota):
+    """Choi matrix of the best covariant recovery of a pure qubit target, or None.
+
+    None unless both systems are qubits with a gap, iota exists and rho_Q has
+    rank one at TOL_RANK.  The derivation:
+    with V from's eigenbasis and W = iota V, the covariant R are x -> W [[u x00 + (1-v) x11,
+    eta x01], [eta* x10, (1-u) x00 + v x11]] W† with |eta|^2 <= uv.  For (a, b) = W† psi,
+    s = V† sigma V and c = a* b s01, F^2 = const + alpha u + beta v + 2 |c| sqrt(uv) at
+    eta = sqrt(uv) c*/|c|, alpha = (|a|^2 - |b|^2) s00, beta = (|b|^2 - |a|^2) s11.  It is
+    concave, so a nonnegative coefficient's coordinate is 1, the other min(1, (|c| / coef)^2).
+    """
+    if from_sys.dim != 2 or to_sys.dim != 2 or iota is None:
+        return None
+    if from_sys.spectrum[0] == from_sys.spectrum[1]:
+        return None
+    w, vecs = np.linalg.eigh(rho_q.mat)
+    if w[0] >= TOL_RANK:
+        return None
+    v_in = from_sys.eigenbasis
+    basis = iota @ v_in
+    a, b = (complex(x) for x in dagger(basis) @ vecs[:, 1])
+    s = dagger(v_in) @ sigma.mat @ v_in
+    c = a.conjugate() * b * complex(s[0, 1])
+    k = abs(c)
+    diff = abs(a) ** 2 - abs(b) ** 2
+    alpha, beta = diff * float(s[0, 0].real), -diff * float(s[1, 1].real)
+    # min(1, (k / coef)^2), written so that no division can overflow
+    if alpha >= 0:
+        u, v = 1.0, (1.0 if beta >= 0 or k >= -beta else (k / beta) ** 2)
+    else:
+        u, v = (1.0 if k >= -alpha else (k / alpha) ** 2), 1.0
+    eta = math.sqrt(u * v) * (c.conjugate() / k if k > 0 else 1.0)
+
+    def recover(x):
+        x = dagger(v_in) @ x @ v_in
+        m = np.array(
+            [
+                [u * x[0, 0] + (1 - v) * x[1, 1], eta * x[0, 1]],
+                [eta.conjugate() * x[1, 0], (1 - u) * x[0, 0] + v * x[1, 1]],
+            ]
+        )
+        return basis @ m @ dagger(basis)
+
+    return choi_from_map(recover, 2, 2)
+
+
 def _ascend(
     j0: np.ndarray,
     evaluate,
@@ -465,14 +511,15 @@ def _ascend(
 def _best_ascent(starts, evaluate, in_sys, out_sys, cfg, gap=None, ceiling=math.inf):
     """The _ascend run of highest final objective over starts (the first of
     equal values wins).  starts is read lazily, and no start is read once
-    the best run is _at_ceiling.
+    the best run is _at_ceiling or certified within _GAP_TOL of the maximum
+    of a concave objective, which no later start can then beat by more.
     """
     best = None
     for start in starts:
         run = _ascend(start, evaluate, in_sys, out_sys, cfg, gap, ceiling)
         if best is None or run[1][-1][1] > best[1][-1][1]:
             best = run
-        if _at_ceiling(best[1][-1][1], ceiling):
+        if _at_ceiling(best[1][-1][1], ceiling) or best[2] <= _GAP_TOL:
             break
     return best
 
@@ -499,11 +546,14 @@ def max_recovery_fidelity(
     A target without a gradient (SingularTarget) stops the ascent and
     leaves the result uncertified, with an infinite gap.
 
-    The first start is rho -> iota rho iota† for the _embedding iota of
-    from in to (the identity channel when the systems match), or a random
-    covariant channel when there is none; any further start (cfg.restarts)
-    is a random covariant channel, each from its own SeedSequence child of
-    cfg.seed.  The best achieved value wins.
+    The first start is the closed-form optimum of _pure_qubit_recovery
+    where it applies (a pure qubit target, its gap still checked), else
+    rho -> iota rho iota† for the _embedding iota of from in to (the
+    identity channel when the systems match), or a random covariant channel
+    when there is none; any further start (cfg.restarts) is a random
+    covariant channel, each from its own SeedSequence child of cfg.seed.
+    The best achieved value wins, and no further start is drawn once a run
+    is certified within _GAP_TOL.
     """
     if sigma.dim != from_sys.dim or rho_q.dim != to_sys.dim:
         raise DimensionMismatch("state dimensions do not match the recovery spaces")
@@ -533,9 +583,12 @@ def max_recovery_fidelity(
         return max(width, 0.0)
 
     iota = _embedding(from_sys, to_sys)
+    first = _pure_qubit_recovery(rho_q, sigma, from_sys, to_sys, iota)
+    if first is None and iota is not None:
+        first = choi_from_map(lambda m: iota @ m @ dagger(iota), d_in, d_out)
     starts = (
-        choi_from_map(lambda m: iota @ m @ dagger(iota), d_in, d_out)
-        if idx == 0 and iota is not None
+        first
+        if idx == 0 and first is not None
         else random_covariant_channel(from_sys, to_sys, np.random.default_rng(seq)).choi
         for idx, seq in enumerate(np.random.SeedSequence(cfg.seed).spawn(max(1, cfg.restarts)))
     )

@@ -397,8 +397,9 @@ class TestMainExitCodes:
         assert main(["validate", "--config", str(path)]) == 0
 
     def test_run_seed_seeds_the_optimizer(self, tmp_path):
-        # Recovering a qubit from a qutrit starts at a random channel (the
-        # identity start needs equal spaces), so the records follow the seed.
+        # Recovering a qubit from a qutrit starts at a random channel (no
+        # isometry embeds the qutrit's spectrum in the qubit's), so the
+        # records follow the seed.
         def records(seed):
             payload = {
                 "schema_version": 1,

@@ -5,6 +5,7 @@ import math
 from collections import Counter, namedtuple
 from dataclasses import replace
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -509,18 +510,34 @@ class TestMaxRecoveryFidelity:
             assert res.value <= 1e-6
 
     def test_pinned_tradeoff_debt_row(self):
-        # The recovery input of the seed-7 default tradeoff row at
-        # t = 3pi/4, lambda = 0, pinned as exact floats.
-        text = (DATA / "tradeoff_debt_row.json").read_text()
-        pinned = json.loads(text)
-        psi = DensityMatrix(matrix_from_json(pinned["psi"]))
-        sigma = DensityMatrix(matrix_from_json(pinned["sigma_q"]))
-        assert matrix_to_json(psi.mat) == pinned["psi"]
-        assert matrix_to_json(sigma.mat) == pinned["sigma_q"]
-        assert json.dumps(pinned, indent=2) + "\n" == text
-        cfg = OptimizerConfig(**pinned["optimizer"])
+        # The identity start stalls here at a gap of 3.8e-7 after 2,000
+        # steps: the optimum is a diagonal phase unitary, and the gradient
+        # along it is of order |sigma01| = 4.4e-7.  The closed-form start
+        # certifies at once, at its irrev 1 - (1/2 + |sigma01|).
+        psi, sigma, cfg = _pinned_debt_row()
         res = max_recovery_fidelity(psi, sigma, QUBIT, QUBIT, cfg)
+        assert res.converged
+        assert abs(res.value - 0.49999956318487349) <= 1e-12
         assert res.irrev_lower <= res.value
+
+    @pytest.mark.parametrize("pair", ["pinned", "qutrit"])
+    def test_certified_run_draws_no_further_start(self, monkeypatch, pair):
+        # F is concave, so no start can beat a run certified within
+        # _GAP_TOL by more than that: the random starts are not drawn.
+        draws = []
+        draw = optimize.random_covariant_channel
+        monkeypatch.setattr(
+            optimize, "random_covariant_channel", lambda *a: draws.append(1) or draw(*a)
+        )
+        if pair == "pinned":
+            psi, sigma, cfg = _pinned_debt_row()
+            system = QUBIT
+        else:
+            system, psi, _, sigma = _recovery_pair(5, 3, True)
+            cfg = OptimizerConfig()
+        res = max_recovery_fidelity(psi, sigma, system, system, replace(cfg, restarts=3))
+        assert res.gap <= optimize._GAP_TOL
+        assert draws == []
 
     def test_recovery_channel_is_covariant(self):
         res = max_recovery_fidelity(PLUS, HALF, QUBIT, QUBIT)
@@ -546,6 +563,19 @@ class TestMaxRecoveryFidelity:
         res = max_recovery_fidelity(rho, sigma, system, system, SHORT)
         assert len(res.fidelity_trace) > 2
         assert len(applied) == len(evaluated)
+
+
+def _pinned_debt_row():
+    """(psi, sigma_Q, cfg) of the seed-7 default tradeoff row at t = 3pi/4,
+    lambda = 0, pinned as exact floats."""
+    text = (DATA / "tradeoff_debt_row.json").read_text()
+    pinned = json.loads(text)
+    psi = DensityMatrix(matrix_from_json(pinned["psi"]))
+    sigma = DensityMatrix(matrix_from_json(pinned["sigma_q"]))
+    assert matrix_to_json(psi.mat) == pinned["psi"]
+    assert matrix_to_json(sigma.mat) == pinned["sigma_q"]
+    assert json.dumps(pinned, indent=2) + "\n" == text
+    return psi, sigma, OptimizerConfig(**pinned["optimizer"])
 
 
 def _recovery_pair(seed: int, d: int, pure: bool):
@@ -856,6 +886,82 @@ class TestEmbedding:
             out_sys.dim,
         )
         assert is_covariant_channel(Channel(sys_in, out_sys, move)).witness <= 1e-12
+
+
+def _closed_form_check(rho, sigma, sys_in, sys_out):
+    """The closed-form channel, checked PSD, TP and covariant to 1e-12; its F^2."""
+    iota = optimize._embedding(sys_in, sys_out)
+    j = optimize._pure_qubit_recovery(rho, sigma, sys_in, sys_out, iota)
+    assert np.linalg.eigvalsh(j)[0] >= -1e-12
+    assert max_abs(partial_trace(j, [2, 2], keep=[1]) - np.eye(2)) <= 1e-12
+    assert is_covariant_channel(Channel(sys_in, sys_out, j)).witness <= 1e-12
+    return fidelity_arrays(rho.mat, apply_choi(j, 2, 2, sigma.mat)) ** 2
+
+
+class TestPureQubitRecovery:
+    # The ascent's J is trace preserving only to its Newton tolerance, so
+    # its F^2 can pass the optimum by about that residual: 8.6e-13 at worst
+    # over 400 scratch draws, where the residual was 1.06e-12.  The examples
+    # are derandomized so that tier-1 runs the same ones every time.
+    @settings(max_examples=25, deadline=None, database=None, derandomize=True)
+    @given(
+        level=st.integers(-2, 2),
+        gap=st.sampled_from([-2, -1, 1, 2]),
+        shift=st.sampled_from([-2, -1, 1, 2]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_closed_form_is_the_optimum(self, level, gap, shift, seed):
+        # A pure psi and a sigma, in random eigenbases, with an output
+        # spectrum shifted by s != 0: the closed form is a covariant
+        # channel, and no ascent from the embedding beats it.
+        rng = np.random.default_rng(seed)
+        sys_in = integer_system([level, level + gap], rng)
+        sys_out = integer_system([level + shift, level + gap + shift], rng)
+        rho = DensityMatrix.pure(rng.standard_normal(2) + 1j * rng.standard_normal(2))
+        sigma = random_density_matrix(2, 2, rng)
+        f2 = _closed_form_check(rho, sigma, sys_in, sys_out)
+        with patch.object(optimize, "_pure_qubit_recovery", lambda *args: None):
+            res = max_recovery_fidelity(rho, sigma, sys_in, sys_out)
+        assert f2 >= res.fidelity**2 - 1e-12
+
+    @pytest.mark.parametrize(
+        "rho, sigma, channel",
+        [
+            # k = 0 and |a| = |b|: the warm-up pair, where nothing beats the identity
+            (PLUS, HALF, np.eye(2)),
+            # |a| = |b| with coherence: the phase unitary that turns sigma01 onto psi's
+            (PLUS, DensityMatrix(np.array([[0.5, 0.25j], [-0.25j, 0.5]])), None),
+            # sigma00 = 0 (so k = 0): prepare |0>, psi's larger weight
+            (DensityMatrix.pure([0.8, 0.6]), ONE, None),
+        ],
+    )
+    def test_edge_cases(self, rho, sigma, channel):
+        f2 = _closed_form_check(rho, sigma, QUBIT, QUBIT)
+        j = optimize._pure_qubit_recovery(rho, sigma, QUBIT, QUBIT, np.eye(2))
+        if channel is not None:
+            assert max_abs(j - choi_from_map(lambda m: channel @ m, 2, 2)) <= 1e-15
+        assert f2 >= fidelity_arrays(rho.mat, sigma.mat) ** 2 - 1e-15
+        res = max_recovery_fidelity(rho, sigma, QUBIT, QUBIT)
+        assert res.converged and abs(res.fidelity**2 - f2) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "rho, sys_in, sys_out",
+        [
+            # rank two
+            (HALF, QUBIT, QUBIT),
+            (DensityMatrix(np.diag([0.75, 0.25])), QUBIT, QUBIT),
+            # degenerate spectrum: every channel is covariant
+            (PLUS, SystemSpec.diagonal([0, 0]), SystemSpec.diagonal([0, 0])),
+            # no embedding, and no qubit output
+            (PLUS, QUBIT, SystemSpec.diagonal([0, 2])),
+            (QUTRIT_UNIFORM, QUTRIT, QUTRIT),
+        ],
+    )
+    def test_outside_the_closed_form(self, rho, sys_in, sys_out):
+        sigma = HALF if sys_in.dim == 2 else DensityMatrix.maximally_mixed(3)
+        iota = optimize._embedding(sys_in, sys_out)
+        assert optimize._pure_qubit_recovery(rho, sigma, sys_in, sys_out, iota) is None
+        max_recovery_fidelity(rho, sigma, sys_in, sys_out, SHORT)
 
 
 def _frontier_state(seed):
