@@ -24,7 +24,9 @@ stops once that gap is within tolerance, and reports it: the achieved
 fidelity F gives an upper bound 1 - F^2 on the irreversibility, and
 F + gap a lower bound 1 - (F + gap)^2.  Checks that irreversibility is
 small read the first; the degradation demo and the tradeoff relation,
-which need irreversibility to be large, read the second.
+which need irreversibility to be large, read the second.  A pure qubit
+target starts at its closed-form optimum, where the gap only certifies it,
+and no start is read after a certified run.
 
 Both objectives hand the ascent an evaluate(J) that returns the value and
 a closure building the gradient from the same intermediates.  Every
@@ -390,8 +392,8 @@ def _pure_qubit_recovery(rho_q, sigma, from_sys, to_sys, iota):
     """Choi matrix of the best covariant recovery of a pure qubit target, or None.
 
     None unless both systems are qubits with a gap, iota exists and rho_Q has
-    rank one at TOL_RANK.  The derivation:
-    with V from's eigenbasis and W = iota V, the covariant R are x -> W [[u x00 + (1-v) x11,
+    rank one at TOL_RANK.
+    With V from's eigenbasis and W = iota V, the covariant R are x -> W [[u x00 + (1-v) x11,
     eta x01], [eta* x10, (1-u) x00 + v x11]] W† with |eta|^2 <= uv.  For (a, b) = W† psi,
     s = V† sigma V and c = a* b s01, F^2 = const + alpha u + beta v + 2 |c| sqrt(uv) at
     eta = sqrt(uv) c*/|c|, alpha = (|a|^2 - |b|^2) s00, beta = (|b|^2 - |a|^2) s11.  It is

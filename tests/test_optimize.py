@@ -889,13 +889,14 @@ class TestEmbedding:
 
 
 def _closed_form_check(rho, sigma, sys_in, sys_out):
-    """The closed-form channel, checked PSD, TP and covariant to 1e-12; its F^2."""
+    """The closed-form Choi matrix, checked PSD, TP and covariant to 1e-12,
+    and its F^2."""
     iota = optimize._embedding(sys_in, sys_out)
     j = optimize._pure_qubit_recovery(rho, sigma, sys_in, sys_out, iota)
     assert np.linalg.eigvalsh(j)[0] >= -1e-12
     assert max_abs(partial_trace(j, [2, 2], keep=[1]) - np.eye(2)) <= 1e-12
     assert is_covariant_channel(Channel(sys_in, sys_out, j)).witness <= 1e-12
-    return fidelity_arrays(rho.mat, apply_choi(j, 2, 2, sigma.mat)) ** 2
+    return j, fidelity_arrays(rho.mat, apply_choi(j, 2, 2, sigma.mat)) ** 2
 
 
 class TestPureQubitRecovery:
@@ -919,7 +920,7 @@ class TestPureQubitRecovery:
         sys_out = integer_system([level + shift, level + gap + shift], rng)
         rho = DensityMatrix.pure(rng.standard_normal(2) + 1j * rng.standard_normal(2))
         sigma = random_density_matrix(2, 2, rng)
-        f2 = _closed_form_check(rho, sigma, sys_in, sys_out)
+        _, f2 = _closed_form_check(rho, sigma, sys_in, sys_out)
         with patch.object(optimize, "_pure_qubit_recovery", lambda *args: None):
             res = max_recovery_fidelity(rho, sigma, sys_in, sys_out)
         assert f2 >= res.fidelity**2 - 1e-12
@@ -934,10 +935,10 @@ class TestPureQubitRecovery:
             # sigma00 = 0 (so k = 0): prepare |0>, psi's larger weight
             (DensityMatrix.pure([0.8, 0.6]), ONE, None),
         ],
+        ids=["warmup", "phase_unitary", "sigma00_zero"],
     )
     def test_edge_cases(self, rho, sigma, channel):
-        f2 = _closed_form_check(rho, sigma, QUBIT, QUBIT)
-        j = optimize._pure_qubit_recovery(rho, sigma, QUBIT, QUBIT, np.eye(2))
+        j, f2 = _closed_form_check(rho, sigma, QUBIT, QUBIT)
         if channel is not None:
             assert max_abs(j - choi_from_map(lambda m: channel @ m, 2, 2)) <= 1e-15
         assert f2 >= fidelity_arrays(rho.mat, sigma.mat) ** 2 - 1e-15
@@ -956,6 +957,7 @@ class TestPureQubitRecovery:
             (PLUS, QUBIT, SystemSpec.diagonal([0, 2])),
             (QUTRIT_UNIFORM, QUTRIT, QUTRIT),
         ],
+        ids=["half", "rank_two", "degenerate", "no_embedding", "qutrit"],
     )
     def test_outside_the_closed_form(self, rho, sys_in, sys_out):
         sigma = HALF if sys_in.dim == 2 else DensityMatrix.maximally_mixed(3)
