@@ -251,18 +251,17 @@ def _classical_control(t: float) -> list[Assertion]:
     ch = clone_in_basis_channel(register)
 
     # Discrete covariance: the clone map commutes with the shift itself.
-    out_sys = ch.output
     witness_disc = 0.0
     for j in range(1, n):
         tj = 2 * math.pi * j / n
         u_in = register.translation(tj)
-        u_out = out_sys.translation(tj)
+        u_out = ch.output.translation(tj)
         for a in range(n):
             for b in range(n):
                 unit = np.zeros((n, n), dtype=np.complex128)
                 unit[a, b] = 1.0
-                lhs = apply_choi(ch.choi, out_sys.dim, n, u_in @ unit @ dagger(u_in))
-                rhs = u_out @ apply_choi(ch.choi, out_sys.dim, n, unit) @ dagger(u_out)
+                lhs = apply_choi(ch.choi, u_in @ unit @ dagger(u_in))
+                rhs = u_out @ apply_choi(ch.choi, unit) @ dagger(u_out)
                 witness_disc = max(witness_disc, max_abs(lhs - rhs))
 
     joint = apply_channel(ch, point)
@@ -431,7 +430,7 @@ def run_degradation_demo(
         raise PreconditionFailed(
             f"joint channel is not covariant (max |[J, K]| = {cov.witness:.3e})"
         )
-    induced = induce_channel(lam, rho_q, sys_s, sys_s)
+    induced = induce_channel(lam, rho_q, sys_s)
     verdict = is_covariant_channel(induced)
 
     assertions = []
@@ -473,8 +472,9 @@ def cloner_shrink_factor(d: int, n: int) -> float:
     return (d + n) / (n * (d + 1))
 
 
-def cloner_marginal(rho: np.ndarray, d: int, n: int) -> np.ndarray:
-    """Closed-form single-output marginal c_n rho + (1 - c_n) I/d."""
+def cloner_marginal(rho: np.ndarray, n: int) -> np.ndarray:
+    """Closed-form single-output marginal c_n rho + (1 - c_n) I/d, d = rho's side."""
+    d = rho.shape[0]
     c = cloner_shrink_factor(d, n)
     return c * rho + (1.0 - c) * np.eye(d) / d
 
@@ -491,15 +491,16 @@ class ClonerResult:
         return cloner_shrink_factor(self.d, self.n)
 
 
-def _clone(m: np.ndarray, proj: np.ndarray, d: int, n: int) -> np.ndarray:
+def _clone(m: np.ndarray, proj: np.ndarray, n: int) -> np.ndarray:
     """The cloner (d/d(n)) P (m (x) I^(n-1)) P, with P = proj the symmetric projector."""
+    d = m.shape[0]
     big = m
     for _ in range(n - 1):
         big = tensor_product(big, np.eye(d))
     return (d / math.comb(d + n - 1, n)) * (proj @ big @ proj)
 
 
-def universal_cloner(rho: DensityMatrix, d: int, n: int) -> ClonerResult:
+def universal_cloner(rho: DensityMatrix, n: int) -> ClonerResult:
     """Symmetric-subspace cloner E(rho) = (d/d(n)) P (rho (x) I^(n-1)) P.
 
     Verifies unit trace and that each single-system marginal equals the
@@ -507,17 +508,16 @@ def universal_cloner(rho: DensityMatrix, d: int, n: int) -> ClonerResult:
     dimension below 2 raises PreconditionFailed: the only 1 x 1 state is
     [[1]], which every cloner and the closed form return.
     """
-    if rho.dim != d:
-        raise DimensionMismatch(f"state dim {rho.dim} != {d}")
+    d = rho.dim
     if d < 2:
         raise PreconditionFailed(f"cloner needs dimension >= 2, got {d}")
     if n > 4 or d**n > 1024:
         raise SizeCap("explicit cloner capped at n <= 4 and d^n <= 1024")
-    joint = _clone(rho.mat, symmetric_subspace_projector(d, n), d, n)
+    joint = _clone(rho.mat, symmetric_subspace_projector(d, n), n)
     trace_error = abs(float(np.trace(joint).real) - 1.0)
 
-    marginal = partial_trace(joint, [d] * n, keep=[0])
-    marginal_error = max_abs(marginal - cloner_marginal(rho.mat, d, n))
+    marginal = partial_trace(joint, [d, d ** (n - 1)], keep=[0])
+    marginal_error = max_abs(marginal - cloner_marginal(rho.mat, n))
     return ClonerResult(d=d, n=n, trace_error=trace_error, marginal_error=marginal_error)
 
 
@@ -600,7 +600,7 @@ def run_nonadditivity(t: float = _DEFAULT_T) -> Outcome:
     f_input = skew_information(plus, qub)
     smallest_n = None
     for n in range(1, _CLONER_N_CAP + 1):
-        marg = DensityMatrix(cloner_marginal(plus.mat, 2, n))
+        marg = DensityMatrix(cloner_marginal(plus.mat, n))
         f_marg = skew_information(marg, qub)
         if n * f_marg > f_input + _VIOLATION_MARGIN:
             smallest_n = n
@@ -920,12 +920,12 @@ def _run_cloner(p: dict, seed: int) -> Outcome:
     for d in p["d_list"]:
         for n in range(1, p["n_max"] + 1):
             try:
-                results = [universal_cloner(DensityMatrix.maximally_mixed(d), d, n)]
+                results = [universal_cloner(DensityMatrix.maximally_mixed(d), n)]
             except SizeCap:
                 break  # both caps grow with n, so every larger n is refused too
             for _ in range(p["trials_per_case"]):
                 rho = random_density_matrix(d, int(rng.integers(1, d + 1)), rng)
-                results.append(universal_cloner(rho, d, n))
+                results.append(universal_cloner(rho, n))
             marginal_error = max(r.marginal_error for r in results)
             worst = max(worst, marginal_error)
             records.append(
@@ -950,7 +950,7 @@ def _run_lemma8(p: dict, seed: int) -> Outcome:
 _BROADCAST_MAPS = {
     "identity_prepare": lambda d: lambda m: tensor_product(np.eye(d) / d, m),
     "move": lambda d: lambda m: tensor_product(m, np.eye(d) / d),
-    "cloner": lambda d: partial(_clone, proj=symmetric_subspace_projector(d, 2), d=d, n=2),
+    "cloner": lambda d: partial(_clone, proj=symmetric_subspace_projector(d, 2), n=2),
 }
 
 

@@ -718,7 +718,7 @@ def lemma4_reduced_form_check(
     marginals_sp = []
     worst_dist = 0.0
     for state in fam.states:
-        joint = apply_choi(broadcast.choi, broadcast.output.dim, dq, state.mat)
+        joint = apply_choi(broadcast.choi, state.mat)
         sig_q = partial_trace(joint, [dq, dsp], keep=[0])
         worst_dist = max(worst_dist, 0.5 * trace_norm(sig_q - state.mat))
         marginals_sp.append(partial_trace(joint, [dq, dsp], keep=[1]))

@@ -7,9 +7,8 @@ row-major, with the first tensor factor slow-varying, matching np.kron.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from itertools import permutations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -157,55 +156,24 @@ def fidelity_arrays(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.clip(trace_norm(psd_sqrt(a) @ psd_sqrt(b)), 0.0, 1.0))
 
 
-def partial_trace(m: np.ndarray, dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:
-    """Trace out all tensor factors not listed in keep.
+def partial_trace(m: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
+    """Trace out one factor of a bipartite matrix.
 
-    dims gives the factor dimensions in slow-to-fast (kron) order; the
-    result acts on the kept factors in their original order.
+    dims = [a, b] gives the two factor dimensions in kron order.  keep is
+    [0], which returns the a x a matrix Tr_2 m, or [1], which returns the
+    b x b matrix Tr_1 m.
     """
     m = _require_matrix(m)
     dims = tuple(int(d) for d in dims)
-    sub, total, kept_dim = _trace_subscripts(dims, tuple(int(k) for k in keep))
-    if m.shape[0] != total:
-        raise DimensionMismatch(
-            f"matrix dimension {m.shape[0]} != product of factors {total}"
-        )
-    reduced = np.einsum(sub, m.reshape(dims + dims))
-    return reduced.reshape(kept_dim, kept_dim)
-
-
-@lru_cache(maxsize=64)
-def _trace_subscripts(dims: tuple[int, ...], keep: tuple[int, ...]) -> tuple[str, int, int]:
-    """(einsum subscripts, total dimension, kept dimension) of a partial trace.
-
-    Raises for bad dims or keep; a raising call is not cached.
-    """
-    if any(d <= 0 for d in dims):
-        raise DimensionMismatch(f"factor dimensions must be positive, got {list(dims)}")
-    total = int(np.prod(dims))
-    n = len(dims)
-    keep = sorted(set(keep))
-    if not keep:
-        raise BadIndex("keep set is empty")
-    if keep[0] < 0 or keep[-1] >= n:
-        raise BadIndex(f"keep indices {keep} out of range for {n} factors")
-    letters = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
-    it = iter(letters)
-    row, col, out_row, out_col = [], [], [], []
-    for f in range(n):
-        if f in keep:
-            r, c = next(it), next(it)
-            row.append(r)
-            col.append(c)
-            out_row.append(r)
-            out_col.append(c)
-        else:
-            s = next(it)
-            row.append(s)
-            col.append(s)
-    sub = "".join(row) + "".join(col) + "->" + "".join(out_row) + "".join(out_col)
-    kept_dim = int(np.prod([dims[f] for f in keep]))
-    return sub, total, kept_dim
+    if len(dims) != 2 or min(dims) <= 0:
+        raise DimensionMismatch(f"expected two positive factor dimensions, got {list(dims)}")
+    keep = [int(k) for k in keep]
+    if keep not in ([0], [1]):
+        raise BadIndex(f"keep must be [0] or [1], got {keep}")
+    a, b = dims
+    if m.shape[0] != a * b:
+        raise DimensionMismatch(f"matrix dimension {m.shape[0]} != product of factors {a * b}")
+    return np.einsum("acbc->ab" if keep == [0] else "abac->bc", m.reshape(a, b, a, b))
 
 
 def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -566,7 +566,7 @@ def max_recovery_fidelity(
     eye_out = np.eye(d_out)
 
     def evaluate(j):
-        out = apply_choi(j, d_out, d_in, sigma.mat)
+        out = apply_choi(j, sigma.mat)
 
         def gradient():
             g = fidelity_gradient(rho_q.mat, (out + dagger(out)) / 2)
@@ -635,7 +635,7 @@ def optimize_broadcast(
 
     def marginals(j):
         """sigma_Q, sigma_S' and the shifted sigma_S' of the broadcast J."""
-        joint = apply_choi(j, out_sys.dim, dq, rho_q.mat)
+        joint = apply_choi(j, rho_q.mat)
         joint = (joint + dagger(joint)) / 2
         sig_sp = partial_trace(joint, [dq, dsp], keep=[1])
         return partial_trace(joint, [dq, dsp], keep=[0]), sig_sp, u_t @ sig_sp @ dagger(u_t)

@@ -212,10 +212,18 @@ class StateFamily:
         return sum(s.mat for s in self.states) / len(self.states)
 
 
-def apply_choi(choi: np.ndarray, d_out: int, d_in: int, m: np.ndarray) -> np.ndarray:
-    """Raw channel application Tr_in[choi (I (x) m^T)] on an arbitrary matrix."""
-    j4 = choi.reshape(d_out, d_in, d_out, d_in)
-    return np.einsum("aibj,ij->ab", j4, as_complex(m))
+def apply_choi(choi: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Raw channel application Tr_in[choi (I (x) m^T)] on an arbitrary matrix.
+
+    The input dimension is m's side; the output dimension is choi's side
+    over it.
+    """
+    m = as_complex(m)
+    d_in = m.shape[0]
+    d_out, rest = divmod(choi.shape[0], d_in)
+    if rest:
+        raise DimensionMismatch(f"choi side {choi.shape[0]} is not a multiple of input dim {d_in}")
+    return np.einsum("aibj,ij->ab", choi.reshape(d_out, d_in, d_out, d_in), m)
 
 
 def apply_channel(ch: Channel, rho: DensityMatrix) -> DensityMatrix:
@@ -223,8 +231,7 @@ def apply_channel(ch: Channel, rho: DensityMatrix) -> DensityMatrix:
         raise DimensionMismatch(
             f"state dim {rho.dim} != channel input dim {ch.input.dim}"
         )
-    out = apply_choi(ch.choi, ch.output.dim, ch.input.dim, rho.mat)
-    return DensityMatrix(out)
+    return DensityMatrix(apply_choi(ch.choi, rho.mat))
 
 
 def choi_from_map(fn: Callable[[np.ndarray], np.ndarray], d_in: int, d_out: int) -> np.ndarray:
@@ -238,29 +245,23 @@ def choi_from_map(fn: Callable[[np.ndarray], np.ndarray], d_in: int, d_out: int)
     return j4.reshape(d_out * d_in, d_out * d_in)
 
 
-def induce_channel(
-    lam: Channel,
-    rho_q: DensityMatrix,
-    sys_s: SystemSpec,
-    sys_s_out: SystemSpec,
-) -> Channel:
-    """Effective map on the second input factor for a fixed first-factor state.
+def induce_channel(lam: Channel, rho_q: DensityMatrix, sys_s: SystemSpec) -> Channel:
+    """Effective map on the second factor for a fixed first-factor state.
 
-    For a channel on Q (x) S -> Q' (x) S' and a state rho_Q, returns the
-    Choi form of sigma -> Tr_{Q'}[lam(rho_Q (x) sigma)].
+    For a channel on Q (x) S onto itself and a state rho_Q, returns the
+    Choi form of sigma -> Tr_Q[lam(rho_Q (x) sigma)].
     """
-    ds, dsp = sys_s.dim, sys_s_out.dim
-    if lam.input.dim % ds or lam.output.dim % dsp:
-        raise DimensionMismatch("factor dimensions do not divide the channel spaces")
+    ds = sys_s.dim
+    if lam.input.dim % ds or lam.output.dim != lam.input.dim:
+        raise DimensionMismatch("the channel does not act on Q (x) S onto itself")
     dq = lam.input.dim // ds
-    dqp = lam.output.dim // dsp
     if rho_q.dim != dq:
         raise DimensionMismatch(f"first-factor state dim {rho_q.dim} != {dq}")
-    j8 = lam.choi.reshape(dqp, dsp, dq, ds, dqp, dsp, dq, ds)
+    j8 = lam.choi.reshape(dq, ds, dq, ds, dq, ds, dq, ds)
     # Row index (q', s', q, s), column index (q', s', q, s); trace out q'
     # and contract the q legs against rho_Q.
     j4 = np.einsum("pAqapBrb,qr->AaBb", j8, rho_q.mat)
-    return Channel(sys_s, sys_s_out, j4.reshape(dsp * ds, dsp * ds))
+    return Channel(sys_s, sys_s, j4.reshape(ds * ds, ds * ds))
 
 
 def random_density_matrix(d: int, rank: int, rng: np.random.Generator) -> DensityMatrix:

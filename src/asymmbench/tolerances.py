@@ -1,7 +1,7 @@
-"""Centralized numerical tolerances.
+"""The shared structural and rank cutoffs.
 
-Single knob for the whole stack: structural validation of quantum
-objects and rank/support cutoffs.
+Used by linalg, qtypes, optimize and ki.  Each check's own bound lives
+beside it: in experiments, ki, optimize and symmetry.
 """
 
 # Structural validation (Hermiticity, positivity, trace) of states and channels.

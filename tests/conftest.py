@@ -124,7 +124,7 @@ def petz_recovery(ch: Channel, prior: DensityMatrix) -> Channel:
             raise Singular("prior has nonpositive eigenvalues after regularization")
         prior_mat = (prior_mat + REG_EPS * np.eye(di)) / (1.0 + di * REG_EPS)
     root_prior = psd_sqrt(prior_mat)
-    out_state = apply_choi(ch.choi, do, di, prior_mat)
+    out_state = apply_choi(ch.choi, prior_mat)
     out_state = (out_state + dagger(out_state)) / 2
     inv_root_out = hermitian_function(out_state, lambda wk: 1.0 / np.sqrt(wk), TOL_RANK)
     complement = np.eye(do) - hermitian_function(out_state, np.ones_like, TOL_RANK)

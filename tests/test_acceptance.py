@@ -74,7 +74,7 @@ def test_criterion_01_cloner_marginal_formula(rng):
             for _ in range(3):
                 states.append(random_density_matrix(d, int(rng.integers(1, d + 1)), rng))
             for rho in states:
-                res = universal_cloner(rho, d, n)
+                res = universal_cloner(rho, n)
                 worst = max(worst, res.marginal_error, res.trace_error)
     spot = abs(cloner_shrink_factor(2, 2) - 2 / 3)
     elapsed = time.perf_counter() - start

@@ -55,49 +55,49 @@ FAST = OptimizerConfig(max_iter=80)
 
 class TestUniversalCloner:
     def test_qubit_pair_shrink(self):
-        res = universal_cloner(PLUS, 2, 2)
+        res = universal_cloner(PLUS, 2)
         assert abs(res.shrink - 2 / 3) < 1e-15
         assert res.trace_error < 1e-12
         assert res.marginal_error < 1e-10
 
     def test_single_output_identity(self, rng):
         rho = random_density_matrix(3, 3, rng)
-        res = universal_cloner(rho, 3, 1)
+        res = universal_cloner(rho, 1)
         assert abs(res.shrink - 1.0) < 1e-15
         assert res.marginal_error < 1e-12  # at n = 1, max |joint - rho|
 
     def test_triple_clone_marginal(self):
-        res = universal_cloner(PLUS, 2, 3)
+        res = universal_cloner(PLUS, 3)
         expect = (5 / 9) * PLUS.mat + (4 / 9) * np.eye(2) / 2
-        assert max_abs(cloner_marginal(PLUS.mat, 2, 3) - expect) < 1e-10
+        assert max_abs(cloner_marginal(PLUS.mat, 3) - expect) < 1e-10
         assert res.marginal_error < 1e-10
 
     def test_formula_matches_explicit_map(self, rng):
         for d, n in [(2, 2), (2, 4), (3, 2), (3, 3)]:
             rho = random_density_matrix(d, int(rng.integers(1, d + 1)), rng)
-            res = universal_cloner(rho, d, n)
+            res = universal_cloner(rho, n)
             assert res.marginal_error <= 1e-10
 
     def test_formula_matches_at_larger_dimensions(self, rng):
         # spans the d^n <= 1024 envelope beyond the acceptance dims
         for d, n in [(4, 2), (4, 3), (4, 4), (5, 3), (5, 4), (8, 2)]:
             rho = random_density_matrix(d, d, rng)
-            res = universal_cloner(rho, d, n)
+            res = universal_cloner(rho, n)
             assert res.marginal_error <= 1e-10
             assert res.trace_error <= 1e-10
 
     def test_size_cap(self):
         with pytest.raises(SizeCap):
-            universal_cloner(DensityMatrix.maximally_mixed(2), 2, 5)
+            universal_cloner(DensityMatrix.maximally_mixed(2), 5)
 
     def test_cloner_run_stops_at_the_first_refused_n(self, monkeypatch):
         # the cap grows with n, so a huge n_max costs what n_max 4 costs:
         # two calls (maximally mixed, one trial) for n = 1..4, then n = 5 refused
         calls = []
 
-        def counted(rho, d, n):
+        def counted(rho, n):
             calls.append(n)
-            return universal_cloner(rho, d, n)
+            return universal_cloner(rho, n)
 
         monkeypatch.setattr(experiments, "universal_cloner", counted)
         values = {"n_max": 10_000, "d_list": [2], "trials_per_case": 1}
@@ -152,7 +152,7 @@ class TestNonadditivity:
     def test_numeric_skew_matches_closed_form_on_marginals(self):
         for n in (2, 7, 14, 30):
             c = cloner_shrink_factor(2, n)
-            rho = DensityMatrix(cloner_marginal(PLUS.mat, 2, n))
+            rho = DensityMatrix(cloner_marginal(PLUS.mat, n))
             assert abs(skew_information(rho, QUBIT) - 0.25 * (1 - math.sqrt(1 - c * c))) < 1e-9
 
 

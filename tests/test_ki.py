@@ -9,12 +9,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from asymmbench import ki
-from asymmbench.errors import DecompositionInvalid, NonFinite, PreconditionFailed, SizeCap
+from asymmbench.errors import (
+    CenterDegenerate,
+    DecompositionInvalid,
+    NonFinite,
+    PreconditionFailed,
+    SizeCap,
+)
 from asymmbench.ki import (
     WedderburnBlock,
     _assemble,
+    _check_factorization,
     _modular_components,
     _support_restrict,
+    _validate_decomposition,
     ehrenfest_constancy_check,
     generate_algebra,
     ki_decompose,
@@ -337,6 +345,69 @@ class TestKIDecompose:
         assert dec.block_dims == sorted(blocks)
         for x, state in enumerate(fam.states):
             assert 0.5 * trace_norm(state.mat - reconstruct_state(dec, x)) <= 1e-7
+
+
+class TestPlantedStructureFaults:
+    """One planted fault per structural check of a decomposition.
+
+    Each fault is applied to a real decomposition that passes the check
+    unplanted, so the raise is the fault's doing.
+    """
+
+    COMMUTING = StateFamily(
+        (
+            DensityMatrix(np.diag([0.7, 0.3]).astype(complex)),
+            DensityMatrix(np.diag([0.2, 0.8]).astype(complex)),
+        ),
+        ("a", "b"),
+    )
+
+    def _real(self):
+        w_iso, wk, hatted = _support_restrict(self.COMMUTING)
+        dec = ki_decompose(self.COMMUTING)
+        assert dec.block_dims == [(1, 1), (1, 1)]
+        assert _validate_decomposition(dec, self.COMMUTING, w_iso) <= 1e-12
+        return dec, (w_iso, wk, hatted)
+
+    def test_dropped_block_leaves_the_support_unresolved(self):
+        dec, (w_iso, _, _) = self._real()
+        with pytest.raises(DecompositionInvalid, match="do not resolve the support"):
+            _validate_decomposition(replace(dec, blocks=dec.blocks[1:]), self.COMMUTING, w_iso)
+
+    def test_block_split_in_two_halves_is_not_isometric(self):
+        # two copies of a block at isometry / sqrt(2) keep the projector sum
+        dec, (w_iso, _, _) = self._real()
+        blk = dec.blocks[0]
+        half = replace(blk, isometry=blk.isometry / math.sqrt(2))
+        split = replace(dec, blocks=(half, half) + dec.blocks[1:])
+        with pytest.raises(DecompositionInvalid, match="block isometry is not isometric"):
+            _validate_decomposition(split, self.COMMUTING, w_iso)
+
+    def test_merged_commuting_blocks_are_not_maximal(self):
+        # the two 1-dimensional blocks presented as one (m = 2, k = 1) block
+        # reconstruct every state, but their L states commute
+        _, support = self._real()
+        merged = WedderburnBlock(np.eye(2, dtype=complex), 2, 1)
+        with pytest.raises(DecompositionInvalid, match=r"block 0 factor is not maximal \(m=2\)"):
+            _assemble(self.COMMUTING, *support, [merged])
+
+    def test_missing_block_does_not_add_up(self):
+        stack = np.array(generate_algebra([np.diag([1.0, 2.0, 3.0]).astype(complex)]))
+        blocks = wedderburn_decompose(list(stack))
+        _check_factorization(stack, blocks)
+        with pytest.raises(CenterDegenerate, match="do not add up to the algebra dimension"):
+            _check_factorization(stack, blocks[:2])
+
+    def test_swapped_factor_frame_does_not_factor(self):
+        # M_2 (x) I_2 read in a frame with its L and R indices swapped
+        stack = np.array(
+            generate_algebra([tensor_product(SX, np.eye(2)), tensor_product(SZ, np.eye(2))])
+        )
+        [blk] = wedderburn_decompose(list(stack))
+        _check_factorization(stack, [blk])
+        swapped = WedderburnBlock(blk.isometry[:, [0, 2, 1, 3]], 2, 2)
+        with pytest.raises(CenterDegenerate, match="does not factor through the blocks"):
+            _check_factorization(stack, [swapped])
 
 
 class TestOrbitFamily:

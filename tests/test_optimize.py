@@ -791,7 +791,7 @@ class TestOptimizeBroadcast:
             sig_q = partial_trace(joint.mat, [2, 2], keep=[0])
             for _ in range(170):
                 rec = random_covariant_channel(QUBIT, QUBIT, rng)
-                recovered = apply_choi(rec.choi, 2, 2, sig_q)
+                recovered = apply_choi(rec.choi, sig_q)
                 fid = fidelity_arrays(PLUS.mat, recovered)
                 lhs = (1 - ft_in) * att.output_coherence
                 rhs = 4 * math.sqrt(max(0.0, 1 - fid * fid))
@@ -814,7 +814,7 @@ class TestBroadcastCeiling:
         rho = random_density_matrix(2, rank, rng)
         out_sys = tensor_system(QUBIT, sys_sp)
         choi = random_covariant_channel(QUBIT, out_sys, rng).choi
-        joint = apply_choi(choi, out_sys.dim, 2, rho.mat)
+        joint = apply_choi(choi, rho.mat)
         sig_sp = partial_trace((joint + joint.conj().T) / 2, [2, sys_sp.dim], keep=[1])
         assert measure_ft(DensityMatrix(sig_sp), sys_sp, t) <= measure_ft(rho, QUBIT, t) + 1e-12
 
@@ -896,7 +896,7 @@ def _closed_form_check(rho, sigma, sys_in, sys_out):
     assert np.linalg.eigvalsh(j)[0] >= -1e-12
     assert max_abs(partial_trace(j, [2, 2], keep=[1]) - np.eye(2)) <= 1e-12
     assert is_covariant_channel(Channel(sys_in, sys_out, j)).witness <= 1e-12
-    return j, fidelity_arrays(rho.mat, apply_choi(j, 2, 2, sigma.mat)) ** 2
+    return j, fidelity_arrays(rho.mat, apply_choi(j, sigma.mat)) ** 2
 
 
 def _exactly_trace_preserving(j):
@@ -936,7 +936,7 @@ class TestPureQubitRecovery:
         with patch.object(optimize, "_pure_qubit_recovery", lambda *args: None):
             res = max_recovery_fidelity(rho, sigma, sys_in, sys_out)
         j = _exactly_trace_preserving(res.best_recovery.choi)
-        assert f2 >= fidelity_arrays(rho.mat, apply_choi(j, 2, 2, sigma.mat)) ** 2 - 1e-12
+        assert f2 >= fidelity_arrays(rho.mat, apply_choi(j, sigma.mat)) ** 2 - 1e-12
 
     @pytest.mark.parametrize(
         "rho, sigma, channel",

@@ -10,9 +10,12 @@ The few names kept for tests and references are listed below with the
 reason each stays.
 
 The same holds for imports: each name an import binds in the package or
-in the tests must be read, as a Name, in the module that imports it.
+in the tests must be read, as a Name, in the module that imports it.  The
+package itself imports only the standard library, numpy and its own
+modules: scipy and other installed packages are not dependencies.
 """
 import ast
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -131,3 +134,36 @@ def test_every_import_is_read():
         for name in unread_imports(ast.parse(path.read_text()))
     ]
     assert unread == []
+
+
+def foreign_imports(tree: ast.Module) -> list[str]:
+    """Modules tree imports from outside the standard library, numpy and asymmbench.
+
+    Relative imports are the package's own.
+    """
+    allowed = sys.stdlib_module_names | {"numpy", "asymmbench"}
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.append(node.module)
+    return [name for name in names if name.split(".")[0] not in allowed]
+
+
+def test_foreign_import_detector():
+    tree = ast.parse(
+        "from __future__ import annotations\nimport scipy\nimport numpy.linalg as la\n"
+        "from scipy.linalg import expm\nfrom . import linalg\nfrom collections import Counter\n"
+        "import asymmbench.qtypes\ndef f():\n    import hypothesis\n"
+    )
+    assert foreign_imports(tree) == ["scipy", "scipy.linalg", "hypothesis"]
+
+
+def test_package_imports_only_the_standard_library_and_numpy():
+    found = [
+        (path.stem, name)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name in foreign_imports(ast.parse(path.read_text()))
+    ]
+    assert found == []

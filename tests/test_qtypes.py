@@ -14,6 +14,7 @@ from asymmbench.qtypes import (
     DensityMatrix,
     SystemSpec,
     apply_channel,
+    apply_choi,
     check_density,
     choi_from_map,
     cyclic_shift_system,
@@ -176,6 +177,18 @@ class TestChannel:
         with pytest.raises(DimensionMismatch):
             apply_channel(ch, DensityMatrix.maximally_mixed(3))
 
+    def test_apply_choi_reads_dimensions_off_its_arguments(self, rng):
+        sys_in, sys_out = SystemSpec.diagonal([0, 1]), SystemSpec.diagonal([0, 1, 2])
+        ch = Channel(sys_in, sys_out, random_choi(2, 3, rng))
+        rho = random_density_matrix(2, 2, rng)
+        out = apply_choi(ch.choi, rho.mat)
+        assert out.shape == (3, 3)
+        assert max_abs(out - apply_channel(ch, rho).mat) == 0.0
+        # a Choi side that is not a multiple of the input side used to
+        # fail in the reshape with a bare ValueError
+        with pytest.raises(DimensionMismatch):
+            apply_choi(ch.choi, np.eye(4))
+
 
 class TestInduceChannel:
     def _swap_channel(self):
@@ -190,7 +203,7 @@ class TestInduceChannel:
     def test_swap_induces_constant(self, rng):
         lam, qub = self._swap_channel()
         rho_q = random_density_matrix(2, 2, rng)
-        induced = induce_channel(lam, rho_q, qub, qub)
+        induced = induce_channel(lam, rho_q, qub)
         probe = random_density_matrix(2, 1, rng)
         assert max_abs(apply_channel(induced, probe).mat - rho_q.mat) < 1e-12
 
@@ -198,7 +211,7 @@ class TestInduceChannel:
         qub = SystemSpec.diagonal([0, 1])
         joint = tensor_system(qub, qub)
         lam = Channel(joint, joint, choi_from_map(lambda m: m, 4, 4))
-        induced = induce_channel(lam, random_density_matrix(2, 2, rng), qub, qub)
+        induced = induce_channel(lam, random_density_matrix(2, 2, rng), qub)
         probe = random_density_matrix(2, 2, rng)
         assert max_abs(apply_channel(induced, probe).mat - probe.mat) < 1e-12
 
@@ -214,14 +227,21 @@ class TestInduceChannel:
             return out.reshape(4, 4)
 
         lam = Channel(joint, joint, choi_from_map(dephase_q, 4, 4))
-        induced = induce_channel(lam, random_density_matrix(2, 2, rng), qub, qub)
+        induced = induce_channel(lam, random_density_matrix(2, 2, rng), qub)
         probe = random_density_matrix(2, 2, rng)
         assert max_abs(apply_channel(induced, probe).mat - probe.mat) < 1e-12
 
     def test_dimension_mismatch(self, rng):
         lam, qub = self._swap_channel()
         with pytest.raises(DimensionMismatch):
-            induce_channel(lam, DensityMatrix.maximally_mixed(3), qub, qub)
+            induce_channel(lam, DensityMatrix.maximally_mixed(3), qub)
+        with pytest.raises(DimensionMismatch):
+            induce_channel(lam, DensityMatrix.maximally_mixed(2), SystemSpec.diagonal([0, 1, 2]))
+        # lam must act on Q (x) S onto itself
+        onto = tensor_system(qub, SystemSpec.diagonal([0, 1, 2]))
+        widen = Channel(lam.input, onto, random_choi(4, 6, rng))
+        with pytest.raises(DimensionMismatch):
+            induce_channel(widen, DensityMatrix.maximally_mixed(2), qub)
 
 
 class TestSerialization:

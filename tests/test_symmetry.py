@@ -100,8 +100,8 @@ class TestCovariantChannel:
                         unit[i, j] = 1.0
                         from asymmbench.qtypes import apply_choi
 
-                        lhs = apply_choi(ch.choi, 3, 2, u_in @ unit @ u_in.conj().T)
-                        rhs = u_out @ apply_choi(ch.choi, 3, 2, unit) @ u_out.conj().T
+                        lhs = apply_choi(ch.choi, u_in @ unit @ u_in.conj().T)
+                        rhs = u_out @ apply_choi(ch.choi, unit) @ u_out.conj().T
                         worst = max(worst, max_abs(lhs - rhs))
             assert (witness <= 1e-9) == (worst <= 1e-8)
 
