@@ -343,7 +343,7 @@ def run_tradeoff_sweep(
             sig_q = DensityMatrix(
                 partial_trace(joint.mat, [sys_q.dim, sys_sp.dim], keep=[0])
             )
-            irr = max_recovery_fidelity(psi, sig_q, sys_q, sys_q, optimizer)
+            irr = max_recovery_fidelity(psi, sig_q, sys_q, sys_q, optimizer.max_iter)
             rhs = 4.0 * math.sqrt(irr.irrev_lower) / (1.0 - ft_in)
             rows.append(
                 {
@@ -411,7 +411,7 @@ def run_degradation_demo(
     rho_q: DensityMatrix,
     sys_q: SystemSpec,
     sys_s: SystemSpec,
-    cfg: OptimizerConfig = OptimizerConfig(),
+    max_iter: int = OptimizerConfig.max_iter,
     probe: DensityMatrix | None = None,
 ) -> Outcome:
     """Asymmetry degradation: a non-covariant induced map costs recovery fidelity.
@@ -421,9 +421,9 @@ def run_degradation_demo(
     not covariant, measures the irreversibility of the first system's
     state conversion with the probe (default maximally mixed) on S.  The
     assertion is that the certified lower bound on that irreversibility
-    exceeds _DEGRADATION_TOL = 1e-6 with a converged recovery optimizer,
-    run with cfg; a covariant induced map yields no degradation claim, and
-    its record reads converged false: no recovery ran, so none is certified.
+    exceeds _DEGRADATION_TOL = 1e-6 with a converged recovery optimizer of
+    at most max_iter steps; a covariant induced map yields no degradation
+    claim, and its record reads converged false, as no recovery ran.
     """
     cov = is_covariant_channel(lam)
     if not cov.ok:
@@ -444,7 +444,7 @@ def run_degradation_demo(
         sigma_qp = DensityMatrix(
             partial_trace(out.mat, [sys_q.dim, sys_s.dim], keep=[0])
         )
-        irr = max_recovery_fidelity(rho_q, sigma_qp, sys_q, sys_q, cfg)
+        irr = max_recovery_fidelity(rho_q, sigma_qp, sys_q, sys_q, max_iter)
         irrev_lower = irr.irrev_lower
         irrev_converged = irr.converged
         assertions.append(
@@ -747,13 +747,13 @@ def check_broadcast_complementarity(ch: Channel) -> Outcome:
     if ch.output.dim % da:
         raise DimensionMismatch("broadcast output does not factor as S (x) A")
     ds = ch.output.dim // da
-    j6 = ch.choi.reshape(ds, da, da, ds, da, da)  # (s, a_out, a_in | s, a_out, a_in)
-    marg_a = np.einsum("sabscd->abcd", j6).reshape(da * da, da * da)
+    marg_a = partial_trace(ch.choi, [ds, da * da], keep=[1])
     ident = choi_from_map(lambda m: m, da, da)
     identity_deviation = max_abs(marg_a - ident)
     identity_marginal = identity_deviation <= _COMPLEMENTARITY_TOL
 
     # S-marginal Choi: trace out the A output factor only.
+    j6 = ch.choi.reshape(ds, da, da, ds, da, da)  # (s, a_out, a_in | s, a_out, a_in)
     j_s = np.einsum("sabtad->sbtd", j6).reshape(ds * da, ds * da)
     tau = partial_trace(j_s, [ds, da], keep=[0]) / da
     tau = (tau + dagger(tau)) / 2
@@ -876,10 +876,10 @@ def _run_tradeoff(p: dict, seed: int) -> Outcome:
 
 def _run_degradation(p: dict, seed: int) -> Outcome:
     sys_q, sys_s = p["system_q"] or _QUBIT, p["system_s"] or _QUBIT
-    cfg = OptimizerConfig(seed=seed, **p["optimizer"])
+    max_iter = OptimizerConfig(**p["optimizer"]).max_iter
     lam = twirled_partial_swap(sys_q, sys_s, p["angle"])
     state, probe = p["state"] or _PLUS, p["probe"]
-    return run_degradation_demo(lam, state, sys_q, sys_s, cfg, probe)
+    return run_degradation_demo(lam, state, sys_q, sys_s, max_iter, probe)
 
 
 def _run_nonadditivity(p: dict, seed: int) -> Outcome:
@@ -892,7 +892,7 @@ def _run_irrev(p: dict, seed: int) -> Outcome:
         p["target"],
         p["system_from"] or _QUBIT,
         p["system_to"] or _QUBIT,
-        OptimizerConfig(seed=seed, **p["optimizer"]),
+        OptimizerConfig(**p["optimizer"]).max_iter,
     )
     records = tuple({"iteration": it, "fidelity": val} for it, val in res.fidelity_trace)
     return records, (Assertion("irrev_converged", res.converged, res.value),)

@@ -143,14 +143,14 @@ def generate_algebra(gens: list[np.ndarray]) -> list[np.ndarray]:
     raise NoConvergence("algebra closure did not stabilize")  # pragma: no cover
 
 
-def _contains(flat: np.ndarray, flat_conj: np.ndarray, m: np.ndarray, tol: float) -> bool:
-    """Whether m lies in the span of the orthonormal rows of flat (raveled matrices).
+def _contains(flat: np.ndarray, flat_conj: np.ndarray, m: np.ndarray) -> bool:
+    """Whether m is in the span of flat's orthonormal (raveled) rows, to 100 _WEDDERBURN_TOL.
 
     flat_conj is flat.conj(), taken once by the caller.
     """
     v = m.ravel()
     r = v - (flat_conj @ v) @ flat
-    return np.linalg.norm(r) <= tol * (1.0 + np.linalg.norm(m))
+    return np.linalg.norm(r) <= 100 * _WEDDERBURN_TOL * (1.0 + np.linalg.norm(m))
 
 
 def _generic_hermitian(basis: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -258,14 +258,14 @@ def wedderburn_decompose(algebra_basis: list[np.ndarray]) -> list[WedderburnBloc
     stack = np.array(algebra_basis)
     flat = stack.reshape(len(stack), -1)
     flat_conj = flat.conj()
-    if not _contains(flat, flat_conj, np.eye(d, dtype=np.complex128), 100 * _WEDDERBURN_TOL):
+    if not _contains(flat, flat_conj, np.eye(d, dtype=np.complex128)):
         raise PreconditionFailed("basis does not span a unital algebra")
     n = len(algebra_basis)
     for _ in range(20):
         i, j = rng.integers(0, n, size=2)
-        if not _contains(flat, flat_conj, stack[i] @ stack[j], 100 * _WEDDERBURN_TOL):
+        if not _contains(flat, flat_conj, stack[i] @ stack[j]):
             raise PreconditionFailed("basis is not closed under products")
-        if not _contains(flat, flat_conj, dagger(stack[i]), 100 * _WEDDERBURN_TOL):
+        if not _contains(flat, flat_conj, dagger(stack[i])):
             raise PreconditionFailed("basis is not closed under adjoints")
 
     # the commutant of a *-algebra is *-closed

@@ -24,9 +24,9 @@ stops once that gap is within tolerance, and reports it: the achieved
 fidelity F gives an upper bound 1 - F^2 on the irreversibility, and
 F + gap a lower bound 1 - (F + gap)^2.  Checks that irreversibility is
 small read the first; the degradation demo and the tradeoff relation,
-which need irreversibility to be large, read the second.  A pure qubit
-target starts at its closed-form optimum, where the gap only certifies it,
-and no start is read after a certified run.
+which need irreversibility to be large, read the second.  The global
+certificate makes one deterministic start enough: a pure qubit target
+starts at its closed-form optimum, where the gap only certifies it.
 
 Both objectives hand the ascent an evaluate(J) that returns the value and
 a closure building the gradient from the same intermediates.  Every
@@ -128,6 +128,9 @@ DEFAULT_LAMBDA_SCHEDULE = (0.0, 1.0, 4.0, 16.0, 64.0, 256.0)
 
 @dataclass(frozen=True)
 class OptimizerConfig:
+    """Step cap of every ascent, and the broadcast's random starts after its fixed
+    ones (restarts, drawn from seed).  The recovery reads max_iter alone."""
+
     max_iter: int = 2000
     restarts: int = 1
     seed: int = 0
@@ -439,7 +442,7 @@ def _ascend(
     evaluate,
     in_sys: SystemSpec,
     out_sys: SystemSpec,
-    cfg: OptimizerConfig,
+    max_iter: int,
     gap=None,
     ceiling: float = math.inf,
 ):
@@ -455,7 +458,7 @@ def _ascend(
     once an accepted step rises by less than _RISE_TOL times
     max(1, |objective|), and the returned gap is inf, as it is when the
     gradient raises SingularTarget.  Either way it also stops after
-    cfg.max_iter steps, at an exactly zero gradient, when none of 40
+    max_iter steps, at an exactly zero gradient, when none of 40
     candidates rises, and, before the gradient, once the objective is
     _at_ceiling (ceiling bounds the objective over the whole set).
     Each rejected candidate P(J + s G) shrinks s by _shrink_factor, to
@@ -471,7 +474,7 @@ def _ascend(
     step = 1.0
     width = math.inf
     # With a gap function, one more gradient certifies the last step's J.
-    for it in range(1, cfg.max_iter + 1 + (gap is not None)):
+    for it in range(1, max_iter + 1 + (gap is not None)):
         if _at_ceiling(val, ceiling):
             break
         try:
@@ -482,7 +485,7 @@ def _ascend(
             break
         if gap is not None:
             width = gap(j, grad)
-            if width <= _GAP_TOL or it > cfg.max_iter:
+            if width <= _GAP_TOL or it > max_iter:
                 break
         if not grad.any():
             # P(J + s G) = J for every s: the ladder would project J to no end.
@@ -510,18 +513,17 @@ def _ascend(
     return j, trace, width
 
 
-def _best_ascent(starts, evaluate, in_sys, out_sys, cfg, gap=None, ceiling=math.inf):
+def _best_ascent(starts, evaluate, in_sys, out_sys, max_iter, ceiling):
     """The _ascend run of highest final objective over starts (the first of
     equal values wins).  starts is read lazily, and no start is read once
-    the best run is _at_ceiling or certified within _GAP_TOL of the maximum
-    of a concave objective, which no later start can then beat by more.
+    the best run is _at_ceiling.
     """
     best = None
     for start in starts:
-        run = _ascend(start, evaluate, in_sys, out_sys, cfg, gap, ceiling)
+        run = _ascend(start, evaluate, in_sys, out_sys, max_iter, ceiling=ceiling)
         if best is None or run[1][-1][1] > best[1][-1][1]:
             best = run
-        if _at_ceiling(best[1][-1][1], ceiling) or best[2] <= _GAP_TOL:
+        if _at_ceiling(best[1][-1][1], ceiling):
             break
     return best
 
@@ -531,7 +533,7 @@ def max_recovery_fidelity(
     sigma: DensityMatrix,
     from_sys: SystemSpec,
     to_sys: SystemSpec,
-    cfg: OptimizerConfig = OptimizerConfig(),
+    max_iter: int = OptimizerConfig.max_iter,
 ) -> IrrevResult:
     """Maximize Fid(rho_Q, R(sigma)) over covariant channels R: from -> to.
 
@@ -548,14 +550,13 @@ def max_recovery_fidelity(
     A target without a gradient (SingularTarget) stops the ascent and
     leaves the result uncertified, with an infinite gap.
 
-    The first start is the closed-form optimum of _pure_qubit_recovery
-    where it applies (a pure qubit target, its gap still checked), else
-    rho -> iota rho iota† for the _embedding iota of from in to (the
-    identity channel when the systems match), or a random covariant channel
-    when there is none; any further start (cfg.restarts) is a random
-    covariant channel, each from its own SeedSequence child of cfg.seed.
-    The best achieved value wins, and no further start is drawn once a run
-    is certified within _GAP_TOL.
+    One ascent of at most max_iter steps, from one start: the closed-form
+    optimum of _pure_qubit_recovery where it applies (a pure qubit target,
+    its gap still checked), else rho -> iota rho iota† for the _embedding
+    iota of from in to (the identity channel when the systems match), else
+    the zero matrix, which the ascent's first projection takes to the
+    replacement channel rho -> Tr rho I / d_out.  The gap bounds the global
+    optimum from any start, so the result depends on the inputs alone.
     """
     if sigma.dim != from_sys.dim or rho_q.dim != to_sys.dim:
         raise DimensionMismatch("state dimensions do not match the recovery spaces")
@@ -585,16 +586,12 @@ def max_recovery_fidelity(
         return max(width, 0.0)
 
     iota = _embedding(from_sys, to_sys)
-    first = _pure_qubit_recovery(rho_q, sigma, from_sys, to_sys, iota)
-    if first is None and iota is not None:
-        first = choi_from_map(lambda m: iota @ m @ dagger(iota), d_in, d_out)
-    starts = (
-        first
-        if idx == 0 and first is not None
-        else random_covariant_channel(from_sys, to_sys, np.random.default_rng(seq)).choi
-        for idx, seq in enumerate(np.random.SeedSequence(cfg.seed).spawn(max(1, cfg.restarts)))
-    )
-    j, trace, width = _best_ascent(starts, evaluate, from_sys, to_sys, cfg, gap)
+    j0 = _pure_qubit_recovery(rho_q, sigma, from_sys, to_sys, iota)
+    if j0 is None and iota is not None:
+        j0 = choi_from_map(lambda m: iota @ m @ dagger(iota), d_in, d_out)
+    if j0 is None:
+        j0 = np.zeros((d_out * d_in, d_out * d_in))
+    j, trace, width = _ascend(j0, evaluate, from_sys, to_sys, max_iter, gap)
     return IrrevResult(
         best_recovery=Channel(from_sys, to_sys, j), fidelity_trace=tuple(trace), gap=width
     )
@@ -683,7 +680,7 @@ def optimize_broadcast(
     attempts: list[BroadcastAttempt] = []
     for lam in lambda_schedule:
         objective = partial(evaluate, lam=lam)
-        j = _best_ascent(starts, objective, sys_q, out_sys, cfg, ceiling=ceiling)[0]
+        j = _best_ascent(starts, objective, sys_q, out_sys, cfg.max_iter, ceiling)[0]
         starts = [j, keep]
         sig_q, sig_sp, shifted = marginals(j)
         attempts.append(

@@ -42,6 +42,7 @@ from .linalg import (
     fidelity_arrays,
     hermitian_function,
     max_abs,
+    partial_trace,
     psd_sqrt,
     tensor_product,
 )
@@ -245,7 +246,7 @@ def random_covariant_channel(
         g = rng.standard_normal((dd, dd)) + 1j * rng.standard_normal((dd, dd))
         j0 = sec.dephase(g @ dagger(g))
         j0 = (j0 + dagger(j0)) / 2
-        x = np.einsum("aiaj->ij", j0.reshape(do, di, do, di))
+        x = partial_trace(j0, [do, di], keep=[1])
         try:
             x_inv_root = hermitian_function(x, _regular_inv_sqrt)
         except Singular:

@@ -329,7 +329,7 @@ def test_criterion_10_determinism():
             "lemma8": check_fidelity_perturbation_lemma(np.random.default_rng(5), trials=500),
         }
         out = {name: records for name, (records, _) in results.items()}
-        irr = max_recovery_fidelity(PLUS, HALF, QUBIT, QUBIT, fast)
+        irr = max_recovery_fidelity(PLUS, HALF, QUBIT, QUBIT, fast.max_iter)
         out["irrev"] = tuple({"iteration": i, "fidelity": v} for i, v in irr.fidelity_trace)
         rng = np.random.default_rng(31)
         fam, _ = random_structured_family(rng, 4)

@@ -9,7 +9,7 @@ import pytest
 from asymmbench import ki
 from asymmbench.cli import main, parse_config, print_schema, run
 from asymmbench.errors import ParseError, SchemaVersionMismatch
-from asymmbench.optimize import OptimizerConfig, max_recovery_fidelity
+from asymmbench.optimize import max_recovery_fidelity
 from asymmbench.qtypes import DensityMatrix, SystemSpec, apply_channel, random_density_matrix
 from asymmbench.report import emit_csv, report_to_json
 from asymmbench.serialize import density_from_json, matrix_to_json
@@ -396,10 +396,10 @@ class TestMainExitCodes:
         path = write_config(tmp_path, "c.json", {"schema_version": 1, **payload})
         assert main(["validate", "--config", str(path)]) == 0
 
-    def test_run_seed_seeds_the_optimizer(self, tmp_path):
-        # Recovering a qubit from a qutrit starts at a random channel (no
-        # isometry embeds the qutrit's spectrum in the qubit's), so the
-        # records follow the seed.
+    def test_irrev_records_ignore_the_seed(self, tmp_path):
+        # Recovering a qubit from a qutrit starts at the replacement channel
+        # (no isometry embeds the qutrit's spectrum in the qubit's): the
+        # recovery draws nothing, so the records do not follow the seed.
         def records(seed):
             payload = {
                 "schema_version": 1,
@@ -416,11 +416,11 @@ class TestMainExitCodes:
             density_from_json(PLUS3),
             SystemSpec.diagonal([0, 1, 2]),
             SystemSpec.diagonal([0, 1]),
-            OptimizerConfig(max_iter=20, restarts=2, seed=3),
+            20,
         )
         expected = tuple({"iteration": it, "fidelity": val} for it, val in res.fidelity_trace)
         assert records(3) == expected
-        assert records(3) != records(0)
+        assert records(0) == expected
 
     @pytest.mark.parametrize(
         "payload, error",

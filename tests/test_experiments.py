@@ -610,7 +610,7 @@ TINY_RUNS = {
         PLUS, QUBIT, QUBIT, t_grid=(1.0,), lambda_schedule=(0.0,), optimizer=TINY
     ),
     "degradation": lambda: run_degradation_demo(
-        twirled_partial_swap(QUBIT, QUBIT, math.pi / 4), PLUS, QUBIT, QUBIT, TINY
+        twirled_partial_swap(QUBIT, QUBIT, math.pi / 4), PLUS, QUBIT, QUBIT, TINY.max_iter
     ),
     "nonadditivity": run_nonadditivity,
     "lemma8": lambda: check_fidelity_perturbation_lemma(np.random.default_rng(0), 5),

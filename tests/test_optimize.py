@@ -251,12 +251,10 @@ def _count_ascents(monkeypatch):
         projections[0] += 1
         return project(*args)
 
-    def counting_ascend(j0, evaluate, in_sys, out_sys, cfg, gap=None, ceiling=math.inf):
+    def counting_ascend(j0, evaluate, in_sys, out_sys, max_iter, gap=None, ceiling=math.inf):
         before = projections[0]
-        result = ascend(j0, evaluate, in_sys, out_sys, cfg, gap, ceiling)
-        ascents.append(
-            Ascent(gap is None, projections[0] - before, len(result[1]), cfg.max_iter)
-        )
+        result = ascend(j0, evaluate, in_sys, out_sys, max_iter, gap, ceiling)
+        ascents.append(Ascent(gap is None, projections[0] - before, len(result[1]), max_iter))
         return result
 
     monkeypatch.setattr(optimize, "project_covariant_tp_psd", counting_project)
@@ -305,7 +303,7 @@ class TestAscentStop:
         j = choi_from_map(lambda m: m, 2, 2)
         zero = np.zeros_like(j)
         j_out, trace, width = optimize._ascend(
-            j, lambda x: (0.5, lambda: zero), QUBIT, QUBIT, OptimizerConfig()
+            j, lambda x: (0.5, lambda: zero), QUBIT, QUBIT, OptimizerConfig.max_iter
         )
         assert (ascents[0].projections, trace, width) == (1, [(0, 0.5)], math.inf)
         assert max_abs(j_out - j) <= 1e-15
@@ -339,9 +337,11 @@ class TestShrinkFactor:
 
         values = iter([0.0])
         monkeypatch.setattr(optimize, "project_covariant_tp_psd", recording_project)
-        optimize._ascend(
-            j, lambda x: (next(values, math.nan), lambda: grad), QUBIT, QUBIT, OptimizerConfig()
-        )
+
+        def evaluate(x):
+            return next(values, math.nan), lambda: grad
+
+        optimize._ascend(j, evaluate, QUBIT, QUBIT, OptimizerConfig.max_iter)
         # the start, then the 40 candidates of one ladder; the ascent steps
         # from P(J), which is J to roundoff
         assert len(steps) == 41
@@ -359,9 +359,7 @@ class TestShrinkFactor:
         def evaluate(x):
             return -0.5 * k * np.linalg.norm(x - target) ** 2, lambda: k * (target - x)
 
-        j_out, trace, _ = optimize._ascend(
-            depolarize, evaluate, QUBIT, QUBIT, OptimizerConfig(max_iter=1)
-        )
+        j_out, trace, _ = optimize._ascend(depolarize, evaluate, QUBIT, QUBIT, 1)
         # the start, the rejected unit step, and the step to J*
         assert (ascents[0].projections, len(trace)) == (3, 2)
         assert max_abs(j_out - target) <= 1e-12
@@ -514,30 +512,36 @@ class TestMaxRecoveryFidelity:
         # steps: the optimum is a diagonal phase unitary, and the gradient
         # along it is of order |sigma01| = 4.4e-7.  The closed-form start
         # certifies at once, at its irrev 1 - (1/2 + |sigma01|).
-        psi, sigma, cfg = _pinned_debt_row()
-        res = max_recovery_fidelity(psi, sigma, QUBIT, QUBIT, cfg)
+        psi, sigma, max_iter = _pinned_debt_row()
+        res = max_recovery_fidelity(psi, sigma, QUBIT, QUBIT, max_iter)
         assert res.converged
         assert abs(res.value - 0.49999956318487349) <= 1e-12
         assert res.irrev_lower <= res.value
 
-    @pytest.mark.parametrize("pair", ["pinned", "qutrit"])
-    def test_certified_run_draws_no_further_start(self, monkeypatch, pair):
-        # F is concave, so no start can beat a run certified within
-        # _GAP_TOL by more than that: the random starts are not drawn.
-        draws = []
-        draw = optimize.random_covariant_channel
-        monkeypatch.setattr(
-            optimize, "random_covariant_channel", lambda *a: draws.append(1) or draw(*a)
-        )
+    @pytest.mark.parametrize("pair", ["pinned", "qutrit", "qutrit_to_qubit", "no_embedding"])
+    def test_recovery_draws_no_random_number(self, monkeypatch, pair):
+        # F is concave and the gap bounds its global maximum from any start,
+        # so the recovery has one deterministic start, and each pair
+        # certifies from it.  The last two have no embedding and start at
+        # the replacement channel.
+        def no_draw(*args):
+            raise AssertionError("the recovery drew a random start")
+
+        monkeypatch.setattr(optimize, "random_covariant_channel", no_draw)
         if pair == "pinned":
-            psi, sigma, cfg = _pinned_debt_row()
-            system = QUBIT
+            psi, sigma, max_iter = _pinned_debt_row()
+            sys_in = sys_out = QUBIT
+        elif pair == "qutrit":
+            sys_in, psi, _, sigma = _recovery_pair(5, 3, True)
+            sys_out, max_iter = sys_in, OptimizerConfig.max_iter
+        elif pair == "qutrit_to_qubit":
+            psi, sigma, sys_in, sys_out = PLUS, QUTRIT_UNIFORM, QUTRIT, QUBIT
+            max_iter = SHORT
         else:
-            system, psi, _, sigma = _recovery_pair(5, 3, True)
-            cfg = OptimizerConfig()
-        res = max_recovery_fidelity(psi, sigma, system, system, replace(cfg, restarts=3))
+            psi, sigma, sys_in, sys_out = PLUS, HALF, SystemSpec.diagonal([0, 2]), QUBIT
+            max_iter = SHORT
+        res = max_recovery_fidelity(psi, sigma, sys_in, sys_out, max_iter)
         assert res.gap <= optimize._GAP_TOL
-        assert draws == []
 
     def test_recovery_channel_is_covariant(self):
         res = max_recovery_fidelity(PLUS, HALF, QUBIT, QUBIT)
@@ -566,8 +570,8 @@ class TestMaxRecoveryFidelity:
 
 
 def _pinned_debt_row():
-    """(psi, sigma_Q, cfg) of the seed-7 default tradeoff row at t = 3pi/4,
-    lambda = 0, pinned as exact floats."""
+    """(psi, sigma_Q, max_iter) of the seed-7 default tradeoff row at
+    t = 3pi/4, lambda = 0, pinned as exact floats."""
     text = (DATA / "tradeoff_debt_row.json").read_text()
     pinned = json.loads(text)
     psi = DensityMatrix(matrix_from_json(pinned["psi"]))
@@ -575,7 +579,7 @@ def _pinned_debt_row():
     assert matrix_to_json(psi.mat) == pinned["psi"]
     assert matrix_to_json(sigma.mat) == pinned["sigma_q"]
     assert json.dumps(pinned, indent=2) + "\n" == text
-    return psi, sigma, OptimizerConfig(**pinned["optimizer"])
+    return psi, sigma, pinned["optimizer"]["max_iter"]
 
 
 def _recovery_pair(seed: int, d: int, pure: bool):
@@ -594,8 +598,8 @@ RECOVERY_PAIRS = dict(
     seed=st.integers(0, 2**32 - 1), d=st.sampled_from([2, 3]), pure=st.booleans()
 )
 # The bounds hold at every iterate, and mixed targets can take hundreds of
-# steps to certify, so the properties run short ascents.
-SHORT = OptimizerConfig(max_iter=30)
+# steps to certify, so the properties run short ascents (max_iter).
+SHORT = 30
 
 
 class TestRecoveryCertificate:
@@ -752,7 +756,7 @@ class TestOptimizeBroadcast:
         # interior point, against central differences of its value
         objectives = []
 
-        def capture(j0, evaluate, in_sys, out_sys, cfg, gap=None, ceiling=math.inf):
+        def capture(j0, evaluate, in_sys, out_sys, max_iter, gap=None, ceiling=math.inf):
             objectives.append(evaluate)
             return j0, [(0, 0.0)], math.inf
 

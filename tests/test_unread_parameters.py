@@ -10,15 +10,17 @@ whether or not that runner or check needs the argument.
 The same holds one level up: each config key an EXPERIMENTS entry lists
 must be read by that entry's runner, as values["key"].
 
-A parameter with a default is an option too, and one that every caller
-leaves at a single value has no effect either: the value is a constant
-of the library, and belongs beside the check that reads it.  The last
-test scans every call in the package and in perfbench/ and requires
-each defaulted package parameter to receive at least two values.
+A parameter that every caller sets to a single value has no effect
+either, whether it has a default or not: the value is a constant of the
+library, and belongs beside the check that reads it.  The last test
+scans every call in the package and in perfbench/ and requires each
+package parameter to receive at least two values, counting literals,
+module constants and arithmetic on them as fixed values.
 """
 import ast
 import copy
 import inspect
+import operator
 import textwrap
 from pathlib import Path
 
@@ -29,7 +31,9 @@ PACKAGE = ROOT / "src" / "asymmbench"
 
 # (module, function, parameter) triples allowed to go unread.
 REGISTRY_INTERFACE = {
+    ("experiments", "_run_degradation", "seed"),
     ("experiments", "_run_nonadditivity", "seed"),
+    ("experiments", "_run_irrev", "seed"),
     ("experiments", "_run_ki", "seed"),
     ("experiments", "_run_complementarity", "seed"),
     ("experiments", "<lambda>", "values"),  # Experiment.check's default
@@ -120,7 +124,8 @@ VARIES = "<varies>"
 
 
 def _constants(tree) -> dict[str, ast.Constant]:
-    """The module-level NAME = literal assignments of a module."""
+    """The module-level NAME = literal assignments of a module, arithmetic
+    on literals and earlier constants included."""
     found = {}
     for stmt in tree.body:
         if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
@@ -131,40 +136,76 @@ def _constants(tree) -> dict[str, ast.Constant]:
             continue
         if isinstance(target, ast.Name):
             try:
-                found[target.id] = ast.Constant(ast.literal_eval(value))
+                found[target.id] = ast.Constant(_value(value, found))
             except ValueError:
                 pass
     return found
 
 
-class _Substitute(ast.NodeTransformer):
+_ARITHMETIC = {
+    ast.Add: operator.add,
+    ast.Sub: operator.sub,
+    ast.Mult: operator.mul,
+    ast.Div: operator.truediv,
+    ast.FloorDiv: operator.floordiv,
+    ast.Mod: operator.mod,
+    ast.Pow: operator.pow,
+    ast.UAdd: operator.pos,
+    ast.USub: operator.neg,
+}
+
+
+class _Fold(ast.NodeTransformer):
+    """Substitutes module constants, then folds arithmetic on constants."""
+
     def __init__(self, constants):
         self.constants = constants
 
     def visit_Name(self, node):
         return self.constants.get(node.id, node)
 
+    def _fold(self, node, op, *operands):
+        self.generic_visit(node)
+        operands = [getattr(node, name) for name in operands]
+        if type(op) in _ARITHMETIC and all(isinstance(x, ast.Constant) for x in operands):
+            try:
+                return ast.Constant(_ARITHMETIC[type(op)](*(x.value for x in operands)))
+            except (TypeError, ArithmeticError):
+                pass
+        return node
+
+    def visit_BinOp(self, node):
+        return self._fold(node, node.op, "left", "right")
+
+    def visit_UnaryOp(self, node):
+        return self._fold(node, node.op, "operand")
+
+
+def _value(expr, constants):
+    """expr's value with module constants substituted and arithmetic folded;
+    raises ValueError if it is not a literal."""
+    return ast.literal_eval(_Fold(constants).visit(copy.deepcopy(expr)))
+
 
 def _literal(expr, constants) -> str | None:
-    """repr of expr's value with module constants substituted; None if not a literal."""
+    """repr of expr's value (see _value); None if not a literal."""
     try:
-        return repr(ast.literal_eval(_Substitute(constants).visit(copy.deepcopy(expr))))
+        return repr(_value(expr, constants))
     except ValueError:
         return None
 
 
-def _defaulted(func, method: bool) -> dict[str, tuple[int | None, ast.expr]]:
-    """Parameter -> (index among a call's positional arguments, default)."""
+def _signature(func, method: bool) -> dict[str, tuple[int | None, ast.expr | None]]:
+    """Parameter -> (index among a call's positional arguments, default or None)."""
     args = func.args
     positional = args.posonlyargs + args.args
-    first = len(positional) - len(args.defaults)
+    defaults = [None] * (len(positional) - len(args.defaults)) + args.defaults
     out = {
-        arg.arg: (first + i - method, default)
-        for i, (arg, default) in enumerate(zip(positional[first:], args.defaults))
+        arg.arg: (i - method, default)
+        for i, (arg, default) in enumerate(zip(positional, defaults))
+        if i >= method
     }
-    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
-        if default is not None:
-            out[arg.arg] = (None, default)
+    out.update({arg.arg: (None, d) for arg, d in zip(args.kwonlyargs, args.kw_defaults)})
     return out
 
 
@@ -179,12 +220,15 @@ def _called_name(call) -> str | None:
 def one_valued_parameters(
     library: dict[str, str], callers: dict[str, str]
 ) -> dict[tuple[str, str, str], set[str]]:
-    """(module, function, parameter) -> values, for each defaulted parameter
-    of a library function that fewer than two values reach.
+    """(module, function, parameter) -> values, for each parameter of a
+    library function that fewer than two values reach: a defaulted one
+    (its default counts where a call leaves it out), or one without a
+    default that at least one call passes.
 
     library and callers map module names to source; the calls are read from
     both.  Calls match functions by name, so a call of a same-named
-    function elsewhere can only make a parameter look varied.  A method,
+    function elsewhere can only make a parameter look varied; a call that
+    leaves out a parameter without a default is such a call.  A method,
     called on an instance or a class, skips its self or cls.
     """
     calls = {}
@@ -203,7 +247,7 @@ def one_valued_parameters(
             if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             method = isinstance(parents.get(func), ast.ClassDef)
-            for param, (index, default) in _defaulted(func, method).items():
+            for param, (index, default) in _signature(func, method).items():
                 values = set()
                 for call, call_constants in calls.get(func.name, []):
                     unpacked = any(isinstance(a, ast.Starred) for a in call.args) or any(
@@ -216,10 +260,12 @@ def one_valued_parameters(
                         values.add(VARIES)
                     elif passed:
                         values.add(_literal(passed[0], call_constants) or VARIES)
+                    elif default is None:
+                        values.add(VARIES)
                     else:
                         # evaluated once, where the function is defined
                         values.add(_literal(default, constants) or ast.unparse(default))
-                if VARIES not in values and len(values) < 2:
+                if VARIES not in values and len(values) < 2 and (values or default):
                     found[(module, func.name, param)] = values
     return found
 
@@ -236,6 +282,23 @@ def test_checker_flags_a_one_valued_parameter():
     assert one_valued_parameters({"lib": library}, {"use": callers}) == {
         ("lib", "f", "c"): {"3"},
         ("lib", "h", "z"): set(),
+    }
+
+
+def test_checker_flags_a_one_valued_parameter_without_default():
+    # a parameter without a default, and arithmetic on literals and module
+    # constants, which literal_eval alone refuses
+    library = (
+        "TOL = 0.5\n"
+        "def f(a, tol):\n    return a, tol\n"
+        "def g(b):\n    return b\n"
+        "def h(c=2 * TOL):\n    return c\n"
+        "def u(x):\n    return x\n"
+    )
+    callers = "S = 0.25\nf(0, 200 * S)\nf(-1, 50.0)\ng(1)\ng(z=1)\nh()\nh(1.0)\n"
+    assert one_valued_parameters({"lib": library}, {"use": callers}) == {
+        ("lib", "f", "tol"): {"50.0"},
+        ("lib", "h", "c"): {"1.0"},
     }
 
 
